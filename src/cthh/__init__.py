@@ -7,7 +7,7 @@ from .quiver import Quiver, canonical_form, chordless_cycles, detect_dynkin, dyn
 from .relations import RelationSet, generate_relations
 from .algebra import BoundAlgebra, CartanData, build_algebra, cartan
 from .series import HSeries, f_coeff, format_h, hh_dim, parse_h
-from .classify import classify_D, hh_closed_form, hh_type_A, hh_type_D, hh_universal, lookup_E
+from .classify import classify_D, hh_closed_form, hh_type_A, lookup_E
 from .oracle import HHDims, center_dim, hh1_dim, hh_dims
 from .verify import VerifyReport, check_quiver, verify_suite
 
@@ -20,7 +20,7 @@ __all__ = [
     "RelationSet", "generate_relations",
     "BoundAlgebra", "CartanData", "build_algebra", "cartan",
     "HSeries", "f_coeff", "format_h", "hh_dim", "parse_h",
-    "classify_D", "hh_closed_form", "hh_type_A", "hh_type_D", "hh_universal", "lookup_E",
+    "classify_D", "hh_closed_form", "hh_type_A", "lookup_E",
     "HHDims", "center_dim", "hh1_dim", "hh_dims",
     "VerifyReport", "check_quiver", "verify_suite",
     "__version__",

@@ -167,9 +167,6 @@ class BoundAlgebra:
     def arrow_indices(self):
         return [i for i, p in enumerate(self.basis) if len(p) == 2]
 
-    def indices_from_to(self, s, t):
-        return [i for i, p in enumerate(self.basis) if p[0] == s and p[-1] == t]
-
     def multiply(self, i, j):
         """Product of basis elements as a sparse ((index, coeff), ...) tuple."""
         return self.mult.get((i, j), ())

@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .algebra import BoundAlgebra, build_algebra, cartan
+from .algebra import CartanData
 from .errors import NotInTableError, UnclassifiedDError
-from .fields import QQ
-from .oracle import hh1_dim
-from .quiver import Quiver, chordless_cycles, detect_dynkin
-from .relations import generate_relations
+from .quiver import Quiver, chordless_cycles
 from .series import HSeries, parse_h, series_from_invariants
 
 
@@ -213,10 +210,6 @@ def classify_D(q: Quiver) -> DTypeParams:
     return DTypeParams("IVb", tuple(triples))
 
 
-def hh_type_D(q: Quiver) -> HSeries:
-    return classify_D(q).series()
-
-
 # ---------------------------------------------------------------------------
 # Type E table
 # ---------------------------------------------------------------------------
@@ -253,28 +246,19 @@ def lookup_E(assoc_poly) -> HSeries:
 
 
 # ---------------------------------------------------------------------------
-# Universal route and dispatch
+# Dispatch
 # ---------------------------------------------------------------------------
 
-def hh_universal(hh1: int, cartan_det: int) -> HSeries:
-    """h = f_n + t f_3 with t = hh1 - 1 and n = 1 + det C / 2^t."""
-    return series_from_invariants(hh1, cartan_det)
-
-
-def hh_closed_form(q: Quiver, family: str | None = None, rank: int | None = None,
-                   algebra: BoundAlgebra | None = None) -> HSeries:
-    """Dispatch on the Dynkin family; the result always agrees with the
-    universal route (checked here for D, by the verify sweeps elsewhere)."""
-    if family is None:
-        family, rank = detect_dynkin(q)
+def hh_closed_form(q: Quiver, family: str, hh1: int, cd: CartanData) -> HSeries:
+    """Dispatch on the Dynkin family, given dim HH^1 and the Cartan data of
+    the algebra of q.  Types D and E are checked against the universal route
+    from (hh1, det C); type A needs neither value."""
     if family == "A":
         return hh_type_A(q)
-    if algebra is None:
-        algebra = build_algebra(q, generate_relations(q), QQ)
-    universal = hh_universal(hh1_dim(algebra), cartan(algebra).det)
+    universal = series_from_invariants(hh1, cd.det)
     if family == "D":
         try:
-            typed = hh_type_D(q)
+            typed = classify_D(q).series()
         except UnclassifiedDError:
             return universal
         if typed != universal:
@@ -283,7 +267,7 @@ def hh_closed_form(q: Quiver, family: str | None = None, rank: int | None = None
             )
         return typed
     if family == "E":
-        h = lookup_E(cartan(algebra).assoc_poly)
+        h = lookup_E(cd.assoc_poly)
         if h != universal:
             raise NotInTableError(
                 f"table row {h} disagrees with universal {universal} for {q}"

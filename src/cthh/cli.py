@@ -14,14 +14,14 @@ import re
 import sys
 
 from .algebra import build_algebra, cartan
-from .classify import hh_closed_form, hh_universal
+from .classify import hh_closed_form, hh_type_A
 from .errors import CthhError, InputSyntaxError
 from .fields import QQ, FieldSpec
 from .linalg import format_poly
 from .oracle import hh1_dim, hh_dims
 from .quiver import Quiver, detect_dynkin, dynkin_seed, enumerate_class, mutate, validate
 from .relations import generate_relations
-from .series import hh_dims_list
+from .series import hh_dims_list, series_from_invariants
 from .verify import verify_suite
 
 
@@ -70,9 +70,17 @@ def _parse_seed(text: str):
 
 def _parse_chars(text: str):
     try:
-        return [FieldSpec(int(c)) for c in text.split(",") if c.strip() != ""]
+        fields = [FieldSpec(int(c)) for c in text.split(",") if c.strip() != ""]
     except ValueError as e:
         raise InputSyntaxError(str(e)) from None
+    if not fields:
+        raise InputSyntaxError(f"--chars names no characteristic: {text!r}")
+    return fields
+
+
+def _check_max_i(max_i: int):
+    if max_i < 0:
+        raise InputSyntaxError(f"--max-i must be at least 0, got {max_i}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +164,19 @@ def _cmd_cartan(args):
 
 
 def _cmd_hh(args):
+    _check_max_i(args.max_i)
     q = _read_quiver(args.file)
     fs = FieldSpec(args.char)
     family, rank = detect_dynkin(q)
-    a = build_algebra(q, generate_relations(q), QQ)
-    if args.method == "typed":
-        h = hh_closed_form(q, family, rank, algebra=a)
+    if args.method == "typed" and family == "A":
+        h = hh_type_A(q)
     else:
-        h = hh_universal(hh1_dim(a), cartan(a).det)
+        a = build_algebra(q, generate_relations(q), QQ)
+        hh1, cd = hh1_dim(a), cartan(a)
+        if args.method == "typed":
+            h = hh_closed_form(q, family, hh1, cd)
+        else:
+            h = series_from_invariants(hh1, cd.det)
     dims = hh_dims_list(h, args.max_i, fs)
     if args.json:
         print(json.dumps({
@@ -180,6 +193,7 @@ def _cmd_hh(args):
 
 
 def _cmd_hh_oracle(args):
+    _check_max_i(args.max_i)
     q = _read_quiver(args.file)
     fs = FieldSpec(args.char)
     a = build_algebra(q, generate_relations(q), fs)
@@ -195,12 +209,15 @@ def _cmd_hh_oracle(args):
 def _cmd_verify(args):
     family, rank = _parse_seed(args.seed)
     fieldspecs = _parse_chars(args.chars)
+    _check_max_i(args.max_i)
     if args.sample is None and family == "E" and rank >= 7:
         sample = 50  # full E7/E8 classes are large; --sample all forces exhaustion
     elif args.sample in (None, "all"):
         sample = None
     else:
         sample = int(args.sample)
+        if sample < 1:
+            raise InputSyntaxError(f"--sample must be at least 1 or 'all', got {sample}")
     report = verify_suite(family, rank, fieldspecs, args.max_i,
                           sample=sample, jobs=args.jobs)
     if args.json:

@@ -76,6 +76,3 @@ GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 GF7 = FieldSpec(7)
-
-#: Default field battery: covers every prime divisor of n-1 for cycle orders n <= 8.
-DEFAULT_FIELDS = (GF2, GF3, GF5, GF7, QQ)

@@ -9,7 +9,6 @@ are recovered from point evaluations by exact interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FieldSpec
@@ -21,7 +20,7 @@ class NonSquareError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Row-level workhorses.  These operate on mutable lists of rows and are used
-# directly by the algebra and oracle modules; ExactMatrix wraps them.
+# directly by the algebra and oracle modules.
 # ---------------------------------------------------------------------------
 
 def rref_mod(rows, ncols, p):
@@ -179,55 +178,6 @@ class Echelon:
 
 
 # ---------------------------------------------------------------------------
-# ExactMatrix: the immutable value type.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    field: FieldSpec
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
-
-    @staticmethod
-    def from_rows(field: FieldSpec, data) -> "ExactMatrix":
-        data = [list(r) for r in data]
-        cols = len(data[0]) if data else 0
-        for r in data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-        ent = tuple(tuple(field.element(x) for x in r) for r in data)
-        return ExactMatrix(field, len(data), cols, ent)
-
-    def row_lists(self):
-        return [list(r) for r in self.entries]
-
-    def apply(self, v):
-        """Matrix times column vector, exact."""
-        p = self.field.characteristic
-        out = []
-        for row in self.entries:
-            s = sum(a * b for a, b in zip(row, v))
-            out.append(s % p if p else s)
-        return out
-
-
-def echelonize(m: ExactMatrix):
-    """Reduced row echelon form. Returns (rank, pivots, reduced matrix)."""
-    work = m.row_lists()
-    rank, pivots = rref(work, m.cols, m.field)
-    red = ExactMatrix(m.field, m.rows, m.cols, tuple(tuple(r) for r in work))
-    return rank, pivots, red
-
-
-def kernel_basis(m: ExactMatrix):
-    """Basis of the right null space, one vector per free column."""
-    work = m.row_lists()
-    _, pivots = rref(work, m.cols, m.field)
-    return kernel_from_rref(work, m.cols, pivots, m.field)
-
-
-# ---------------------------------------------------------------------------
 # Integer determinants and pencil determinants.
 # ---------------------------------------------------------------------------
 
@@ -323,14 +273,6 @@ def pencil_det(a, b):
             raise ArithmeticError(f"pencil interpolation produced non-integer coefficient {c}")
         out.append(int(c))
     return tuple(out)
-
-
-def poly_degree(coeffs) -> int:
-    d = -1
-    for i, c in enumerate(coeffs):
-        if c:
-            d = i
-    return d
 
 
 def format_poly(coeffs) -> str:

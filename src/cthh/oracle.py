@@ -295,10 +295,8 @@ class BimoduleResolution:
         return rank
 
 
-def center_dim(a: BoundAlgebra, field: FieldSpec | None = None) -> int:
+def center_dim(a: BoundAlgebra) -> int:
     """Dimension of {x : x b = b x for every basis element b}."""
-    if field is not None and field != a.field:
-        raise ValueError("field mismatch: rebuild the algebra over the requested field")
     d = a.dimension
     fld = a.field
     rows = []
@@ -351,10 +349,8 @@ def derivation_space_dim(a: BoundAlgebra) -> int:
     return d * d - rank
 
 
-def hh1_dim(a: BoundAlgebra, field: FieldSpec | None = None) -> int:
+def hh1_dim(a: BoundAlgebra) -> int:
     """dim HH^1 = dim Der - dim Inn, with dim Inn = dim A - dim Z(A)."""
-    if field is not None and field != a.field:
-        raise ValueError("field mismatch: rebuild the algebra over the requested field")
     der = derivation_space_dim(a)
     inn = a.dimension - center_dim(a)
     return der - inn
@@ -398,11 +394,8 @@ def _sparse_rank(rows, fld: FieldSpec) -> int:
     return len(pivots)
 
 
-def hh_dims(a: BoundAlgebra, field: FieldSpec | None = None, max_i: int = 8,
-            budget: int = DEFAULT_BUDGET) -> HHDims:
+def hh_dims(a: BoundAlgebra, max_i: int = 8, budget: int = DEFAULT_BUDGET) -> HHDims:
     """dim HH^i for i = 0..max_i, from a resolution of length max_i + 1."""
-    if field is not None and field != a.field:
-        raise ValueError("field mismatch: rebuild the algebra over the requested field")
     res = BimoduleResolution(a, budget=budget)
     res.extend_to(max_i + 1)
     ranks = [0] * (max_i + 2)

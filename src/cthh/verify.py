@@ -15,13 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import build_algebra, cartan
-from .classify import classify_D, hh_closed_form, hh_universal
+from .classify import classify_D, hh_closed_form
 from .errors import UnclassifiedDError
 from .fields import QQ, FieldSpec
 from .oracle import hh1_dim, hh_dims
 from .quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
 from .relations import generate_relations
-from .series import hh_dim
+from .series import hh_dim, series_from_invariants
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,9 @@ def check_quiver(q: Quiver, family: str, rank: int, fieldspecs, max_i: int) -> Q
     ncomm = len(rels) - nzero
     base = build_algebra(q, rels, QQ)
     cd = cartan(base)
-    universal = hh_universal(hh1_dim(base), cd.det)
-    closed = hh_closed_form(q, family, rank, algebra=base)
+    hh1 = hh1_dim(base)
+    universal = series_from_invariants(hh1, cd.det)
+    closed = hh_closed_form(q, family, hh1, cd)
     if closed != universal:
         messages.append(f"closed form {closed} != universal {universal}")
     subtype = ""
@@ -161,10 +162,9 @@ def default_jobs():
 
 
 def verify_suite(family: str, rank: int, fieldspecs, max_i: int,
-                 sample: int | None = None, cap: int = 100000,
-                 jobs: int | None = None) -> VerifyReport:
+                 sample: int | None = None, jobs: int | None = None) -> VerifyReport:
     seed = dynkin_seed(family, rank)
-    quivers = enumerate_class(seed, cap=cap)
+    quivers = enumerate_class(seed)
     quivers = sample_by_canonical(quivers, sample)
     if jobs is None:
         jobs = default_jobs()

@@ -198,8 +198,9 @@ def test_criterion_09_invariant_pair_equivalence():
         data = []
         for q in mutation_class(fam, rank):
             a = cached_algebra(q, 0)
-            key = (hh1_dim(a), cartan(a).det)
-            h = hh_closed_form(q, fam, rank, algebra=a)
+            hh1, cd = hh1_dim(a), cartan(a)
+            key = (hh1, cd.det)
+            h = hh_closed_form(q, fam, hh1, cd)
             stream = tuple(expand(h, 12, fs) for fs in fields)
             data.append((key, stream))
         for i in range(len(data)):
@@ -225,7 +226,10 @@ def test_criterion_10_h_not_complete_beyond_type_a():
             found.setdefault(poly, q)
     ok = len(found) == 2
     if ok:
-        hs = {hh_closed_form(q, "E", 6, algebra=cached_algebra(q, 0)) for q in found.values()}
+        hs = set()
+        for q in found.values():
+            a = cached_algebra(q, 0)
+            hs.add(hh_closed_form(q, "E", hh1_dim(a), cartan(a)))
         ok = hs == {HSeries.of(3)}
     announce(10, ok,
              "two E6 quivers share h = f_3 but have distinct associated polynomials")

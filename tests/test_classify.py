@@ -11,14 +11,12 @@ from cthh.classify import (
     classify_D,
     hh_closed_form,
     hh_type_A,
-    hh_type_D,
-    hh_universal,
     lookup_E,
 )
 from cthh.errors import NotInTableError
 from cthh.oracle import hh1_dim
-from cthh.quiver import Quiver, dynkin_seed
-from cthh.series import HSeries
+from cthh.quiver import Quiver, detect_dynkin, dynkin_seed
+from cthh.series import HSeries, series_from_invariants
 
 
 def oriented_cycle(n):
@@ -43,7 +41,7 @@ def test_classify_d_oriented_cycle():
     params = classify_D(oriented_cycle(4))
     assert params.subtype == "IVa"
     assert params.series() == HSeries.of(4)
-    assert hh_type_D(oriented_cycle(5)) == HSeries.of(5)
+    assert classify_D(oriented_cycle(5)).series() == HSeries.of(5)
 
 
 def test_classify_d_two_triangles():
@@ -73,7 +71,7 @@ def test_classify_d_everything_in_small_classes(classes):
     for rank in (4, 5, 6):
         for q in classes[("D", rank)]:
             a = cached_algebra(q, 0)
-            uni = hh_universal(hh1_dim(a), cartan(a).det)
+            uni = series_from_invariants(hh1_dim(a), cartan(a).det)
             params = classify_D(q)
             assert params.series() == uni, (q, params)
 
@@ -98,15 +96,20 @@ def test_table_shape():
 
 
 def test_universal_examples():
-    assert hh_universal(1, 3) == HSeries.of(4)
-    assert hh_universal(0, 1) == HSeries.of()
-    assert hh_universal(3, 8) == HSeries.of(3, 3, 3)
+    assert series_from_invariants(1, 3) == HSeries.of(4)
+    assert series_from_invariants(0, 1) == HSeries.of()
+    assert series_from_invariants(3, 8) == HSeries.of(3, 3, 3)
 
 
 def test_closed_form_dispatch_examples():
-    assert hh_closed_form(oriented_cycle(3)) == HSeries.of(3)
-    assert hh_closed_form(oriented_cycle(6)) == HSeries.of(6)
-    assert hh_closed_form(dynkin_seed("E", 6)) == HSeries.of()
+    def closed_form(q):
+        family, _ = detect_dynkin(q)
+        a = cached_algebra(q, 0)
+        return hh_closed_form(q, family, hh1_dim(a), cartan(a))
+
+    assert closed_form(oriented_cycle(3)) == HSeries.of(3)
+    assert closed_form(oriented_cycle(6)) == HSeries.of(6)
+    assert closed_form(dynkin_seed("E", 6)) == HSeries.of()
 
 
 def test_type_a_series_separate_triangle_counts(classes):
@@ -129,8 +132,9 @@ def test_closed_form_e6_f5_row(classes):
     # an E6-class quiver whose associated polynomial is 4(x^6+x^4+x^2+1)
     for q in classes[("E", 6)]:
         a = cached_algebra(q, 0)
-        if cartan(a).assoc_poly == (4, 0, 4, 0, 4, 0, 4):
-            assert hh_closed_form(q, "E", 6, algebra=a) == HSeries.of(5)
+        cd = cartan(a)
+        if cd.assoc_poly == (4, 0, 4, 0, 4, 0, 4):
+            assert hh_closed_form(q, "E", hh1_dim(a), cd) == HSeries.of(5)
             break
     else:
         pytest.fail("no E6 quiver with the f_5 polynomial found")

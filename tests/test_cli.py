@@ -1,5 +1,6 @@
 """CLI surface: document parsing, command output, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -146,6 +147,37 @@ def test_cli_verify_json_deterministic(capsys):
     doc = json.loads(first)
     assert doc["passed"] is True
     assert len(doc["records"]) == 4
+
+
+# sha256 of `cthh verify --seed S --chars 2,0 --max-i 4 --jobs 1 --json`; one
+# seed per branch of hh_closed_form.  A change here changes the reports.
+VERIFY_REPORT_SHA256 = {
+    "A5": "aa9cf322d8ebfd796961221b1ff87e70e41f9a02100a8ad3a367f8e999eeebeb",
+    "D5": "60578332b0fe1cefbe74c853355d861dc60a01c1a20089c2945c0e29b3540e85",
+    "E6": "2773145ad6e8a9b2bd9700ad40ad4c5d1559a3a91f044c80f67e309b70a02bdf",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_REPORT_SHA256))
+def test_cli_verify_json_report_bytes(capsys, seed):
+    argv = ["verify", "--seed", seed, "--chars", "2,0", "--max-i", "4", "--jobs", "1", "--json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_REPORT_SHA256[seed]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh-oracle", "{q}", "--char", "2", "--max-i", "-1"],
+    ["hh", "{q}", "--max-i", "-1"],
+    ["verify", "--seed", "A3", "--chars", "2", "--max-i", "-1"],
+    ["verify", "--seed", "A3", "--chars", "2", "--sample", "-2"],
+    ["verify", "--seed", "A3", "--chars", "2", "--sample", "0"],
+    ["verify", "--seed", "A3", "--chars", ","],
+])
+def test_cli_out_of_range_input_exit_2(tmp_path, capsys, argv):
+    path = write(tmp_path, "q.json", TRIANGLE)
+    assert main([a.format(q=path) for a in argv]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_2(capsys):

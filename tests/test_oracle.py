@@ -4,7 +4,6 @@ import pytest
 
 from conftest import cached_algebra
 from cthh.errors import ResolutionBudgetError
-from cthh.fields import FieldSpec
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed
 
@@ -139,9 +138,3 @@ def test_dims_invariant_under_relabeling():
         d1 = hh_dims(cached_algebra(q, char), max_i=6).dims
         d2 = hh_dims(cached_algebra(relabeled, char), max_i=6).dims
         assert d1 == d2
-
-
-def test_field_mismatch_rejected():
-    a = cached_algebra(dynkin_seed("A", 3), 0)
-    with pytest.raises(ValueError):
-        hh_dims(a, field=FieldSpec(2), max_i=2)
