@@ -1,24 +1,34 @@
 """Finite-dimensional bound quiver algebras: basis, multiplication, Cartan data.
 
-The quotient KQ/I is computed by truncated closure: list all paths up to a
-cutoff, span the ideal's truncated part by padding each relation with all
-left/right path factors that stay inside the cutoff, and echelonize per
-(source, target) block in degree-lexicographic order with the *largest*
-path of a row as its pivot.  Surviving (non-pivot) paths form the basis;
-pivotal paths carry rewrite rules used by the multiplication table.
+The quotient KQ/I is computed from a reduced rewriting system (a
+noncommutative Groebner basis, after E. L. Green 1999) of the relation ideal.
+Paths are vertex tuples ordered by (length, vertex sequence); the largest
+path of an ideal element is its tip, and each rule rewrites a tip as an
+integer combination of smaller paths.  Completion resolves every overlap in
+which a proper suffix of one tip is a proper prefix of another (sharing at
+least one arrow) and re-queues a rule whose tip contains a newer tip.  It
+takes pending elements smallest first: taken newest first, some E8 quivers
+grow tips past the guard below before the short ones appear.  The basis is
+the set of normal words (paths with no tip as a subpath) and the
+multiplication table holds the normal forms of products.
 
-The cutoff starts at vertex_count + 2 and grows until (a) some layer kills
-every path, comfortably inside the cutoff, and (b) a recomputation with
-cutoff + 1 reproduces the same layer dimensions.
+The rules are computed once over the integers, and every tip must have
+leading coefficient +-1 (else AlgebraError).  Each reduction over Z then maps
+term by term to one mod p, so the same rules are a Groebner basis over every
+field; the field enters only when stored coefficients are coerced.  A tip or
+a normal word longer than 2n + 1 arrows (n vertices) raises
+NotFiniteDimensionalError, which bounds the tips and so ends completion.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dc_field
+from itertools import count
 
 from .errors import InvalidRelationsError, NotFiniteDimensionalError, AlgebraError
 from .fields import FieldSpec, QQ
-from .linalg import det_int, pencil_det, rref
+from .linalg import det_int, pencil_det
 from .quiver import Quiver, validate
 from .relations import RelationSet
 
@@ -27,110 +37,75 @@ def _path_key(p):
     return (len(p), p)
 
 
-class _Truncation:
-    """One truncated-closure computation at a fixed cutoff."""
+def _poly(terms):
+    """Sum (path, int) terms into {path: int}, dropping zero coefficients."""
+    f = {}
+    for x, c in terms:
+        f[x] = f.get(x, 0) + c
+    return {x: c for x, c in f.items() if c}
 
-    def __init__(self, q: Quiver, rels: RelationSet, fieldspec: FieldSpec, cutoff: int):
-        self.cutoff = cutoff
-        max_len = cutoff - 1
-        out_arrows = {v: [] for v in range(1, q.vertex_count + 1)}
-        for s, t in q.arrows:
-            out_arrows[s].append(t)
-        for v in out_arrows:
-            out_arrows[v].sort()
 
-        by_len = [[(v,) for v in range(1, q.vertex_count + 1)]]
-        for _ in range(max_len):
-            layer = []
-            for p in by_len[-1]:
-                for t in out_arrows[p[-1]]:
-                    layer.append(p + (t,))
-            by_len.append(layer)
-        self.paths_by_len = by_len
-
-        blocks = {}
-        for layer in by_len:
-            for p in layer:
-                blocks.setdefault((p[0], p[-1]), []).append(p)
-        for key in blocks:
-            blocks[key].sort(key=_path_key, reverse=True)  # pivots prefer long paths
-        self.block_cols = blocks
-        self.col_index = {
-            key: {p: i for i, p in enumerate(cols)} for key, cols in blocks.items()
-        }
-
-        # truncated ideal rows: u * relation * v for all padding paths u, v
-        zero = fieldspec.zero()
-        rows_by_block = {}
-        for _, rel in rels:
-            maxlen = max(p.length for _, p in rel.terms)
-            src, tgt = rel.source, rel.target
-            lefts = [p for layer in by_len for p in layer if p[-1] == src]
-            rights = [p for layer in by_len for p in layer if p[0] == tgt]
-            for u in lefts:
-                lu = len(u) - 1
-                if lu + maxlen > max_len:
-                    continue
-                for v in rights:
-                    lv = len(v) - 1
-                    if lu + maxlen + lv > max_len:
-                        continue
-                    key = (u[0], v[-1])
-                    idx = self.col_index[key]
-                    vec = [zero] * len(self.block_cols[key])
-                    for coeff, term in rel.terms:
-                        full = u + term.vertices[1:] + v[1:]
-                        vec[idx[full]] += fieldspec.element(coeff)
-                    rows_by_block.setdefault(key, []).append(vec)
-
-        self.pivot_info = {}
-        self.dead = set()
-        self.survivors = []
-        for key, cols in blocks.items():
-            rows = rows_by_block.get(key, [])
-            if rows:
-                _, pivots = rref(rows, len(cols), fieldspec)
+def _reduce(f, rules):
+    """Normal form of f {path: int} under rules {tip: {path: int}}, largest term first."""
+    lengths = {len(t) for t in rules}
+    out = {}
+    while f:
+        w = max(f, key=_path_key)
+        c = f.pop(w)
+        hit = next(((i, w[i:i + k]) for i in range(len(w)) for k in lengths
+                    if w[i:i + k] in rules), None)
+        if hit is None:
+            out[w] = c
+            continue
+        i, tip = hit
+        for p, d in rules[tip].items():
+            x = w[:i] + p + w[i + len(tip):]
+            v = f.get(x, 0) + c * d
+            if v:
+                f[x] = v
             else:
-                pivots = []
-            pivot_set = set(pivots)
-            for r, c in enumerate(pivots):
-                row = rows[r]
-                rewrite = [
-                    (cols[j], -row[j] if fieldspec.characteristic == 0 else (-row[j]) % fieldspec.characteristic)
-                    for j in range(len(cols))
-                    if j != c and row[j]
-                ]
-                self.pivot_info[cols[c]] = rewrite
-                if not rewrite:
-                    self.dead.add(cols[c])
-            for j, p in enumerate(cols):
-                if j not in pivot_set:
-                    self.survivors.append(p)
+                del f[x]
+    return out
 
-        # kill layer: least length at which every path (if any) dies outright
-        self.kill_length = None
-        for ell in range(1, cutoff - 1):
-            layer = by_len[ell]
-            if all(p in self.dead for p in layer):
-                self.kill_length = ell
-                break
 
-        counts = {}
-        for p in self.survivors:
-            counts[len(p) - 1] = counts.get(len(p) - 1, 0) + 1
-        top = max(counts)
-        dims = [counts.get(i, 0) for i in range(top + 1)]
-        if any(d == 0 for d in dims):
-            raise AlgebraError("graded layer vanished below a nonzero layer")
-        if self.kill_length is not None and len(by_len[top + 1] if top + 1 < len(by_len) else []) > 0:
-            dims.append(0)
-        self.degree_dims = tuple(dims)
+def _overlaps(a, b, rules):
+    """The ambiguities of tips a and b where a proper suffix of a is a proper prefix of b."""
+    for m in range(2, min(len(a), len(b))):
+        if a[-m:] == b[:m]:
+            yield _poly([(p + b[m:], c) for p, c in rules[a].items()]
+                        + [(a[:-m] + p, -c) for p, c in rules[b].items()])
 
-    @property
-    def stable(self):
-        if self.kill_length is None:
-            return False
-        return all(len(p) - 1 < self.kill_length for p in self.survivors)
+
+def _complete(rels: RelationSet, limit: int):
+    """Rewriting rules {tip: {path: int}} of the ideal generated by rels."""
+    rules = {}
+    pending = []  # heap of (key of the largest path, arrival, element): smallest first
+    arrival = count()
+
+    def push(*fs):
+        for f in fs:
+            if f:
+                heapq.heappush(pending, (_path_key(max(f, key=_path_key)), next(arrival), f))
+
+    push(*(_poly((p.vertices, c) for c, p in rel.terms) for _, rel in rels))
+    while pending:
+        f = _reduce(heapq.heappop(pending)[2], rules)
+        if not f:
+            continue
+        tip = max(f, key=_path_key)
+        lead = f.pop(tip)
+        if lead not in (1, -1):
+            raise AlgebraError(f"leading coefficient {lead} of {tip} is not +-1")
+        if len(tip) - 1 > limit:
+            raise NotFiniteDimensionalError(f"rule tip {tip} is longer than {limit} arrows")
+        for t in [t for t in rules if any(t[i:i + len(tip)] == tip for i in range(len(t)))]:
+            push({t: 1, **{p: -c for p, c in rules.pop(t).items()}})
+        rules[tip] = {p: -lead * c for p, c in f.items()}
+        for t in rules:
+            push(*_overlaps(tip, t, rules))
+            if t != tip:
+                push(*_overlaps(t, tip, rules))
+    return {t: _reduce(dict(tail), rules) for t, tail in rules.items()}
 
 
 @dataclass(frozen=True)
@@ -200,44 +175,37 @@ def build_algebra(q: Quiver, rels: RelationSet, fieldspec: FieldSpec = QQ) -> Bo
     validate(q)
     _check_relations(q, rels)
     n = q.vertex_count
-    cutoff = n + 2
-    max_cutoff = 2 * n + 2
-    while True:
-        trunc = _Truncation(q, rels, fieldspec, cutoff)
-        if trunc.stable:
-            again = _Truncation(q, rels, fieldspec, cutoff + 1)
-            if again.stable and again.degree_dims == trunc.degree_dims:
-                break
-        if cutoff >= max_cutoff:
-            raise NotFiniteDimensionalError(
-                f"dimensions did not stabilize by cutoff {max_cutoff}"
-            )
-        cutoff += 1
+    limit = 2 * n + 1
+    rules = _complete(rels, limit)
+    lengths = {len(t) for t in rules}
+    layers = [[(v,) for v in range(1, n + 1)]]
+    while layers[-1]:
+        layer = [w + (t,) for w in layers[-1] for s, t in q.arrows if s == w[-1]]
+        layers.append([w for w in layer if not any(w[-k:] in rules for k in lengths)])
+        if layers[-1] and len(layers) - 1 > limit:
+            raise NotFiniteDimensionalError(f"normal words longer than {limit} arrows")
+    dims = [len(layer) for layer in layers[:-1]]
+    # a trailing 0 records that the quiver has paths one arrow longer than the basis
+    ends = set(range(1, n + 1))
+    for _ in dims:
+        ends = {t for s, t in q.arrows if s in ends}
+    if ends:
+        dims.append(0)
 
-    basis = tuple(sorted(trunc.survivors, key=_path_key))
+    basis = tuple(sorted((w for layer in layers for w in layer), key=_path_key))
     index = {p: i for i, p in enumerate(basis)}
-    kill = trunc.kill_length
     mult = {}
-    one = fieldspec.one()
     for i, p in enumerate(basis):
         for j, r in enumerate(basis):
-            if p[-1] != r[0]:
-                continue
-            full = p + r[1:]
-            if len(full) - 1 >= kill:
-                continue
-            if full in index:
-                mult[(i, j)] = ((index[full], one),)
-                continue
-            rewrite = trunc.pivot_info.get(full)
-            if rewrite is None:
-                raise AlgebraError(f"product path {full} missing from truncation")
-            entries = tuple((index[pp], c) for pp, c in rewrite)
-            if entries:
-                mult[(i, j)] = tuple(sorted(entries))
+            if p[-1] == r[0]:
+                nf = _reduce({p + r[1:]: 1}, rules)
+                entries = ((index[w], fieldspec.element(c)) for w, c in nf.items())
+                entries = tuple(sorted(e for e in entries if e[1]))
+                if entries:
+                    mult[(i, j)] = entries
     src = tuple(p[0] for p in basis)
     tgt = tuple(p[-1] for p in basis)
-    return BoundAlgebra(q, fieldspec, basis, trunc.degree_dims, mult, src, tgt)
+    return BoundAlgebra(q, fieldspec, basis, tuple(dims), mult, src, tgt)
 
 
 @dataclass(frozen=True)

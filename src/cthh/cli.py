@@ -218,6 +218,8 @@ def _cmd_verify(args):
         sample = int(args.sample)
         if sample < 1:
             raise InputSyntaxError(f"--sample must be at least 1 or 'all', got {sample}")
+    if args.jobs is not None and args.jobs < 1:
+        raise InputSyntaxError(f"--jobs must be at least 1, got {args.jobs}")
     report = verify_suite(family, rank, fieldspecs, args.max_i,
                           sample=sample, jobs=args.jobs)
     if args.json:

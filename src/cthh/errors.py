@@ -94,6 +94,10 @@ class UnclassifiedDError(ClassifyError):
 
 # --- oracle -------------------------------------------------------------------
 
+class InvariantError(CthhError):
+    """A self-check of the resolution or the cohomology failed."""
+
+
 class ResolutionBudgetError(CthhError):
     def __init__(self, total, budget):
         super().__init__(f"resolution size {total} exceeds budget {budget}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import BoundAlgebra
-from .errors import ResolutionBudgetError
+from .errors import InvariantError, ResolutionBudgetError
 from .fields import FieldSpec
 from .linalg import Echelon, kernel_from_rref, rref
 
@@ -145,7 +145,8 @@ class BimoduleResolution:
                 img = self._column_image(i, coord)
                 for tcoord, val in img.items():
                     tkey, toff = target.offset[tcoord]
-                    assert tkey == key, "differential broke the vertex bigrading"
+                    if tkey != key:
+                        raise InvariantError("differential broke the vertex bigrading")
                     mat[toff][c] = val
             rank, pivots = rref(mat, len(cols), fld)
             rank_total += rank
@@ -154,13 +155,11 @@ class BimoduleResolution:
                 kernels[key] = [list(v) for v in kb]
 
         # exactness: the image of d_i must fill the previously computed kernel
-        if i == 0:
-            assert rank_total == a.dimension, "augmentation is not surjective"
-        else:
-            assert rank_total == self.kernel_dims[i - 1], (
-                f"resolution not exact at step {i}: image {rank_total}, "
-                f"kernel {self.kernel_dims[i - 1]}"
-            )
+        if i == 0 and rank_total != a.dimension:
+            raise InvariantError("augmentation is not surjective")
+        if i > 0 and rank_total != self.kernel_dims[i - 1]:
+            raise InvariantError(f"resolution not exact at step {i}: image {rank_total}, "
+                                 f"kernel {self.kernel_dims[i - 1]}")
 
         self.kernels.append(kernels)
         self.kernel_dims.append(sum(len(v) for v in kernels.values()))
@@ -246,8 +245,8 @@ class BimoduleResolution:
             for (g, p, q), coeff in img.items():
                 for tcoord, c2 in prev.images[g].items():
                     target.pad(self.a, tcoord, p, q, coeff * c2, acc)
-            for v in acc.values():
-                assert not self._normalize(v), "d o d != 0"
+            if any(self._normalize(v) for v in acc.values()):
+                raise InvariantError("d o d != 0")
 
     def extend_to(self, length):
         while len(self.levels) < length + 1:
@@ -405,7 +404,8 @@ def hh_dims(a: BoundAlgebra, max_i: int = 8, budget: int = DEFAULT_BUDGET) -> HH
     for i in range(max_i + 1):
         total = len(res.hom_basis(i))
         dims.append(total - ranks[i] - ranks[i + 1])
-    assert dims[0] == center_dim(a), "HH^0 disagrees with the center"
-    if max_i >= 1:
-        assert dims[1] == hh1_dim(a), "HH^1 disagrees with Der/Inn"
+    if dims[0] != center_dim(a):
+        raise InvariantError("HH^0 disagrees with the center")
+    if max_i >= 1 and dims[1] != hh1_dim(a):
+        raise InvariantError("HH^1 disagrees with Der/Inn")
     return HHDims(tuple(dims), a.field, max_i)

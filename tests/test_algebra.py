@@ -2,16 +2,40 @@
 
 import pytest
 
-from conftest import cached_algebra
+from conftest import cached_algebra, mutation_class
 from cthh.algebra import build_algebra, cartan
-from cthh.errors import InvalidRelationsError
-from cthh.fields import QQ, GF2, GF3, GF5, GF7
+from cthh.classify import classify_D, lookup_E
+from cthh.errors import AlgebraError, InvalidRelationsError, NotFiniteDimensionalError
+from cthh.fields import FieldSpec, QQ, GF2, GF3, GF5, GF7
+from cthh.oracle import hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed
 from cthh.relations import Path, Relation, RelationSet, generate_relations
+from cthh.series import HSeries, hh_dim, series_from_invariants
 
 
 def oriented_cycle(n):
     return Quiver.make(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+# Quivers whose commutativity relations mix path lengths, e.g. 8->4->5 and
+# 8->7->6->5 in D8_MIXED; a build that truncates the ideal by path length
+# rejects them.
+D8_MIXED = Quiver.make(8, [(1, 8), (8, 4), (4, 5), (5, 3), (3, 6), (6, 2), (2, 7), (7, 1),
+                           (5, 8), (6, 5), (7, 6), (8, 7)])
+D9_MIXED = (
+    Quiver.make(9, [(1, 5), (2, 6), (3, 7), (4, 9), (5, 8), (6, 4), (6, 7), (7, 2),
+                    (7, 8), (8, 3), (8, 9), (9, 5), (9, 6)]),
+    Quiver.make(9, [(2, 6), (3, 7), (4, 9), (5, 1), (5, 8), (6, 4), (6, 7), (7, 2),
+                    (7, 8), (8, 3), (8, 9), (9, 5), (9, 6)]),
+)
+# E8 quivers whose completion grows tips past 2n + 1 arrows when overlaps
+# are resolved newest first instead of smallest first.
+E8_LONG_OVERLAPS = (
+    Quiver.make(8, [(1, 4), (2, 3), (3, 7), (4, 8), (5, 4), (5, 7), (6, 3), (6, 8),
+                    (7, 2), (7, 6), (8, 1), (8, 5)]),
+    Quiver.make(8, [(3, 8), (4, 7), (5, 4), (5, 8), (6, 3), (6, 7), (7, 2), (7, 5),
+                    (8, 1), (8, 6)]),
+)
 
 
 def test_linear_a3_dimensions():
@@ -160,3 +184,45 @@ def test_build_over_all_default_fields():
     for fs in (QQ, GF2, GF3, GF5, GF7):
         a = build_algebra(q, rels, fs)
         assert a.dimension == 20
+
+
+def test_d8_class_builds_and_matches_universal_route():
+    fs = FieldSpec(1000003)
+    qs = mutation_class("D", 8)
+    assert len(qs) == 810
+    for q in qs:
+        a = build_algebra(q, generate_relations(q), fs)
+        assert series_from_invariants(hh1_dim(a), cartan(a).det) == classify_D(q).series(), q
+
+
+def test_mixed_length_d8_quiver_oracle():
+    want = tuple(hh_dim(HSeries.of(8), i, GF2) for i in range(11))
+    assert hh_dims(cached_algebra(D8_MIXED, 2), max_i=10).dims == want
+
+
+def test_mixed_length_d9_quivers():
+    for q in D9_MIXED:
+        cd = cartan(cached_algebra(q, 0))
+        assert cartan(cached_algebra(q, 2)) == cd
+        assert series_from_invariants(hh1_dim(cached_algebra(q, 0)), cd.det) == HSeries.of(8)
+        assert classify_D(q).series() == HSeries.of(8)
+
+
+def test_e8_quivers_with_long_overlap_chains():
+    for q in E8_LONG_OVERLAPS:
+        cd = cartan(cached_algebra(q, 0))
+        assert cartan(cached_algebra(q, 2)) == cd
+        assert lookup_E(cd.assoc_poly) == series_from_invariants(hh1_dim(cached_algebra(q, 2)), cd.det)
+
+
+def test_cycle_without_relations_not_finite_dimensional():
+    with pytest.raises(NotFiniteDimensionalError):
+        build_algebra(oriented_cycle(3), RelationSet(()), QQ)
+
+
+def test_non_unit_leading_coefficient_rejected():
+    q = dynkin_seed("A", 3)
+    rels = RelationSet((((1, 2), Relation(((2, Path((1, 2, 3))),))),))
+    for fs in (QQ, GF2):
+        with pytest.raises(AlgebraError):
+            build_algebra(q, rels, fs)

@@ -1,5 +1,10 @@
 """Oracle correctness: centers, derivations, resolutions, cohomology dims."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import cached_algebra
@@ -138,3 +143,24 @@ def test_dims_invariant_under_relabeling():
         d1 = hh_dims(cached_algebra(q, char), max_i=6).dims
         d2 = hh_dims(cached_algebra(relabeled, char), max_i=6).dims
         assert d1 == d2
+
+
+def test_invariant_checks_survive_optimize():
+    # a wrong center dimension must stop hh_dims even with asserts compiled out
+    code = (
+        "import cthh.oracle as o\n"
+        "from cthh import QQ, Quiver, build_algebra, generate_relations\n"
+        "from cthh.errors import InvariantError\n"
+        "q = Quiver.make(3, [(1, 2), (2, 3), (3, 1)])\n"
+        "a = build_algebra(q, generate_relations(q), QQ)\n"
+        "o.center_dim = lambda a: 2\n"
+        "try:\n"
+        "    print(__debug__, o.hh_dims(a, max_i=3).dims)\n"
+        "except InvariantError as e:\n"
+        "    print(__debug__, type(e).__name__)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert run.stdout.split() == ["False", "InvariantError"]
