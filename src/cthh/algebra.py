@@ -133,31 +133,11 @@ class BoundAlgebra:
     def vertex_count(self):
         return self.quiver.vertex_count
 
-    def basis_index(self, path_vertices):
-        return self.basis.index(tuple(path_vertices))
-
     def trivial_index(self, v):
         return self.basis.index((v,))
 
     def arrow_indices(self):
         return [i for i, p in enumerate(self.basis) if len(p) == 2]
-
-    def multiply(self, i, j):
-        """Product of basis elements as a sparse ((index, coeff), ...) tuple."""
-        return self.mult.get((i, j), ())
-
-    def multiply_sparse(self, xs, ys):
-        """Product of two sparse vectors given as iterables of (index, coeff)."""
-        acc = {}
-        mult = self.mult
-        for i, a in xs:
-            for j, b in ys:
-                for k, c in mult.get((i, j), ()):
-                    acc[k] = acc.get(k, self.field.zero()) + a * b * c
-        p = self.field.characteristic
-        if p:
-            return tuple((k, v % p) for k, v in sorted(acc.items()) if v % p)
-        return tuple((k, v) for k, v in sorted(acc.items()) if v)
 
 
 def _check_relations(q: Quiver, rels: RelationSet):

@@ -15,7 +15,7 @@ from importlib import resources
 
 from .algebra import CartanData
 from .errors import NotInTableError, UnclassifiedDError
-from .quiver import Quiver, chordless_cycles
+from .quiver import Quiver, chordless_cycles, oriented_triangle_count
 from .series import HSeries, parse_h, series_from_invariants
 
 
@@ -25,8 +25,7 @@ from .series import HSeries, parse_h, series_from_invariants
 
 def hh_type_A(q: Quiver) -> HSeries:
     """t oriented 3-cycles give h = t * f_3."""
-    t = sum(1 for c in chordless_cycles(q) if c.oriented and c.length == 3)
-    return HSeries.of(*([3] * t))
+    return HSeries.of(*([3] * oriented_triangle_count(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +248,34 @@ def lookup_E(assoc_poly) -> HSeries:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def hh_closed_form(q: Quiver, family: str, hh1: int, cd: CartanData) -> HSeries:
+def hh_closed_form(q: Quiver, family: str, hh1: int, cd: CartanData):
     """Dispatch on the Dynkin family, given dim HH^1 and the Cartan data of
     the algebra of q.  Types D and E are checked against the universal route
-    from (hh1, det C); type A needs neither value."""
+    from (hh1, det C); type A needs neither value.
+
+    Returns (series, subtype): the subtype is the matched type-D pattern
+    (`DTypeParams.subtype`), "unclassified" for a type-D quiver no pattern
+    matches, and "" for types A and E.
+    """
     if family == "A":
-        return hh_type_A(q)
+        return hh_type_A(q), ""
     universal = series_from_invariants(hh1, cd.det)
     if family == "D":
         try:
-            typed = classify_D(q).series()
+            params = classify_D(q)
         except UnclassifiedDError:
-            return universal
+            return universal, "unclassified"
+        typed = params.series()
         if typed != universal:
             raise UnclassifiedDError(
                 f"type-D pattern gave {typed} but the universal route gave {universal} for {q}"
             )
-        return typed
+        return typed, params.subtype
     if family == "E":
         h = lookup_E(cd.assoc_poly)
         if h != universal:
             raise NotInTableError(
                 f"table row {h} disagrees with universal {universal} for {q}"
             )
-        return h
+        return h, ""
     raise ValueError(f"unknown family {family!r}")

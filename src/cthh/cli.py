@@ -174,7 +174,7 @@ def _cmd_hh(args):
         a = build_algebra(q, generate_relations(q), QQ)
         hh1, cd = hh1_dim(a), cartan(a)
         if args.method == "typed":
-            h = hh_closed_form(q, family, hh1, cd)
+            h, _ = hh_closed_form(q, family, hh1, cd)
         else:
             h = series_from_invariants(hh1, cd.det)
     dims = hh_dims_list(h, args.max_i, fs)

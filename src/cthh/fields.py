@@ -42,10 +42,6 @@ class FieldSpec:
         if p >= 1 << 31:
             raise ValueError(f"prime too large for exact word arithmetic: {p}")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
-
     def zero(self):
         return Fraction(0) if self.characteristic == 0 else 0
 

@@ -112,12 +112,6 @@ def kernel_from_rref(rows, ncols, pivots, field: FieldSpec):
     return basis
 
 
-def rank_of(rows, ncols, field: FieldSpec) -> int:
-    work = [list(r) for r in rows]
-    r, _ = rref(work, ncols, field)
-    return r
-
-
 class Echelon:
     """Incrementally built row echelon over a field, for span membership
     and reduction.  Rows are kept with normalized leading 1 and are only

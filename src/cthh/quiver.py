@@ -5,6 +5,13 @@ and connected (simply laced finite type).  Vertices are 1-based.  Canonical
 forms are computed by minimizing an adjacency encoding over all vertex
 permutations compatible with an iteratively refined degree partition; with
 at most 9 vertices this needs no external graph canonicalization machinery.
+
+The Dynkin type of a mutation class is read off the quiver itself, without
+mutating (Barot-Geiss-Zelevinsky 2006): sign each edge +-1 so that every
+chordless cycle, all of which must be oriented, has an odd number of +1
+edges, and put 2 on the diagonal.  The quiver is of finite type exactly when
+this quasi-Cartan companion is positive definite, and its determinant names
+the type: n + 1 for A_n, 4 for D_n, 3, 2, 1 for E_6, E_7, E_8.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .errors import (
     ParallelArrowError,
     TwoCycleError,
 )
+from .linalg import det_int, rref_mod
 
 DEFAULT_CLASS_CAP = 100000
 
@@ -40,15 +48,6 @@ class Quiver:
     @property
     def arrow_set(self):
         return frozenset(self.arrows)
-
-    def out_neighbors(self, v):
-        return [t for s, t in self.arrows if s == v]
-
-    def in_neighbors(self, v):
-        return [s for s, t in self.arrows if t == v]
-
-    def undirected_degree(self, v):
-        return sum(1 for s, t in self.arrows if v in (s, t))
 
     def relabel(self, perm) -> "Quiver":
         """Apply a vertex permutation given as a dict old -> new."""
@@ -327,68 +326,42 @@ def oriented_triangle_count(q: Quiver) -> int:
 # Dynkin type detection and standard seeds
 # ---------------------------------------------------------------------------
 
-def _classify_tree(q: Quiver):
-    n = q.vertex_count
-    degs = {v: q.undirected_degree(v) for v in range(1, n + 1)}
-    if any(d > 3 for d in degs.values()):
-        return None
-    branch = [v for v, d in degs.items() if d == 3]
-    if not branch:
-        return ("A", n)
-    if len(branch) > 1:
-        return None
-    center = branch[0]
-    adj = {v: set() for v in range(1, n + 1)}
-    for s, t in q.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
-    arms = []
-    for start in adj[center]:
-        length = 1
-        prev, cur = center, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return ("D", n)
-    if arms == [1, 2, 2]:
-        return ("E", 6)
-    if arms == [1, 2, 3]:
-        return ("E", 7)
-    if arms == [1, 2, 4]:
-        return ("E", 8)
-    return None
+def detect_dynkin(q: Quiver):
+    """The Dynkin type (family, rank) of q's mutation class, from an
+    admissible quasi-Cartan companion A (Barot-Geiss-Zelevinsky 2006).
 
-
-def detect_dynkin(q: Quiver, cap: int = DEFAULT_CLASS_CAP):
-    """Mutate until an acyclic quiver appears and classify its underlying tree."""
+    Every chordless cycle must be oriented.  A has a_ii = 2 and, on each edge,
+    a_ij = a_ji = +-1 with an odd number of +1 edges on every chordless cycle
+    (one linear system over GF(2)).  q is of finite type exactly when A is
+    positive definite (Sylvester: every leading principal minor > 0), and
+    then det A is the Cartan determinant of the type: n + 1 for A_n, 4 for
+    D_n, and 3, 2, 1 for E_6, E_7, E_8.
+    """
     validate(q)
-    start = canonical_representative(q)
-    found = {canonical_form(start)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            if len(rep.arrows) == rep.vertex_count - 1:
-                shape = _classify_tree(rep)
-                if shape is None:
-                    raise NotDynkinError(f"tree quiver {rep} is not of ADE shape")
-                return shape
-            for k in range(1, rep.vertex_count + 1):
-                m = canonical_representative(mutate(rep, k))
-                key = canonical_form(m)
-                if key not in found:
-                    if len(found) >= cap:
-                        raise NotDynkinError(f"no tree quiver within {cap} classes")
-                    found.add(key)
-                    nxt.append(m)
-        frontier = nxt
-    raise NotDynkinError("mutation class exhausted without finding a tree quiver")
+    cycles = chordless_cycles(q)
+    if not all(c.oriented for c in cycles):
+        raise NotDynkinError(f"{q} has a chordless cycle that is not oriented")
+    m = len(q.arrows)
+    rows = [[int(a in c.arrow_list()) for a in q.arrows] + [1] for c in cycles]
+    rank, pivots = rref_mod(rows, m + 1, 2)
+    if m in pivots:
+        raise NotDynkinError(f"{q} has no admissible quasi-Cartan companion")
+    plus = {pivots[r] for r in range(rank) if rows[r][m]}
+    n = q.vertex_count
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k, (s, t) in enumerate(q.arrows):
+        a[s - 1][t - 1] = a[t - 1][s - 1] = 1 if k in plus else -1
+    minors = [det_int([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
+    if min(minors) <= 0:
+        raise NotDynkinError(f"{q} is not of finite type: quasi-Cartan companion not positive definite")
+    det = minors[-1]
+    if det == n + 1:
+        return ("A", n)
+    if det == 4:
+        return ("D", n)
+    if (n, det) in ((6, 3), (7, 2), (8, 1)):
+        return ("E", n)
+    raise NotDynkinError(f"{q}: no Dynkin diagram of rank {n} has Cartan determinant {det}")
 
 
 def dynkin_seed(family: str, rank: int) -> Quiver:

@@ -95,9 +95,6 @@ class RelationSet:
     def __iter__(self):
         return iter(self.relations)
 
-    def just_relations(self):
-        return [rel for _, rel in self.relations]
-
 
 def generate_relations(q: Quiver) -> RelationSet:
     validate(q)

@@ -15,8 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import build_algebra, cartan
-from .classify import classify_D, hh_closed_form
-from .errors import UnclassifiedDError
+from .classify import hh_closed_form
+from .errors import CthhError
 from .fields import QQ, FieldSpec
 from .oracle import hh1_dim, hh_dims
 from .quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
@@ -99,15 +99,9 @@ def check_quiver(q: Quiver, family: str, rank: int, fieldspecs, max_i: int) -> Q
     cd = cartan(base)
     hh1 = hh1_dim(base)
     universal = series_from_invariants(hh1, cd.det)
-    closed = hh_closed_form(q, family, hh1, cd)
+    closed, subtype = hh_closed_form(q, family, hh1, cd)
     if closed != universal:
         messages.append(f"closed form {closed} != universal {universal}")
-    subtype = ""
-    if family == "D":
-        try:
-            subtype = classify_D(q).subtype
-        except UnclassifiedDError:
-            subtype = "unclassified"
 
     oracle_dims = []
     for fs in fieldspecs:
@@ -151,14 +145,16 @@ def sample_by_canonical(quivers, size):
 def _worker(args):
     q, family, rank, chars, max_i = args
     fieldspecs = [FieldSpec(c) for c in chars]
-    return check_quiver(q, family, rank, fieldspecs, max_i)
-
-
-def default_jobs():
-    env = os.environ.get("CT_HH_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
+    try:
+        return check_quiver(q, family, rank, fieldspecs, max_i)
+    except CthhError as e:
+        # one bad quiver fails its own record, not the sweep
+        return QuiverRecord(
+            canonical=canonical_form(q).decode("ascii"), family=family, rank=rank,
+            zero_relations=0, commutativity_relations=0, cartan_det=0, assoc_poly=(),
+            closed_form="", subtype="", oracle_dims=(), passed=False,
+            messages=(f"{type(e).__name__}: {e}",),
+        )
 
 
 def verify_suite(family: str, rank: int, fieldspecs, max_i: int,
@@ -167,7 +163,7 @@ def verify_suite(family: str, rank: int, fieldspecs, max_i: int,
     quivers = enumerate_class(seed)
     quivers = sample_by_canonical(quivers, sample)
     if jobs is None:
-        jobs = default_jobs()
+        jobs = min(os.cpu_count() or 1, 8)
     chars = tuple(fs.characteristic for fs in fieldspecs)
     tasks = [(q, family, rank, chars, max_i) for q in quivers]
     records = None

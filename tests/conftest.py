@@ -6,6 +6,7 @@ import pytest
 
 from cthh.algebra import build_algebra
 from cthh.fields import FieldSpec
+from cthh.linalg import rref
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class
 from cthh.relations import generate_relations
 
@@ -18,6 +19,24 @@ def mutation_class(family, rank):
 @lru_cache(maxsize=None)
 def cached_algebra(q: Quiver, characteristic: int):
     return build_algebra(q, generate_relations(q), FieldSpec(characteristic))
+
+
+def multiply(a, xs, ys):
+    """Product in the algebra a of two sparse vectors of (basis index, coefficient)."""
+    acc = {}
+    for i, x in xs:
+        for j, y in ys:
+            for k, c in a.mult.get((i, j), ()):
+                acc[k] = acc.get(k, a.field.zero()) + x * y * c
+    p = a.field.characteristic
+    if p:
+        return tuple((k, v % p) for k, v in sorted(acc.items()) if v % p)
+    return tuple((k, v) for k, v in sorted(acc.items()) if v)
+
+
+def matrix_rank(rows, ncols, field):
+    """Rank over field of a matrix given as rows; the rows are not modified."""
+    return rref([list(r) for r in rows], ncols, field)[0]
 
 
 def quiver_from_canonical(text: str) -> Quiver:

@@ -124,6 +124,13 @@ def test_cli_hh_typed_and_universal(tmp_path, capsys):
     assert uni["dims"] == typed["dims"]
 
 
+def test_cli_hh_outside_finite_type_exit_2(tmp_path, capsys):
+    # affine A~3: a chordless 4-cycle that is not oriented
+    path = write(tmp_path, "q.json", '{"vertices":4,"arrows":[[1,2],[2,3],[3,4],[1,4]]}')
+    assert main(["hh", path]) == 2
+    assert "NotDynkinError" in capsys.readouterr().err
+
+
 def test_cli_hh_oracle(tmp_path, capsys):
     path = write(tmp_path, "q.json", TRIANGLE)
     assert main(["hh-oracle", path, "--char", "3", "--max-i", "7", "--json"]) == 0

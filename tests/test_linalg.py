@@ -218,7 +218,7 @@ def test_field_spec_validation():
         FieldSpec(4)
     with pytest.raises(ValueError):
         FieldSpec(1)
-    assert FieldSpec(0).is_rational
+    assert str(FieldSpec(0)) == "QQ"
     assert str(FieldSpec(7)) == "GF(7)"
 
 

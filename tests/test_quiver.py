@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import mutation_class
 from cthh.errors import (
     CapExceededError,
     DisconnectedError,
@@ -195,6 +196,29 @@ def test_detect_dynkin_star_rejected():
     star = Quiver.make(5, [(1, 5), (2, 5), (3, 5), (4, 5)])
     with pytest.raises(NotDynkinError):
         detect_dynkin(star)
+
+
+@pytest.mark.parametrize("family, rank", [
+    *(("A", r) for r in range(2, 9)),
+    *(("D", r) for r in range(4, 10)),
+    *(("E", r) for r in (6, 7, 8)),
+])
+def test_detect_dynkin_every_class_member(family, rank):
+    for q in mutation_class(family, rank):
+        assert detect_dynkin(q) == (family, rank), q
+
+
+@pytest.mark.parametrize("n, arrows", [
+    # affine A~3: a chordless 4-cycle that is not oriented
+    (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    # the affine tree E~8 = T(2,3,6): the path 1->...->8 with an extra arrow 9->3
+    (9, [(i, i + 1) for i in range(1, 8)] + [(9, 3)]),
+    # three oriented triangles sharing the arrow 2->1
+    (5, [(1, 3), (1, 4), (1, 5), (2, 1), (3, 2), (4, 2), (5, 2)]),
+])
+def test_detect_dynkin_rejects_outside_finite_type(n, arrows):
+    with pytest.raises(NotDynkinError):
+        detect_dynkin(Quiver.make(n, arrows))
 
 
 def test_every_class_member_is_valid(classes):

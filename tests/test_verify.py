@@ -5,9 +5,11 @@ import sys
 import pytest
 
 import cthh
+from cthh.cli import main
+from cthh.errors import InvariantError
 from cthh.fields import GF2, QQ
-from cthh.quiver import Quiver, dynkin_seed
-from cthh.verify import check_quiver
+from cthh.quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
+from cthh.verify import check_quiver, verify_suite
 
 
 def count_calls(monkeypatch, names):
@@ -37,9 +39,31 @@ def count_calls(monkeypatch, names):
     ("E", dynkin_seed("E", 6)),
 ])
 def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
-    counts = count_calls(monkeypatch, ["build_algebra", "cartan", "hh1_dim"])
+    counts = count_calls(monkeypatch, ["build_algebra", "cartan", "hh1_dim", "classify_D"])
     record = check_quiver(q, family, 6, [GF2, QQ], max_i=4)
     assert record.passed, record.messages
     # one build per field; hh1_dim once for the closed forms and once per
-    # field as the oracle's Der/Inn cross-check
-    assert counts == {"build_algebra": 2, "cartan": 1, "hh1_dim": 3}
+    # field as the oracle's Der/Inn cross-check; the type-D pattern match
+    # gives both the closed form and the record's subtype
+    assert counts == {"build_algebra": 2, "cartan": 1, "hh1_dim": 3,
+                      "classify_D": int(family == "D")}
+
+
+def test_typed_error_in_one_quiver_gives_one_fail_record(monkeypatch, capsys):
+    bad = enumerate_class(dynkin_seed("A", 4))[2]
+    real = cthh.verify.hh_dims
+
+    def hh_dims(a, max_i):
+        if a.quiver == bad:
+            raise InvariantError("planted failure")
+        return real(a, max_i=max_i)
+
+    monkeypatch.setattr(cthh.verify, "hh_dims", hh_dims)
+    report = verify_suite("A", 4, [GF2], max_i=2, jobs=1)
+    assert len(report.records) == 6
+    failed = [r for r in report.records if not r.passed]
+    assert len(failed) == 1
+    assert failed[0].canonical == canonical_form(bad).decode("ascii")
+    assert failed[0].messages == ("InvariantError: planted failure",)
+    assert main(["verify", "--seed", "A4", "--chars", "2", "--max-i", "2", "--jobs", "1"]) == 1
+    assert "FAIL: A4, 5/6 quivers ok" in capsys.readouterr().out
