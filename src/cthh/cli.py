@@ -39,10 +39,11 @@ def parse_quiver(text: str) -> Quiver:
         raise InputSyntaxError('document must have exactly the keys "vertices" and "arrows"')
     vertices = doc["vertices"]
     arrows = doc["arrows"]
-    if not isinstance(vertices, int) or vertices < 1:
+    # type(x) is int: JSON true and false load as bool, a subclass of int
+    if type(vertices) is not int or vertices < 1:
         raise InputSyntaxError('"vertices" must be a positive integer')
     if not isinstance(arrows, list) or any(
-        not isinstance(a, list) or len(a) != 2 or not all(isinstance(x, int) for x in a)
+        not isinstance(a, list) or len(a) != 2 or not all(type(x) is int for x in a)
         for a in arrows
     ):
         raise InputSyntaxError('"arrows" must be a list of [source, target] integer pairs')

@@ -12,10 +12,17 @@ cohomology dimensions are the answer.
 Nothing is assumed about minimality when taking cohomology: the Hom-complex
 differentials are computed honestly, and d-compose-d = 0 plus image = kernel
 are verified at every step.
+
+The HH^0/HH^1 cross-checks solve small systems in the same bigrading: Z(A) lies
+in the sum of the e_v A e_v, and up to an inner derivation a derivation vanishes
+on the trivial paths, so maps each e_u A e_v into itself (Happel, LNM 1404, 1989).
+With Der_0 those, Der = Der_0 + Inn and Der_0 meets Inn in dimension l - dim Z,
+l the number of paths from a vertex to itself: dim Der = dim Der_0 + dim A - l.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import BoundAlgebra
@@ -90,23 +97,21 @@ class _Level:
 class BimoduleResolution:
     """Minimal projective bimodule resolution of the algebra over itself."""
 
-    def __init__(self, a: BoundAlgebra, budget: int = DEFAULT_BUDGET):
+    def __init__(self, a: BoundAlgebra):
         self.a = a
         self.field = a.field
-        self.budget = budget
         self.total_dim = 0
         gens = [(v, v) for v in range(1, a.vertex_count + 1)]
         images = [{a.trivial_index(v): a.field.one()} for v in range(1, a.vertex_count + 1)]
         self.base = _AlgebraAsBimodule(a)
         self.levels = [self._make_level(gens, images)]
-        self.kernels = []        # per level: dict block key -> list of dense kernel vectors
         self.kernel_dims = []    # per level: total kernel dimension
 
     def _make_level(self, gens, images):
         lvl = _Level(self.a, gens, images)
         self.total_dim += lvl.dim
-        if self.total_dim > self.budget:
-            raise ResolutionBudgetError(self.total_dim, self.budget)
+        if self.total_dim > DEFAULT_BUDGET:
+            raise ResolutionBudgetError(self.total_dim, DEFAULT_BUDGET)
         return lvl
 
     def _target(self, i):
@@ -161,7 +166,6 @@ class BimoduleResolution:
             raise InvariantError(f"resolution not exact at step {i}: image {rank_total}, "
                                  f"kernel {self.kernel_dims[i - 1]}")
 
-        self.kernels.append(kernels)
         self.kernel_dims.append(sum(len(v) for v in kernels.values()))
 
         # minimal generators: kernel top modulo rad*K + K*rad, block by block
@@ -268,84 +272,87 @@ class BimoduleResolution:
 
     def hom_differential_rank(self, i):
         """Rank of Hom(P_{i-1}, A) -> Hom(P_i, A)."""
-        a = self.a
-        fld = self.field
         dom = self.hom_basis(i - 1)
-        cod = self.hom_basis(i)
-        if not dom or not cod:
-            return 0
-        cod_pos = {gw: r for r, gw in enumerate(cod)}
-        mult = a.mult
-        zero = fld.zero()
-        mat = [[zero] * len(dom) for _ in cod]
-        for col, (gsrc, w) in enumerate(dom):
-            for g in range(len(self.levels[i].gens)):
-                for (gg, pp, qq), coeff in self.levels[i].images[g].items():
-                    if gg != gsrc:
-                        continue
-                    for k, c1 in mult.get((pp, w), ()):
-                        for m, c2 in mult.get((k, qq), ()):
-                            r = cod_pos[(g, m)]
-                            mat[r][col] += coeff * c1 * c2
-        if fld.characteristic:
-            p = fld.characteristic
-            mat = [[x % p for x in row] for row in mat]
-        rank, _ = rref(mat, len(dom), fld)
-        return rank
+        cod_pos = {gw: r for r, gw in enumerate(self.hom_basis(i))}
+        mult = self.a.mult
+
+        def terms():
+            for col, (gsrc, w) in enumerate(dom):
+                for g, img in enumerate(self.levels[i].images):
+                    for (gg, pp, qq), coeff in img.items():
+                        if gg != gsrc:
+                            continue
+                        for k, c1 in mult.get((pp, w), ()):
+                            for m, c2 in mult.get((k, qq), ()):
+                                yield cod_pos[(g, m)], col, coeff * c1 * c2
+
+        return _rank(terms(), len(dom), self.field)
+
+
+def _rank(terms, ncols, fld: FieldSpec) -> int:
+    """Rank of the system whose (row key, column, value) terms sum into dense rows."""
+    rows = defaultdict(lambda: [0] * ncols)
+    for key, col, val in terms:
+        rows[key][col] += val
+    return rref([[fld.element(x) for x in row] for row in rows.values()], ncols, fld)[0]
 
 
 def center_dim(a: BoundAlgebra) -> int:
-    """Dimension of {x : x b = b x for every basis element b}."""
-    d = a.dimension
-    fld = a.field
-    rows = []
-    for m in range(d):
-        eq = {}
-        for k in range(d):
-            for c, v in a.mult.get((k, m), ()):
-                row = eq.setdefault(c, {})
-                row[k] = row.get(k, 0) + v
-            for c, v in a.mult.get((m, k), ()):
-                row = eq.setdefault(c, {})
-                row[k] = row.get(k, 0) - v
-        rows.extend(eq.values())
-    rank = _sparse_rank(rows, fld)
-    return d - rank
+    """dim Z(A): unknowns on the paths from a vertex to itself, x g = g x per arrow g."""
+    loops = [b for b in range(a.dimension) if a.src[b] == a.tgt[b]]
+
+    def terms():
+        for g in a.arrow_indices():
+            for col, b in enumerate(loops):
+                for c, v in a.mult.get((b, g), ()):
+                    yield (g, c), col, v
+                for c, v in a.mult.get((g, b), ()):
+                    yield (g, c), col, -v
+
+    return len(loops) - _rank(terms(), len(loops), a.field)
 
 
 def derivation_space_dim(a: BoundAlgebra) -> int:
-    """Dimension of the Leibniz-map space {D : D(xy) = D(x)y + xD(y)}.
+    """dim Der_0 + dim A - l.  The unknowns of Der_0 are the coordinates of each
+    D(arrow g) on the basis paths parallel to g; Leibniz for g and a non-trivial
+    basis path m defines D(g m) when g m is a basis path, else is an equation."""
+    d, mult = a.dimension, a.mult
+    parallel = _AlgebraAsBimodule(a).blocks  # (source, target) -> basis paths
+    index = {p: i for i, p in enumerate(a.basis)}
+    der = {}  # basis path -> D(path) as {(unknown, coordinate): coefficient}
 
-    The constraints are imposed for x running over the algebra generators
-    (trivial paths and arrows) and y over the whole basis, which pins the
-    same space as all basis pairs since every basis path is a product of
-    generators.
-    """
-    d = a.dimension
-    fld = a.field
-    gens = sorted([a.trivial_index(v) for v in range(1, a.vertex_count + 1)] + a.arrow_indices())
-    mult = a.mult
-    rows = []
-    for g in gens:
-        for m in range(d):
-            eq = {}
-            for k, mu in mult.get((g, m), ()):
-                for c in range(d):
-                    row = eq.setdefault(c, {})
-                    col = k * d + c
-                    row[col] = row.get(col, 0) + mu
-            for l in range(d):
-                for c, nu in mult.get((l, m), ()):
-                    row = eq.setdefault(c, {})
-                    col = g * d + l
-                    row[col] = row.get(col, 0) - nu
-                for c, nu in mult.get((g, l), ()):
-                    row = eq.setdefault(c, {})
-                    col = m * d + l
-                    row[col] = row.get(col, 0) - nu
-            rows.extend(v for v in eq.values() if v)
-    rank = _sparse_rank(rows, fld)
-    return d * d - rank
+    def leibniz(g, m):
+        out = {}
+        for (j, l), v in der[g].items():
+            for c, nu in mult.get((l, m), ()):
+                out[(j, c)] = out.get((j, c), 0) + v * nu
+        for (j, l), v in der[m].items():
+            for c, nu in mult.get((g, l), ()):
+                out[(j, c)] = out.get((j, c), 0) + v * nu
+        return out
+
+    ncols = 0
+    for b in range(a.vertex_count, d):  # the basis lists shorter paths first
+        p = a.basis[b]
+        if len(p) == 2:  # an arrow: its path is its (source, target) key
+            der[b] = {(ncols + j, c): 1 for j, c in enumerate(parallel[p])}
+            ncols += len(der[b])
+        else:
+            der[b] = leibniz(index[p[:2]], index[p[1:]])
+
+    def terms():
+        for g in a.arrow_indices():
+            for m in range(a.vertex_count, d):
+                if a.src[m] != a.tgt[g] or a.basis[g] + a.basis[m][1:] in index:
+                    continue
+                for k, mu in mult.get((g, m), ()):
+                    for (j, c), v in der[k].items():
+                        yield (g, m, c), j, mu * v
+                for (j, c), v in leibniz(g, m).items():
+                    yield (g, m, c), j, -v
+
+    loops = sum(a.src[b] == a.tgt[b] for b in range(d))
+    return ncols - _rank(terms(), ncols, a.field) + d - loops
 
 
 def hh1_dim(a: BoundAlgebra) -> int:
@@ -355,47 +362,9 @@ def hh1_dim(a: BoundAlgebra) -> int:
     return der - inn
 
 
-def _sparse_rank(rows, fld: FieldSpec) -> int:
-    """Rank of a sparse system given as dicts {column: coefficient}."""
-    p = fld.characteristic
-    pivots = {}
-    for row in rows:
-        if p:
-            r = {c: v % p for c, v in row.items() if v % p}
-        else:
-            r = {c: v for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(r[c], -1, p) if p else 1 / r[c]
-                if p:
-                    r = {cc: vv * inv % p for cc, vv in r.items()}
-                else:
-                    r = {cc: vv * inv for cc, vv in r.items()}
-                pivots[c] = r
-                break
-            f = r[c]
-            if p:
-                for cc, vv in prow.items():
-                    nv = (r.get(cc, 0) - f * vv) % p
-                    if nv:
-                        r[cc] = nv
-                    else:
-                        r.pop(cc, None)
-            else:
-                for cc, vv in prow.items():
-                    nv = r.get(cc, 0) - f * vv
-                    if nv:
-                        r[cc] = nv
-                    else:
-                        r.pop(cc, None)
-    return len(pivots)
-
-
-def hh_dims(a: BoundAlgebra, max_i: int = 8, budget: int = DEFAULT_BUDGET) -> HHDims:
+def hh_dims(a: BoundAlgebra, max_i: int = 8) -> HHDims:
     """dim HH^i for i = 0..max_i, from a resolution of length max_i + 1."""
-    res = BimoduleResolution(a, budget=budget)
+    res = BimoduleResolution(a)
     res.extend_to(max_i + 1)
     ranks = [0] * (max_i + 2)
     for i in range(1, max_i + 2):

@@ -17,6 +17,7 @@ def write(tmp_path, name, text):
 
 
 TRIANGLE = '{"vertices":3,"arrows":[[1,2],[2,3],[3,1]]}'
+BOOLEAN_VERTICES = '{"vertices":true,"arrows":[]}'
 
 
 def test_parse_quiver_triangle():
@@ -50,6 +51,10 @@ def test_parse_quiver_schema_errors():
         parse_quiver('{"vertices":0,"arrows":[]}')
     with pytest.raises(InputSyntaxError):
         parse_quiver('{"vertices":2,"arrows":[[1,"x"]]}')
+    with pytest.raises(InputSyntaxError):
+        parse_quiver(BOOLEAN_VERTICES)
+    with pytest.raises(InputSyntaxError):
+        parse_quiver('{"vertices":2,"arrows":[[true,2]]}')
 
 
 def test_roundtrip_parse_serialize():
@@ -71,6 +76,8 @@ def test_cli_validate_ok(tmp_path, capsys):
 
 def test_cli_validate_bad_input_exit_2(tmp_path, capsys):
     path = write(tmp_path, "q.json", '{"vertices":2,"arrows":[[1,2],[2,1]]}')
+    assert main(["validate", path]) == 2
+    path = write(tmp_path, "b.json", BOOLEAN_VERTICES)
     assert main(["validate", path]) == 2
 
 
@@ -156,21 +163,26 @@ def test_cli_verify_json_deterministic(capsys):
     assert len(doc["records"]) == 4
 
 
-# sha256 of `cthh verify --seed S --chars 2,0 --max-i 4 --jobs 1 --json`; one
-# seed per branch of hh_closed_form.  A change here changes the reports.
-VERIFY_REPORT_SHA256 = {
-    "A5": "aa9cf322d8ebfd796961221b1ff87e70e41f9a02100a8ad3a367f8e999eeebeb",
-    "D5": "60578332b0fe1cefbe74c853355d861dc60a01c1a20089c2945c0e29b3540e85",
-    "E6": "2773145ad6e8a9b2bd9700ad40ad4c5d1559a3a91f044c80f67e309b70a02bdf",
-}
+# sha256 of `cthh verify ARGS --jobs 1 --json`: A5, D5 and E6 over GF(2) and QQ,
+# one seed per branch of hh_closed_form; D7 is the only pinned report over
+# GF(3) and GF(5) and with --max-i 8.  A change here changes the reports.
+VERIFY_REPORT_SHA256 = [
+    pytest.param("--seed A5 --chars 2,0 --max-i 4",
+                 "aa9cf322d8ebfd796961221b1ff87e70e41f9a02100a8ad3a367f8e999eeebeb", id="A5"),
+    pytest.param("--seed D5 --chars 2,0 --max-i 4",
+                 "60578332b0fe1cefbe74c853355d861dc60a01c1a20089c2945c0e29b3540e85", id="D5"),
+    pytest.param("--seed E6 --chars 2,0 --max-i 4",
+                 "2773145ad6e8a9b2bd9700ad40ad4c5d1559a3a91f044c80f67e309b70a02bdf", id="E6"),
+    pytest.param("--seed D7 --chars 2,3,5,0 --max-i 8 --sample 40",
+                 "360f69138099dd10cecc244625e48f8b18460cf6558768d0e03317a97761a347", id="D7"),
+]
 
 
-@pytest.mark.parametrize("seed", sorted(VERIFY_REPORT_SHA256))
-def test_cli_verify_json_report_bytes(capsys, seed):
-    argv = ["verify", "--seed", seed, "--chars", "2,0", "--max-i", "4", "--jobs", "1", "--json"]
-    assert main(argv) == 0
+@pytest.mark.parametrize("args, sha", VERIFY_REPORT_SHA256)
+def test_cli_verify_json_report_bytes(capsys, args, sha):
+    assert main(["verify", *args.split(), "--jobs", "1", "--json"]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_REPORT_SHA256[seed]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
 @pytest.mark.parametrize("argv", [

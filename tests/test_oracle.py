@@ -7,10 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cached_algebra
+import cthh.oracle
+from conftest import cached_algebra, matrix_rank
+from cthh.algebra import build_algebra
 from cthh.errors import ResolutionBudgetError
+from cthh.fields import QQ
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed
+from cthh.relations import Path as QuiverPath, Relation, RelationSet
+from test_algebra import D8_MIXED
 
 def oriented_cycle(n):
     return Quiver.make(n, [(i, i % n + 1) for i in range(1, n + 1)])
@@ -44,41 +49,84 @@ def test_hh1_two_triangle_quiver():
     assert hh1_dim(cached_algebra(q, 0)) == 1
 
 
-def test_derivation_space_on_generator_pairs_matches_all_pairs():
-    # reference: impose Leibniz on every basis pair, quadratically many rows
-    def der_dim_all_pairs(a):
-        from cthh.oracle import _sparse_rank
-        d = a.dimension
-        rows = []
+def _dense_rank(terms, ncols, fld):
+    rows = {}
+    for key, col, val in terms:
+        rows.setdefault(key, [0] * ncols)[col] += val
+    return matrix_rank([[fld.element(x) for x in r] for r in rows.values()], ncols, fld)
+
+
+def _der_dim_all_pairs(a):
+    """Leibniz imposed on every basis pair, over all d*d entries of D."""
+    d = a.dimension
+
+    def terms():
         for x in range(d):
             for y in range(d):
-                eq = {}
                 for k, mu in a.mult.get((x, y), ()):
                     for c in range(d):
-                        row = eq.setdefault(c, {})
-                        row[k * d + c] = row.get(k * d + c, 0) + mu
+                        yield (x, y, c), k * d + c, mu
                 for l in range(d):
                     for c, nu in a.mult.get((l, y), ()):
-                        row = eq.setdefault(c, {})
-                        col = x * d + l
-                        row[col] = row.get(col, 0) - nu
+                        yield (x, y, c), x * d + l, -nu
                     for c, nu in a.mult.get((x, l), ()):
-                        row = eq.setdefault(c, {})
-                        col = y * d + l
-                        row[col] = row.get(col, 0) - nu
-                rows.extend(v for v in eq.values() if v)
-        return d * d - _sparse_rank(rows, a.field)
+                        yield (x, y, c), y * d + l, -nu
 
-    cases = [
-        (dynkin_seed("A", 3), 0),
-        (oriented_cycle(3), 0),
-        (oriented_cycle(3), 2),
-        (Quiver.make(4, [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)]), 0),
-        (oriented_cycle(4), 3),
+    return d * d - _dense_rank(terms(), d * d, a.field)
+
+
+def _center_dim_all_basis(a):
+    """x b = b x for every basis path b, over all d coefficients of x."""
+    d = a.dimension
+
+    def terms():
+        for b in range(d):
+            for k in range(d):
+                for c, v in a.mult.get((k, b), ()):
+                    yield (b, c), k, v
+                for c, v in a.mult.get((b, k), ()):
+                    yield (b, c), k, -v
+
+    return d - _dense_rank(terms(), d, a.field)
+
+
+# type D5: three oriented triangles 1->3->5->1, 2->5->4->2 and 3->5->4->3, 15-dimensional
+D5_TRIANGLES = Quiver.make(5, [(1, 3), (2, 5), (3, 5), (4, 2), (4, 3), (5, 1), (5, 4)])
+REFERENCE_CASES = [
+    (dynkin_seed("A", 3), 0),
+    (oriented_cycle(3), 0),
+    (oriented_cycle(3), 2),
+    (Quiver.make(4, [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)]), 0),
+    (oriented_cycle(4), 3),
+    (D5_TRIANGLES, 0),
+    (D5_TRIANGLES, 2),
+]
+
+
+def _commutative_squares(arrows, *squares):
+    """Path algebra over QQ of an acyclic quiver modulo p - q for each pair (p, q)."""
+    rels = RelationSet(tuple((p[:2], Relation(((1, QuiverPath(p)), (-1, QuiverPath(q)))))
+                             for p, q in squares))
+    return build_algebra(Quiver.make(max(map(max, arrows)), arrows), rels, QQ)
+
+
+def test_derivation_space_on_generator_pairs_matches_all_pairs():
+    algebras = [cached_algebra(q, char) for q, char in REFERENCE_CASES] + [
+        # outside cluster-tilted type: the arrow 1->4 is parallel to paths of
+        # length 2, and two relations share the arrows 1->2 and 1->3
+        _commutative_squares([(1, 2), (1, 3), (2, 4), (3, 4), (2, 5), (3, 5), (1, 4)],
+                             ((1, 2, 4), (1, 3, 4)), ((1, 2, 5), (1, 3, 5))),
+        # a commutative square followed by the arrow 4->5
+        _commutative_squares([(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)], ((1, 2, 4), (1, 3, 4))),
     ]
-    for q, char in cases:
+    for a in algebras:
+        assert derivation_space_dim(a) == _der_dim_all_pairs(a), a.quiver
+
+
+def test_center_dim_matches_all_basis_reference():
+    for q, char in REFERENCE_CASES + [(D8_MIXED, 0), (D8_MIXED, 3)]:
         a = cached_algebra(q, char)
-        assert derivation_space_dim(a) == der_dim_all_pairs(a), (q, char)
+        assert center_dim(a) == _center_dim_all_basis(a), (q, char)
 
 
 def test_hereditary_a3_dims():
@@ -129,10 +177,11 @@ def test_resolution_exactness_and_minimality_bookkeeping():
         assert len(lvl.gens) == 4
 
 
-def test_resolution_budget():
+def test_resolution_budget(monkeypatch):
+    monkeypatch.setattr(cthh.oracle, "DEFAULT_BUDGET", 50)
     a = cached_algebra(oriented_cycle(5), 0)
     with pytest.raises(ResolutionBudgetError):
-        hh_dims(a, max_i=10, budget=50)
+        hh_dims(a, max_i=10)
 
 
 def test_dims_invariant_under_relabeling():
