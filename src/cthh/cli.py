@@ -106,6 +106,8 @@ def _cmd_mutate(args):
 
 def _cmd_class(args):
     family, rank = _parse_seed(args.seed)
+    if args.cap < 1:
+        raise InputSyntaxError(f"--cap must be at least 1, got {args.cap}")
     members = enumerate_class(dynkin_seed(family, rank), cap=args.cap)
     if args.json:
         print(json.dumps({

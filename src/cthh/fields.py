@@ -1,9 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Field elements are plain Python values: `fractions.Fraction` for the
-rationals, `int` in the range [0, p) for GF(p).  All arithmetic is exact;
-GF(p) is restricted to machine-word primes (products must not overflow
-an int64 in optimized back ends, so p < 2**31).
+Field elements are plain Python values.  A rational is an `int`, or a
+`fractions.Fraction` only after an inexact division; GF(p) elements are
+`int` in the range [0, p).  All arithmetic is exact; GF(p) is restricted
+to machine-word primes (products must not overflow an int64 in optimized
+back ends, so p < 2**31).
 """
 
 from __future__ import annotations
@@ -43,15 +44,20 @@ class FieldSpec:
             raise ValueError(f"prime too large for exact word arithmetic: {p}")
 
     def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
+        return 1
 
     def element(self, n):
-        """Coerce an integer (or Fraction, over the rationals) into the field."""
+        """Coerce an integer (or Fraction, over the rationals) into the field.
+
+        Over the rationals an integral value comes back as an `int`."""
         if self.characteristic == 0:
-            return Fraction(n)
+            if type(n) is int:
+                return n
+            n = Fraction(n)
+            return n.numerator if n.denominator == 1 else n
         if isinstance(n, Fraction):
             if n.denominator % self.characteristic == 0:
                 raise ZeroDivisionError(f"denominator of {n} vanishes mod {self.characteristic}")

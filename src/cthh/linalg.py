@@ -2,15 +2,19 @@
 
 Everything here is exact: no floating point anywhere.  Matrices are small
 (at most a few thousand rows in this project), so the representation is
-dense lists of rows.  Integer determinants use fraction-free Bareiss
-elimination with arbitrary-precision ints; matrix pencils det(x*A + B)
-are recovered from point evaluations by exact interpolation.
+dense lists of rows.  Over the rationals entries stay `int` until a division
+is inexact (`qdiv`), which alone makes a `Fraction`.  Integer determinants
+use fraction-free Bareiss elimination with arbitrary-precision ints; matrix
+pencils det(x*A + B) are recovered from point evaluations by interpolation
+in the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
+from .errors import InvariantError
 from .fields import FieldSpec
 
 
@@ -56,6 +60,15 @@ def rref_mod(rows, ncols, p):
     return r, pivots
 
 
+def qdiv(x, d):
+    """x / d over the rationals: an `int` when d divides x, else a `Fraction`."""
+    if type(x) is int and type(d) is int:
+        q, r = divmod(x, d)
+        return Fraction(x, d) if r else q
+    y = x / d  # a Fraction operand makes this a Fraction
+    return y.numerator if y.denominator == 1 else y
+
+
 def rref_frac(rows, ncols):
     """In-place reduced row echelon form over the rationals. Returns (rank, pivots)."""
     pivots = []
@@ -73,7 +86,7 @@ def rref_frac(rows, ncols):
         row = rows[r]
         pv = row[c]
         if pv != 1:
-            row[:] = [x / pv for x in row]
+            row[:] = [qdiv(x, pv) for x in row]
         for i in range(nrows):
             if i != r:
                 f = rows[i][c]
@@ -165,7 +178,7 @@ class Echelon:
             if inv != 1:
                 v = [x * inv % self.p for x in v]
         elif pv != 1:
-            v = [x / pv for x in v]
+            v = [qdiv(x, pv) for x in v]
         self.pivot_rows[lead] = v
         self.rank += 1
         return v
@@ -206,37 +219,12 @@ def det_int(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_cofactor(rows) -> int:
-    """Cofactor-expansion determinant; independent cross-check for det_int."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        x = rows[0][j]
-        if x == 0:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * x * det_cofactor(minor)
-    return total
-
-
-def poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def pencil_det(a, b):
     """Integer coefficients of det(x*a + b), ascending by power of x.
 
-    Evaluated at x = 0..N and interpolated exactly; the nodes are
-    deterministic so results are reproducible.
+    Evaluated at the nodes x = 0..n and interpolated in Newton's forward form
+    p(x) = sum_k D^k p(0) * x(x-1)...(x-k+1) / k!, with integer differences
+    D^k p(0); the sum is scaled by n! and divided exactly once at the end.
     """
     n = len(a)
     for r in a:
@@ -244,28 +232,26 @@ def pencil_det(a, b):
             raise NonSquareError("first matrix not square")
     if len(b) != n or any(len(r) != n for r in b):
         raise NonSquareError("matrices must be square of equal size")
-    if n == 0:
-        return (1,)
-    xs = list(range(n + 1))
-    ys = [det_int([[x * a[i][j] + b[i][j] for j in range(n)] for i in range(n)]) for x in xs]
-    # Lagrange interpolation with exact rational arithmetic.
-    coeffs = [Fraction(0)] * (n + 1)
-    for k, xk in enumerate(xs):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == k:
-                continue
-            num = poly_mul(num, [Fraction(-xj), Fraction(1)])
-            den *= xk - xj
-        scale = Fraction(ys[k]) / den
-        for i, c in enumerate(num):
-            coeffs[i] += scale * c
+    ys = [det_int([[x * a[i][j] + b[i][j] for j in range(n)] for i in range(n)])
+          for x in range(n + 1)]
+    scale = factorial(n)
+    scaled = [0] * (n + 1)  # n! * p, ascending
+    falling = [1]           # x(x-1)...(x-k+1), ascending
+    weight = scale          # n! / k!
+    for k in range(n + 1):
+        d = ys[0]
+        if d:
+            for i, c in enumerate(falling):
+                scaled[i] += weight * d * c
+        ys = [u - v for u, v in zip(ys[1:], ys)]
+        falling = [u - k * v for u, v in zip([0] + falling, falling + [0])]
+        weight //= k + 1
     out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError(f"pencil interpolation produced non-integer coefficient {c}")
-        out.append(int(c))
+    for c in scaled:
+        q, r = divmod(c, scale)
+        if r:
+            raise InvariantError(f"pencil interpolation left a remainder: {c}/{scale}")
+        out.append(q)
     return tuple(out)
 
 

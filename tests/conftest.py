@@ -34,6 +34,23 @@ def multiply(a, xs, ys):
     return tuple((k, v) for k, v in sorted(acc.items()) if v)
 
 
+def det_cofactor(rows) -> int:
+    """Cofactor-expansion determinant; independent cross-check for det_int."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        x = rows[0][j]
+        if x == 0:
+            continue
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        total += (-1) ** j * x * det_cofactor(minor)
+    return total
+
+
 def matrix_rank(rows, ncols, field):
     """Rank over field of a matrix given as rows; the rows are not modified."""
     return rref([list(r) for r in rows], ncols, field)[0]

@@ -194,6 +194,8 @@ def test_cli_verify_json_report_bytes(capsys, args, sha):
     ["verify", "--seed", "A3", "--chars", ","],
     ["verify", "--seed", "A3", "--chars", "2", "--jobs", "0"],
     ["verify", "--seed", "A3", "--chars", "2", "--jobs", "-3"],
+    ["class", "--seed", "A3", "--cap", "0"],
+    ["class", "--seed", "A3", "--cap", "-1"],
 ])
 def test_cli_out_of_range_input_exit_2(tmp_path, capsys, argv):
     path = write(tmp_path, "q.json", TRIANGLE)

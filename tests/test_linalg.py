@@ -5,17 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+import cthh.linalg
+from conftest import det_cofactor
+from cthh.errors import InvariantError
 from cthh.fields import QQ, GF2, GF3, GF5, GF7, FieldSpec
 from cthh.linalg import (
     Echelon,
     NonSquareError,
-    det_cofactor,
     det_int,
     format_poly,
     kernel_from_rref,
     pencil_det,
     rref,
 )
+from cthh.quiver import Quiver
+from cthh.verify import check_quiver
 
 
 def reduced(field, rows, ncols):
@@ -179,6 +183,8 @@ def test_pencil_det_agrees_with_cofactor_polynomial():
 
     def det_poly(mat):
         n = len(mat)
+        if n == 0:
+            return [1]
         if n == 1:
             return mat[0][0]
         acc = [0]
@@ -190,15 +196,61 @@ def test_pencil_det_agrees_with_cofactor_polynomial():
             acc = poly_add(acc, term)
         return acc
 
+    # n = 0..7 covers the Cartan sizes of A2-E8 and the n!-scaled differences
     rng = random.Random(17)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        sym = det_poly([[[b[i][j], a[i][j]] for j in range(n)] for i in range(n)])
-        got = pencil_det(a, b)
-        sym = sym + [0] * (n + 1 - len(sym))
-        assert tuple(sym[: n + 1]) == got
+    for n in range(8):
+        for _ in range(3):
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            sym = det_poly([[[b[i][j], a[i][j]] for j in range(n)] for i in range(n)])
+            got = pencil_det(a, b)
+            sym = sym + [0] * (n + 1 - len(sym))
+            assert tuple(sym[: n + 1]) == got
+
+
+def test_pencil_det_remainder_is_invariant_error(monkeypatch):
+    # values 0, 0, 1 at x = 0, 1, 2 interpolate to x(x-1)/2, not an integer polynomial
+    values = iter([0, 0, 1])
+    monkeypatch.setattr(cthh.linalg, "det_int", lambda rows: next(values))
+    with pytest.raises(InvariantError):
+        pencil_det([[1, 0], [0, 1]], [[0, 0], [0, 0]])
+
+
+def test_rational_elements_are_int_until_inexact():
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    two = QQ.element(Fraction(6, 3))
+    assert type(two) is int and two == 2
+    assert QQ.element(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(QQ.element(Fraction(1, 2))) is Fraction
+    assert type(QQ.element(True)) is int
+
+
+def test_rational_elimination_stores_int_or_fraction():
+    rng = random.Random(11)
+    for _ in range(30):
+        rows = [[rng.randint(-6, 6) for _ in range(5)] for _ in range(4)]
+        _, _, red = reduced(QQ, rows, 5)
+        ech = Echelon(QQ)
+        for r in rows:
+            ech.add(r)
+        entries = [x for r in red + list(ech.pivot_rows.values()) for x in r]
+        assert {type(x) for x in entries} <= {int, Fraction}
+
+
+def test_inexact_rational_division_stays_exact(monkeypatch):
+    # this D6 quiver's QQ resolution divides inexactly; no division may give a float
+    results = []
+    qdiv = cthh.linalg.qdiv
+
+    def recording(x, d):
+        results.append(qdiv(x, d))
+        return results[-1]
+
+    monkeypatch.setattr(cthh.linalg, "qdiv", recording)
+    q = Quiver.make(6, [(1, 4), (2, 3), (3, 5), (4, 6), (5, 2), (5, 4), (6, 1), (6, 3)])
+    assert check_quiver(q, "D", 6, [QQ], 8).passed
+    assert any(type(y) is Fraction and y.denominator != 1 for y in results)
+    assert not any(type(y) in (float, bool) for y in results)
 
 
 def test_echelon_incremental_matches_batch():
