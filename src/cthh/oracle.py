@@ -13,6 +13,15 @@ Nothing is assumed about minimality when taking cohomology: the Hom-complex
 differentials are computed honestly, and d-compose-d = 0 plus image = kernel
 are verified at every step.
 
+Recurrence: for n >= 1 the step from level n to level n + 1 reads only the
+state S_n = (gens[n-1], gens[n], images[n]) -- the generators of the target
+fix its blocks and offsets, the kernel basis comes from the RREF and the new
+generators are Echelon residues taken in sorted block order -- and the rank of
+Hom(P_{n-1}, A) -> Hom(P_n, A) reads the same state.  So once S_n = S_j for
+some j < n, level m >= j equals level j + (m - j) % (n - j), and each distinct
+level and Hom rank is computed once.  The exactness check at level n also
+reads the kernel dimension of level n - 1; it runs on every level computed.
+
 The HH^0/HH^1 cross-checks solve small systems in the same bigrading: Z(A) lies
 in the sum of the e_v A e_v, and up to an inner derivation a derivation vanishes
 on the trivial paths, so maps each e_u A e_v into itself (Happel, LNM 1404, 1989).
@@ -65,14 +74,9 @@ class _AlgebraAsBimodule:
 class _Level:
     """One projective P = sum of A e_a (x) e_b A over generators (a, b)."""
 
-    def __init__(self, a: BoundAlgebra, gens, images):
+    def __init__(self, a: BoundAlgebra, gens, images, paths_to, paths_from):
         self.gens = list(gens)       # list of (a_vertex, b_vertex)
         self.images = list(images)   # per generator: dict coord -> coeff in the previous target
-        paths_to = {}
-        paths_from = {}
-        for i in range(a.dimension):
-            paths_to.setdefault(a.tgt[i], []).append(i)
-            paths_from.setdefault(a.src[i], []).append(i)
         self.blocks = {}
         for g, (av, bv) in enumerate(self.gens):
             for p in paths_to.get(av, ()):
@@ -95,24 +99,42 @@ class _Level:
 
 
 class BimoduleResolution:
-    """Minimal projective bimodule resolution of the algebra over itself."""
+    """Minimal projective bimodule resolution of the algebra over itself.
+
+    `period` is None until `extend_to` finds a level whose state repeats an
+    earlier one; then it is (j, d), and levels[n] is levels[j + (n - j) % d]
+    for every n >= j.
+    """
 
     def __init__(self, a: BoundAlgebra):
         self.a = a
         self.field = a.field
         self.total_dim = 0
+        self.paths_to = {}
+        self.paths_from = {}
+        for i in range(a.dimension):
+            self.paths_to.setdefault(a.tgt[i], []).append(i)
+            self.paths_from.setdefault(a.src[i], []).append(i)
+        self.arrows_out = {}
+        self.arrows_in = {}
+        for idx in a.arrow_indices():
+            self.arrows_out.setdefault(a.src[idx], []).append(idx)
+            self.arrows_in.setdefault(a.tgt[idx], []).append(idx)
         gens = [(v, v) for v in range(1, a.vertex_count + 1)]
         images = [{a.trivial_index(v): a.field.one()} for v in range(1, a.vertex_count + 1)]
         self.base = _AlgebraAsBimodule(a)
-        self.levels = [self._make_level(gens, images)]
+        self.levels = []
+        self._append(_Level(a, gens, images, self.paths_to, self.paths_from))
         self.kernel_dims = []    # per level: total kernel dimension
+        self.period = None
+        self._states = {}        # (gens[n-1], gens[n]) -> levels n with that pair
 
-    def _make_level(self, gens, images):
-        lvl = _Level(self.a, gens, images)
+    def _append(self, lvl):
+        """Append a level; the budget counts every level, shared ones included."""
         self.total_dim += lvl.dim
         if self.total_dim > DEFAULT_BUDGET:
             raise ResolutionBudgetError(self.total_dim, DEFAULT_BUDGET)
-        return lvl
+        self.levels.append(lvl)
 
     def _target(self, i):
         return self.base if i == 0 else self.levels[i - 1]
@@ -129,7 +151,10 @@ class BimoduleResolution:
         acc = {}
         for tcoord, coeff in lvl.images[g].items():
             target.pad(self.a, tcoord, p, q, coeff, acc)
-        return {k: self._normalize(v) for k, v in acc.items() if self._normalize(v)}
+        mod = self.field.characteristic
+        if mod:
+            return {k: r for k, v in acc.items() if (r := v % mod)}
+        return {k: v for k, v in acc.items() if v}
 
     def extend_once(self):
         """Kernel of the topmost differential, then cover it minimally."""
@@ -169,12 +194,6 @@ class BimoduleResolution:
         self.kernel_dims.append(sum(len(v) for v in kernels.values()))
 
         # minimal generators: kernel top modulo rad*K + K*rad, block by block
-        arrows_out = {}
-        arrows_in = {}
-        for idx in a.arrow_indices():
-            arrows_out.setdefault(a.src[idx], []).append(idx)
-            arrows_in.setdefault(a.tgt[idx], []).append(idx)
-
         new_gens = []
         new_images = []
         for key in sorted(lvl.blocks):
@@ -182,14 +201,14 @@ class BimoduleResolution:
             block_coords = lvl.blocks[key]
             block_pos = {c: off for off, c in enumerate(block_coords)}
             ech = Echelon(fld)
-            for alpha in arrows_out.get(s, ()):
-                s2 = a.tgt[alpha]
-                for vec in kernels.get((s2, t), ()):
-                    ech.add(self._left_mul(lvl, alpha, vec, (s2, t), len(block_coords), block_pos))
-            for beta in arrows_in.get(t, ()):
-                t2 = a.src[beta]
-                for vec in kernels.get((s, t2), ()):
-                    ech.add(self._right_mul(lvl, vec, beta, (s, t2), len(block_coords), block_pos))
+            for alpha in self.arrows_out.get(s, ()):
+                src_key = (a.tgt[alpha], t)
+                for vec in kernels.get(src_key, ()):
+                    ech.add(self._arrow_mul(lvl, src_key, vec, alpha, True, block_pos))
+            for beta in self.arrows_in.get(t, ()):
+                src_key = (s, a.src[beta])
+                for vec in kernels.get(src_key, ()):
+                    ech.add(self._arrow_mul(lvl, src_key, vec, beta, False, block_pos))
             for vec in kernels.get(key, ()):
                 residue = ech.add(vec)
                 if residue is not None:
@@ -201,42 +220,24 @@ class BimoduleResolution:
                     new_gens.append(key)
                     new_images.append(img)
 
-        nxt = self._make_level(new_gens, new_images)
-        self.levels.append(nxt)
+        self._append(_Level(a, new_gens, new_images, self.paths_to, self.paths_from))
         self._check_square_zero(len(self.levels) - 1)
 
-    def _left_mul(self, lvl, alpha, vec, src_key, dst_len, dst_pos):
-        """alpha * vec, mapping a block of lvl into the block of dst_pos (dense)."""
-        a = self.a
-        out = [self.field.zero()] * dst_len
-        src_coords = lvl.blocks[src_key]
-        mult = a.mult
-        for off, val in enumerate(vec):
+    def _arrow_mul(self, lvl, src_key, vec, arrow, left, dst_pos):
+        """arrow * vec if left, else vec * arrow: a block of lvl into the block of dst_pos (dense)."""
+        out = [self.field.zero()] * len(dst_pos)
+        mult = self.a.mult
+        for (g, p, q), val in zip(lvl.blocks[src_key], vec):
             if not val:
                 continue
-            g, p, q = src_coords[off]
-            for k, c in mult.get((alpha, p), ()):
-                out[dst_pos[(g, k, q)]] += val * c
-        if self.field.characteristic:
-            p_ = self.field.characteristic
-            out = [x % p_ for x in out]
-        return out
-
-    def _right_mul(self, lvl, vec, beta, src_key, dst_len, dst_pos):
-        a = self.a
-        out = [self.field.zero()] * dst_len
-        src_coords = lvl.blocks[src_key]
-        mult = a.mult
-        for off, val in enumerate(vec):
-            if not val:
-                continue
-            g, p, q = src_coords[off]
-            for k, c in mult.get((q, beta), ()):
-                out[dst_pos[(g, p, k)]] += val * c
-        if self.field.characteristic:
-            p_ = self.field.characteristic
-            out = [x % p_ for x in out]
-        return out
+            if left:
+                for k, c in mult.get((arrow, p), ()):
+                    out[dst_pos[(g, k, q)]] += val * c
+            else:
+                for k, c in mult.get((q, arrow), ()):
+                    out[dst_pos[(g, p, k)]] += val * c
+        p = self.field.characteristic
+        return [x % p for x in out] if p else out
 
     def _check_square_zero(self, i):
         """d_{i-1} after d_i must vanish on every generator image."""
@@ -253,8 +254,35 @@ class BimoduleResolution:
                 raise InvariantError("d o d != 0")
 
     def extend_to(self, length):
+        """Levels 0..length.  Once a level's state repeats (module docstring),
+        the remaining levels are references to the repeating ones."""
         while len(self.levels) < length + 1:
-            self.extend_once()
+            n = len(self.levels)
+            if self.period is None:
+                self.extend_once()
+                self._find_period(n)
+            else:
+                # kept per level, so that extend_once also works on top of shared levels
+                self.kernel_dims.append(self.kernel_dims[self.distinct_index(n - 1)])
+                self._append(self.levels[self.distinct_index(n)])
+
+    def _find_period(self, n):
+        """Record (j, n - j) if level n's state repeats level j's, and share level j."""
+        key = (tuple(self.levels[n - 1].gens), tuple(self.levels[n].gens))
+        seen = self._states.setdefault(key, [])
+        for j in seen:
+            if self.levels[j].images == self.levels[n].images:  # dicts compare as mappings
+                self.period = (j, n - j)
+                self.levels[n] = self.levels[j]
+                return
+        seen.append(n)
+
+    def distinct_index(self, n):
+        """The least level index whose state is level n's."""
+        if self.period is None or n < self.period[0]:
+            return n
+        j, d = self.period
+        return j + (n - j) % d
 
     # ------------------------------------------------------------------
     # Hom(-, A) cochain complex
@@ -262,13 +290,8 @@ class BimoduleResolution:
 
     def hom_basis(self, i):
         """Basis of Hom(P_i, A): one (g, w) per path w in e_a A e_b."""
-        a = self.a
-        out = []
-        for g, (av, bv) in enumerate(self.levels[i].gens):
-            for w in range(a.dimension):
-                if a.src[w] == av and a.tgt[w] == bv:
-                    out.append((g, w))
-        return out
+        blocks = self.base.blocks
+        return [(g, w) for g, key in enumerate(self.levels[i].gens) for w in blocks.get(key, ())]
 
     def hom_differential_rank(self, i):
         """Rank of Hom(P_{i-1}, A) -> Hom(P_i, A)."""
@@ -368,7 +391,8 @@ def hh_dims(a: BoundAlgebra, max_i: int = 8) -> HHDims:
     res.extend_to(max_i + 1)
     ranks = [0] * (max_i + 2)
     for i in range(1, max_i + 2):
-        ranks[i] = res.hom_differential_rank(i)
+        m = res.distinct_index(i)  # the rank reads the same state as the level
+        ranks[i] = ranks[m] if m < i else res.hom_differential_rank(i)
     dims = []
     for i in range(max_i + 1):
         total = len(res.hom_basis(i))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -171,8 +172,9 @@ def verify_suite(family: str, rank: int, fieldspecs, max_i: int,
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 records = list(pool.map(_worker, tasks, chunksize=4))
-        except (OSError, PermissionError):
-            records = None  # no subprocess support; fall back to serial
+        except OSError as e:
+            warnings.warn(f"process pool unavailable ({type(e).__name__}: {e}); "
+                          "verifying serially", RuntimeWarning, stacklevel=2)
     if records is None:
         records = [_worker(t) for t in tasks]
     records.sort(key=lambda r: r.canonical)

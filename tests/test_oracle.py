@@ -13,8 +13,9 @@ from cthh.algebra import build_algebra
 from cthh.errors import ResolutionBudgetError
 from cthh.fields import QQ
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
-from cthh.quiver import Quiver, dynkin_seed
+from cthh.quiver import Quiver, dynkin_seed, enumerate_class
 from cthh.relations import Path as QuiverPath, Relation, RelationSet
+from cthh.verify import sample_by_canonical
 from test_algebra import D8_MIXED
 
 def oriented_cycle(n):
@@ -173,6 +174,7 @@ def test_resolution_exactness_and_minimality_bookkeeping():
     res.extend_to(6)
     # kernel dims were compared against image ranks inside extend_once;
     # generator counts of a minimal resolution stay at the cycle width here
+    assert len(res.levels) == 7
     for lvl in res.levels[:6]:
         assert len(lvl.gens) == 4
 
@@ -182,6 +184,61 @@ def test_resolution_budget(monkeypatch):
     a = cached_algebra(oriented_cycle(5), 0)
     with pytest.raises(ResolutionBudgetError):
         hh_dims(a, max_i=10)
+
+
+PERIOD_SAMPLE = [(f"{family}{rank}-{k}-{char}", q, char)
+                 for family, ranks in (("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,)))
+                 for rank in ranks
+                 for k, q in enumerate(sample_by_canonical(
+                     enumerate_class(dynkin_seed(family, rank)), 3))
+                 for char in (2, 3, 0)]
+
+
+@pytest.mark.parametrize("name,q,char", PERIOD_SAMPLE, ids=[c[0] for c in PERIOD_SAMPLE])
+def test_periodic_resolution_matches_plain_steps(name, q, char):
+    # extend_to builds each distinct level once; plain extend_once calls build
+    # every level, and both must give the same levels and the same dimensions
+    a = cached_algebra(q, char)
+    length = 12
+    res = BimoduleResolution(a)
+    res.extend_to(length)
+    plain = BimoduleResolution(a)
+    while len(plain.levels) < length + 1:
+        plain.extend_once()
+    assert plain.period is None
+    assert len(res.levels) == length + 1
+    assert [(lvl.gens, lvl.images) for lvl in res.levels] == \
+        [(lvl.gens, lvl.images) for lvl in plain.levels]
+    assert res.total_dim == plain.total_dim
+    res.extend_once()  # a plain step on top of shared levels
+    plain.extend_once()
+    assert (res.levels[-1].gens, res.levels[-1].images) == \
+        (plain.levels[-1].gens, plain.levels[-1].images)
+    j, d = res.period  # every resolution of the sample repeats within 12 levels
+    assert 1 <= j and 1 <= d and j + d <= length
+    for n in range(j, length + 1):
+        assert res.levels[n] is res.levels[j + (n - j) % d]
+    ranks = [0] + [plain.hom_differential_rank(i) for i in range(1, length + 1)]
+    dims = tuple(len(plain.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(length))
+    assert hh_dims(a, max_i=length - 1).dims == dims
+
+
+def test_resolution_budget_counts_shared_levels(monkeypatch):
+    a = cached_algebra(oriented_cycle(3), 2)
+    length = 12
+    res = BimoduleResolution(a)
+    res.extend_to(length)
+    j, d = res.period
+    built = sum(lvl.dim for lvl in res.levels[:j + d + 1])  # level j + d was built, then shared
+    assert built < res.total_dim == sum(lvl.dim for lvl in res.levels)
+    monkeypatch.setattr(cthh.oracle, "DEFAULT_BUDGET", built)
+    short = BimoduleResolution(a)
+    short.extend_to(j + d)
+    assert short.period == (j, d)
+    with pytest.raises(ResolutionBudgetError):
+        BimoduleResolution(a).extend_to(length)
+    monkeypatch.setattr(cthh.oracle, "DEFAULT_BUDGET", res.total_dim)
+    BimoduleResolution(a).extend_to(length)
 
 
 def test_dims_invariant_under_relabeling():

@@ -67,3 +67,14 @@ def test_typed_error_in_one_quiver_gives_one_fail_record(monkeypatch, capsys):
     assert failed[0].messages == ("InvariantError: planted failure",)
     assert main(["verify", "--seed", "A4", "--chars", "2", "--max-i", "2", "--jobs", "1"]) == 1
     assert "FAIL: A4, 5/6 quivers ok" in capsys.readouterr().out
+
+
+def test_pool_fallback_warns_and_keeps_report(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise OSError(38, "Function not implemented")
+
+    serial = verify_suite("A", 4, [GF2, QQ], max_i=3, jobs=1)
+    monkeypatch.setattr(cthh.verify, "ProcessPoolExecutor", no_pool)
+    with pytest.warns(RuntimeWarning, match="OSError: .*Function not implemented"):
+        report = verify_suite("A", 4, [GF2, QQ], max_i=3, jobs=2)
+    assert report.to_dict() == serial.to_dict()
