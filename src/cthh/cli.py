@@ -239,63 +239,73 @@ def _cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def build_parser():
+# name -> (help, handler, [(flags, add_argument keywords), ...]); every
+# command also takes --json
+_COMMANDS = {
+    "validate": ("check a quiver file", _cmd_validate, [
+        (("file",), {}),
+    ]),
+    "mutate": ("mutate a quiver at a vertex", _cmd_mutate, [
+        (("file",), {}),
+        (("--at",), dict(type=int, required=True, metavar="K")),
+    ]),
+    "class": ("enumerate a mutation class", _cmd_class, [
+        (("--seed",), dict(required=True, metavar="{A|D|E}N")),
+        (("--cap",), dict(type=int, default=100000)),
+    ]),
+    "relations": ("defining relations from the quiver", _cmd_relations, [
+        (("file",), {}),
+    ]),
+    "cartan": ("Cartan matrix, determinant, associated polynomial", _cmd_cartan, [
+        (("file",), {}),
+    ]),
+    "hh": ("closed-form Hochschild dimensions", _cmd_hh, [
+        (("file",), {}),
+        (("--char",), dict(type=int, default=0, metavar="P")),
+        (("--max-i",), dict(type=int, default=8, dest="max_i")),
+        (("--method",), dict(choices=("typed", "universal"), default="typed")),
+    ]),
+    "hh-oracle": ("brute-force Hochschild dimensions", _cmd_hh_oracle, [
+        (("file",), {}),
+        (("--char",), dict(type=int, required=True, metavar="P")),
+        (("--max-i",), dict(type=int, required=True, dest="max_i")),
+    ]),
+    "verify": ("reconcile closed forms against the oracle over a class", _cmd_verify, [
+        (("--seed",), dict(required=True, metavar="{A|D|E}N")),
+        (("--chars",), dict(required=True, help="comma-separated characteristics, 0 = rationals")),
+        (("--max-i",), dict(type=int, default=8, dest="max_i")),
+        (("--sample",), dict(default=None, help="sample size or 'all'")),
+        (("--jobs",), dict(type=int, default=None)),
+    ]),
+}
+
+
+def build_parser(command=None):
+    """The full parser, or with a command name one that holds only that
+    subcommand's parser and parses, prints and fails for it the same way."""
     ap = argparse.ArgumentParser(
         prog="cthh",
         description="Hochschild cohomology of cluster-tilted algebras of finite type",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a quiver file")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("mutate", help="mutate a quiver at a vertex")
-    p.add_argument("file")
-    p.add_argument("--at", type=int, required=True, metavar="K")
-    p.set_defaults(fn=_cmd_mutate)
-
-    p = sub.add_parser("class", help="enumerate a mutation class")
-    p.add_argument("--seed", required=True, metavar="{A|D|E}N")
-    p.add_argument("--cap", type=int, default=100000)
-    p.set_defaults(fn=_cmd_class)
-
-    p = sub.add_parser("relations", help="defining relations from the quiver")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_relations)
-
-    p = sub.add_parser("cartan", help="Cartan matrix, determinant, associated polynomial")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_cartan)
-
-    p = sub.add_parser("hh", help="closed-form Hochschild dimensions")
-    p.add_argument("file")
-    p.add_argument("--char", type=int, default=0, metavar="P")
-    p.add_argument("--max-i", type=int, default=8, dest="max_i")
-    p.add_argument("--method", choices=("typed", "universal"), default="typed")
-    p.set_defaults(fn=_cmd_hh)
-
-    p = sub.add_parser("hh-oracle", help="brute-force Hochschild dimensions")
-    p.add_argument("file")
-    p.add_argument("--char", type=int, required=True, metavar="P")
-    p.add_argument("--max-i", type=int, required=True, dest="max_i")
-    p.set_defaults(fn=_cmd_hh_oracle)
-
-    p = sub.add_parser("verify", help="reconcile closed forms against the oracle over a class")
-    p.add_argument("--seed", required=True, metavar="{A|D|E}N")
-    p.add_argument("--chars", required=True, help="comma-separated characteristics, 0 = rationals")
-    p.add_argument("--max-i", type=int, default=8, dest="max_i")
-    p.add_argument("--sample", default=None, help="sample size or 'all'")
-    p.add_argument("--jobs", type=int, default=None)
-    p.set_defaults(fn=_cmd_verify)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--json", action="store_true")
+    # with one command, the full parser's metavar keeps the top-level usage line
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_, fn, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.add_argument("--json", action="store_true")
+            p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # one subcommand parser per call; help and errors without a known
+    # command need the full one
+    ap = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -6,6 +6,11 @@ forms are computed by minimizing an adjacency encoding over all vertex
 permutations compatible with an iteratively refined degree partition; with
 at most 9 vertices this needs no external graph canonicalization machinery.
 
+Chordless cycles are found by extending induced paths from each cycle's
+least vertex (Dias-Castonguay-Longo-Jradi 2013), so the search stays cheap
+far beyond rank 9; it runs once per quiver and serves type detection, the
+relations and the type-D patterns alike.
+
 The Dynkin type of a mutation class is read off the quiver itself, without
 mutating (Barot-Geiss-Zelevinsky 2006): sign each edge +-1 so that every
 chordless cycle, all of which must be oriented, has an odd number of +1
@@ -16,7 +21,6 @@ the type: n + 1 for A_n, 4 for D_n, 3, 2, 1 for E_6, E_7, E_8.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -280,42 +284,61 @@ def enumerate_class(seed: Quiver, cap: int = DEFAULT_CLASS_CAP):
 def chordless_cycles(q: Quiver):
     """All vertex subsets inducing exactly a cycle, tagged oriented or not.
 
-    Brute-force subset scan; fine for the at-most-9-vertex quivers here.
+    Listed by size, then by sorted vertex tuple.  Each walk starts at the
+    cycle's least vertex; it follows the arrows when the cycle is oriented
+    and otherwise steps first to the smaller neighbour.  A fresh list of the
+    quiver's one cached search.
     """
-    n = q.vertex_count
-    arrow_set = q.arrow_set
-    edges = {}
+    return list(_chordless_cycles(q))
+
+
+@lru_cache(maxsize=1024)  # bounded: it only has to outlive one query
+def _chordless_cycles(q: Quiver):
+    """Path extension (Dias, Castonguay, Longo and Jradi, arXiv:1309.1051).
+
+    A chordless cycle with least vertex u and neighbours a < b on it is
+    found once: from the induced path a, u, b, extend at the far end by
+    vertices above u that have no edge to the interior of the path, and
+    close as soon as the new end is adjacent to a.
+    """
+    adj = {v: set() for v in range(1, q.vertex_count + 1)}
     for s, t in q.arrows:
-        edges.setdefault(s, set()).add(t)
-        edges.setdefault(t, set()).add(s)
+        adj[s].add(t)
+        adj[t].add(s)
+    found = []
+
+    def extend(path, blocked):
+        # path = [a, u, b, ...] is an induced path; blocked holds the neighbours
+        # of its interior path[1:-1], so with v > u no path vertex comes back
+        for v in adj[path[-1]]:
+            if v > path[1] and v not in blocked:
+                if v in adj[path[0]]:
+                    found.append(path + [v])
+                else:
+                    extend(path + [v], blocked | adj[path[-1]])
+
+    for u in adj:
+        up = sorted(w for w in adj[u] if w > u)
+        for i, a in enumerate(up):
+            for b in up[i + 1:]:
+                if b in adj[a]:
+                    found.append([a, u, b])
+                else:
+                    extend([a, u, b], adj[u])
+
+    arrow_set = q.arrow_set
     cycles = []
-    for size in range(3, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            sset = set(subset)
-            deg = {}
-            edge_count = 0
-            for s, t in q.arrows:
-                if s in sset and t in sset:
-                    edge_count += 1
-                    deg[s] = deg.get(s, 0) + 1
-                    deg[t] = deg.get(t, 0) + 1
-            if edge_count != size or any(deg.get(v, 0) != 2 for v in subset):
-                continue
-            # walk the 2-regular induced graph; a full walk = a single cycle
-            start = subset[0]
-            walk = [start]
-            prev, cur = start, min(w for w in edges[start] if w in sset)
-            while cur != start:
-                walk.append(cur)
-                prev, cur = cur, next(w for w in edges[cur] if w in sset and w != prev)
-            if len(walk) != size:
-                continue
-            oriented_fwd = all((walk[i], walk[(i + 1) % size]) in arrow_set for i in range(size))
-            oriented_bwd = all((walk[(i + 1) % size], walk[i]) in arrow_set for i in range(size))
-            if oriented_bwd:
-                walk = [walk[0]] + walk[1:][::-1]
-            cycles.append(Cycle(tuple(walk), oriented_fwd or oriented_bwd))
-    return cycles
+    for path in found:
+        # path = [a, u, b, ..., z] closes with the edge z-a; walk u, a, z, ..., b
+        walk = [path[1], path[0]] + path[:1:-1]
+        size = len(walk)
+        oriented_fwd = all((walk[i], walk[(i + 1) % size]) in arrow_set for i in range(size))
+        oriented_bwd = all((walk[(i + 1) % size], walk[i]) in arrow_set for i in range(size))
+        if oriented_bwd:
+            walk = [walk[0]] + walk[1:][::-1]
+        cycles.append(Cycle(tuple(walk), oriented_fwd or oriented_bwd))
+    cycles.sort(key=lambda c: (c.length, sorted(c.vertices)))
+    return tuple(cycles)
 
 
 def oriented_triangle_count(q: Quiver) -> int:

@@ -169,12 +169,19 @@ def verify_suite(family: str, rank: int, fieldspecs, max_i: int,
     tasks = [(q, family, rank, chars, max_i) for q in quivers]
     records = None
     if jobs > 1 and len(tasks) > 1:
+        pool = None
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                records = list(pool.map(_worker, tasks, chunksize=4))
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            results = pool.map(_worker, tasks, chunksize=4)  # submitting starts the workers
         except OSError as e:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
             warnings.warn(f"process pool unavailable ({type(e).__name__}: {e}); "
                           "verifying serially", RuntimeWarning, stacklevel=2)
+        else:
+            # an error raised while checking a quiver propagates from here
+            with pool:
+                records = list(results)
     if records is None:
         records = [_worker(t) for t in tasks]
     records.sort(key=lambda r: r.canonical)

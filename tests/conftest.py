@@ -1,5 +1,6 @@
 """Shared fixtures: mutation classes and cached algebra builds."""
 
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from cthh.algebra import build_algebra
 from cthh.fields import FieldSpec
 from cthh.linalg import rref
-from cthh.quiver import Quiver, dynkin_seed, enumerate_class
+from cthh.quiver import Cycle, Quiver, dynkin_seed, enumerate_class
 from cthh.relations import generate_relations
 
 
@@ -49,6 +50,45 @@ def det_cofactor(rows) -> int:
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
         total += (-1) ** j * x * det_cofactor(minor)
     return total
+
+
+def chordless_cycles_bruteforce(q: Quiver):
+    """Subset-scan reference for chordless_cycles: every vertex subset whose
+    induced graph is one cycle, in the same order and walk convention."""
+    n = q.vertex_count
+    arrow_set = q.arrow_set
+    edges = {}
+    for s, t in q.arrows:
+        edges.setdefault(s, set()).add(t)
+        edges.setdefault(t, set()).add(s)
+    cycles = []
+    for size in range(3, n + 1):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            sset = set(subset)
+            deg = {}
+            edge_count = 0
+            for s, t in q.arrows:
+                if s in sset and t in sset:
+                    edge_count += 1
+                    deg[s] = deg.get(s, 0) + 1
+                    deg[t] = deg.get(t, 0) + 1
+            if edge_count != size or any(deg.get(v, 0) != 2 for v in subset):
+                continue
+            # walk the 2-regular induced graph; a full walk = a single cycle
+            start = subset[0]
+            walk = [start]
+            prev, cur = start, min(w for w in edges[start] if w in sset)
+            while cur != start:
+                walk.append(cur)
+                prev, cur = cur, next(w for w in edges[cur] if w in sset and w != prev)
+            if len(walk) != size:
+                continue
+            oriented_fwd = all((walk[i], walk[(i + 1) % size]) in arrow_set for i in range(size))
+            oriented_bwd = all((walk[(i + 1) % size], walk[i]) in arrow_set for i in range(size))
+            if oriented_bwd:
+                walk = [walk[0]] + walk[1:][::-1]
+            cycles.append(Cycle(tuple(walk), oriented_fwd or oriented_bwd))
+    return cycles
 
 
 def matrix_rank(rows, ncols, field):

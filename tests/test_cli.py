@@ -5,9 +5,11 @@ import json
 
 import pytest
 
-from cthh.cli import main, parse_quiver, serialize_quiver
+from cthh.cli import build_parser, main, parse_quiver, serialize_quiver
 from cthh.errors import InputSyntaxError
+from cthh.fields import GF2, QQ
 from cthh.quiver import Quiver
+from cthh.series import HSeries, hh_dims_list
 
 
 def write(tmp_path, name, text):
@@ -210,3 +212,66 @@ def test_cli_usage_error_exit_2(capsys):
 
 def test_cli_no_command_exit_2(capsys):
     assert main([]) == 2
+
+
+# a usage error per subcommand: a missing or malformed argument, then an
+# unknown option, which the top-level parser reports with its own usage line
+COMMAND_USAGE_ERRORS = {
+    "validate": [[], ["q.json", "--bogus"]],
+    "mutate": [["q.json"], ["q.json", "--at", "1", "--bogus"]],
+    "class": [[], ["--seed", "A3", "--bogus"]],
+    "relations": [[], ["q.json", "--bogus"]],
+    "cartan": [[], ["q.json", "--bogus"]],
+    "hh": [["--char", "x"], ["q.json", "--bogus"]],
+    "hh-oracle": [["q.json", "--char", "2"], ["q.json", "--char", "2", "--max-i", "4", "--bogus"]],
+    "verify": [["--chars", "2"], ["--seed", "A3", "--chars", "2", "--bogus"]],
+}
+
+
+def full_parser_exit(argv):
+    """What main would return if it parsed argv with the full parser."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as e:
+        return 2 if e.code not in (0, None) else 0
+    raise AssertionError(f"{argv} parsed without exiting")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["--help"],
+    *([cmd, "--help"] for cmd in COMMAND_USAGE_ERRORS),
+    *([cmd, *rest] for cmd, cases in COMMAND_USAGE_ERRORS.items() for rest in cases),
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_cli_one_subcommand_parser_prints_like_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc = main(argv)
+    got = capsys.readouterr()
+    assert rc == full_parser_exit(argv)
+    want = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert got.out or got.err
+
+
+# a mutant of A40 with t = 10 oriented triangles, so h = 10 f_3
+A40_MUTANT_ARROWS = [
+    (1, 5), (1, 6), (2, 3), (2, 4), (4, 5), (6, 7), (7, 1), (8, 7), (9, 6), (9, 10),
+    (10, 24), (11, 10), (11, 20), (12, 14), (12, 15), (13, 12), (14, 13), (15, 17),
+    (15, 20), (16, 17), (17, 12), (17, 18), (18, 16), (19, 18), (20, 22), (21, 22),
+    (22, 15), (22, 23), (23, 21), (24, 11), (24, 25), (25, 26), (26, 31), (27, 28),
+    (28, 26), (28, 29), (29, 27), (30, 29), (31, 28), (31, 35), (32, 33), (32, 34),
+    (34, 31), (35, 34), (35, 36), (36, 37), (37, 38), (38, 39), (39, 40),
+]
+
+
+def test_cli_hh_and_oracle_on_an_a40_mutant(tmp_path, capsys):
+    doc = {"vertices": 40, "arrows": [list(a) for a in A40_MUTANT_ARROWS]}
+    path = write(tmp_path, "a40.json", json.dumps(doc))
+    h = HSeries.of(*[3] * 10)
+    assert main(["hh", path, "--json"]) == 0
+    closed = json.loads(capsys.readouterr().out)
+    assert (closed["family"], closed["h"]) == ("A40", "10 f_3")
+    assert closed["dims"] == hh_dims_list(h, 8, QQ)
+    assert main(["hh-oracle", path, "--char", "2", "--max-i", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == hh_dims_list(h, 4, GF2)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import mutation_class
+from conftest import chordless_cycles_bruteforce, mutation_class
 from cthh.errors import (
     CapExceededError,
     DisconnectedError,
@@ -177,6 +177,50 @@ def test_chordless_non_oriented_cycle_flagged():
     q = Quiver.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     (c,) = chordless_cycles(q)
     assert c.length == 4 and not c.oriented
+
+
+def test_chordless_cycles_returns_a_fresh_list():
+    q = Quiver.make(3, [(1, 2), (2, 3), (3, 1)])
+    chordless_cycles(q).clear()
+    assert len(chordless_cycles(q)) == 1
+
+
+@pytest.mark.parametrize("family, rank", [("A", 6), ("D", 6), ("E", 6)])
+def test_chordless_cycles_match_brute_force_on_classes(family, rank):
+    for q in mutation_class(family, rank):
+        assert chordless_cycles(q) == chordless_cycles_bruteforce(q), q
+
+
+def random_quivers(rng, count, max_vertices=9):
+    """Valid quivers with random edges and orientations, most of them
+    outside finite type."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, max_vertices)
+        density = rng.uniform(0.2, 0.7)
+        arrows = [(i, j) if rng.random() < 0.5 else (j, i)
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                  if rng.random() < density]
+        q = Quiver(n, tuple(sorted(arrows)))
+        try:
+            validate(q)
+        except DisconnectedError:
+            continue
+        out.append(q)
+    return out
+
+
+def test_chordless_cycles_match_brute_force_on_random_quivers():
+    non_oriented = not_dynkin = 0
+    for q in random_quivers(random.Random(1309), 250):
+        expected = chordless_cycles_bruteforce(q)
+        assert chordless_cycles(q) == expected, q
+        non_oriented += any(not c.oriented for c in expected)
+        try:
+            detect_dynkin(q)
+        except NotDynkinError:
+            not_dynkin += 1
+    assert non_oriented >= 50 and not_dynkin >= 100
 
 
 def test_detect_dynkin_linear_path():

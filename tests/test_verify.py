@@ -1,6 +1,11 @@
 """Per-quiver work of the verify sweep: each invariant is computed once."""
 
+import multiprocessing
+import pathlib
+import re
 import sys
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -78,3 +83,38 @@ def test_pool_fallback_warns_and_keeps_report(monkeypatch):
     with pytest.warns(RuntimeWarning, match="OSError: .*Function not implemented"):
         report = verify_suite("A", 4, [GF2, QQ], max_i=3, jobs=2)
     assert report.to_dict() == serial.to_dict()
+
+
+def test_worker_oserror_propagates_without_serial_rerun(monkeypatch):
+    bad = enumerate_class(dynkin_seed("A", 4))[2]
+    real = cthh.verify.hh_dims
+    parent_calls = []  # forked workers append to their own copies
+
+    def hh_dims(a, max_i):
+        parent_calls.append(a.quiver)
+        if a.quiver == bad:
+            raise OSError(5, "Input/output error")
+        return real(a, max_i=max_i)
+
+    def fork_pool(max_workers):
+        # forked workers see the patched hh_dims whatever the default start method
+        return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+    monkeypatch.setattr(cthh.verify, "hh_dims", hh_dims)
+    monkeypatch.setattr(cthh.verify, "ProcessPoolExecutor", fork_pool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OSError) as exc:
+            verify_suite("A", 4, [GF2], max_i=2, jobs=2)
+    assert exc.value.errno == 5
+    assert parent_calls == []
+
+
+def test_long_tier_pins_one_report_sha_per_workflow_seed():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    workflow = (root / ".github" / "workflows" / "long-tier.yml").read_text(encoding="utf-8")
+    seeds = re.search(r"seed: \[(.*)\]", workflow).group(1).split(", ")
+    pinned = dict(line.split() for line in (root / "tests" / "long_tier_sha256.txt")
+                  .read_text(encoding="utf-8").splitlines() if not line.startswith("#"))
+    assert list(pinned) == seeds == ["A8", "D8", "E7", "A9", "D9", "E8"]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for sha in pinned.values())
