@@ -280,34 +280,45 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The full parser, or with a command name one that holds only that
-    subcommand's parser and parses, prints and fails for it the same way."""
+def _add_command_arguments(p, name):
+    _, fn, arguments = _COMMANDS[name]
+    for flags, kwargs in arguments:
+        p.add_argument(*flags, **kwargs)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=fn)
+    return p
+
+
+def build_parser():
+    """The full parser, with every subcommand."""
     ap = argparse.ArgumentParser(
         prog="cthh",
         description="Hochschild cohomology of cluster-tilted algebras of finite type",
     )
-    # with one command, the full parser's metavar keeps the top-level usage line
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_, fn, arguments) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_)
-            for flags, kwargs in arguments:
-                p.add_argument(*flags, **kwargs)
-            p.add_argument("--json", action="store_true")
-            p.set_defaults(fn=fn)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_, _, _) in _COMMANDS.items():
+        _add_command_arguments(sub.add_parser(name, help=help_), name)
     return ap
+
+
+def _parse_args(argv):
+    """Parse with only the named command's parser, which prints and fails as
+    the full parser's subparser does; help and errors without a known
+    command, and leftover arguments, need the full parser."""
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    ap = _add_command_arguments(argparse.ArgumentParser(prog=f"cthh {argv[0]}"), argv[0])
+    args, extras = ap.parse_known_args(argv[1:])
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # one subcommand parser per call; help and errors without a known
-    # command need the full one
-    ap = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -9,6 +9,16 @@ and those generators index the next projective.  Applying Hom(-, A) turns
 the resolution into a cochain complex of small exact matrices whose
 cohomology dimensions are the answer.
 
+The top of a kernel block K_(s,t) is covered by an Echelon fed first the
+arrow multiples of the neighbouring kernel blocks (arrows out of s times
+K_(t(a),t), then K_(s,s(b)) times arrows into t), which span the block of
+rad K + K rad, and then the block's own kernel vectors, whose residues are the
+generators.  Since rad K + K rad lies in K, a block without kernel is skipped,
+and once the echelon's rank reaches dim K_(s,t) it spans that block of K: the
+remaining adds would all return None, so they and the kernel-vector pass are
+skipped.  Every block that stays below full rank sees the same adds in the
+same order, so the generators and their images do not change.
+
 Nothing is assumed about minimality when taking cohomology: the Hom-complex
 differentials are computed honestly, and d-compose-d = 0 plus image = kernel
 are verified at every step.
@@ -193,35 +203,52 @@ class BimoduleResolution:
 
         self.kernel_dims.append(sum(len(v) for v in kernels.values()))
 
-        # minimal generators: kernel top modulo rad*K + K*rad, block by block
+        new_gens, new_images = self._top(lvl, kernels)
+        self._append(_Level(a, new_gens, new_images, self.paths_to, self.paths_from))
+        self._check_square_zero(len(self.levels) - 1)
+
+    def _top(self, lvl, kernels):
+        """Generators (block keys) and images lifting the kernel top modulo
+        rad*K + K*rad, block by block; the stopping rule is in the module
+        docstring."""
+        fld = self.field
         new_gens = []
         new_images = []
-        for key in sorted(lvl.blocks):
-            s, t = key
+        for key in sorted(kernels):
+            kernel = kernels[key]
             block_coords = lvl.blocks[key]
             block_pos = {c: off for off, c in enumerate(block_coords)}
             ech = Echelon(fld)
-            for alpha in self.arrows_out.get(s, ()):
-                src_key = (a.tgt[alpha], t)
-                for vec in kernels.get(src_key, ()):
-                    ech.add(self._arrow_mul(lvl, src_key, vec, alpha, True, block_pos))
-            for beta in self.arrows_in.get(t, ()):
-                src_key = (s, a.src[beta])
-                for vec in kernels.get(src_key, ()):
-                    ech.add(self._arrow_mul(lvl, src_key, vec, beta, False, block_pos))
-            for vec in kernels.get(key, ()):
-                residue = ech.add(vec)
-                if residue is not None:
-                    img = {
-                        block_coords[off]: val
-                        for off, val in enumerate(residue)
-                        if val
-                    }
-                    new_gens.append(key)
-                    new_images.append(img)
+            for vec in self._radical_multiples(lvl, kernels, key, block_pos):
+                ech.add(vec)
+                if ech.rank == len(kernel):
+                    break
+            else:
+                # below full rank: the residues of the kernel vectors lift the top
+                for vec in kernel:
+                    residue = ech.add(vec)
+                    if residue is not None:
+                        new_gens.append(key)
+                        new_images.append({
+                            block_coords[off]: val
+                            for off, val in enumerate(residue)
+                            if val
+                        })
+        return new_gens, new_images
 
-        self._append(_Level(a, new_gens, new_images, self.paths_to, self.paths_from))
-        self._check_square_zero(len(self.levels) - 1)
+    def _radical_multiples(self, lvl, kernels, key, block_pos):
+        """Spanning vectors of rad*K + K*rad in block key: arrows out of s times
+        the kernel blocks they reach, then the kernel blocks into t times arrows."""
+        a = self.a
+        s, t = key
+        for alpha in self.arrows_out.get(s, ()):
+            src_key = (a.tgt[alpha], t)
+            for vec in kernels.get(src_key, ()):
+                yield self._arrow_mul(lvl, src_key, vec, alpha, True, block_pos)
+        for beta in self.arrows_in.get(t, ()):
+            src_key = (s, a.src[beta])
+            for vec in kernels.get(src_key, ()):
+                yield self._arrow_mul(lvl, src_key, vec, beta, False, block_pos)
 
     def _arrow_mul(self, lvl, src_key, vec, arrow, left, dst_pos):
         """arrow * vec if left, else vec * arrow: a block of lvl into the block of dst_pos (dense)."""

@@ -7,7 +7,8 @@ import pytest
 
 from cthh.algebra import build_algebra
 from cthh.fields import FieldSpec
-from cthh.linalg import rref
+from cthh.linalg import Echelon, rref
+from cthh.oracle import BimoduleResolution
 from cthh.quiver import Cycle, Quiver, dynkin_seed, enumerate_class
 from cthh.relations import generate_relations
 
@@ -89,6 +90,37 @@ def chordless_cycles_bruteforce(q: Quiver):
                 walk = [walk[0]] + walk[1:][::-1]
             cycles.append(Cycle(tuple(walk), oriented_fwd or oriented_bwd))
     return cycles
+
+
+class FullSpanResolution(BimoduleResolution):
+    """Reference for the top step: every block, every arrow multiple of the
+    neighbouring kernel blocks and every kernel vector goes into the echelon,
+    with no stop at full rank."""
+
+    def _top(self, lvl, kernels):
+        a = self.a
+        new_gens = []
+        new_images = []
+        for key in sorted(lvl.blocks):
+            s, t = key
+            block_coords = lvl.blocks[key]
+            block_pos = {c: off for off, c in enumerate(block_coords)}
+            ech = Echelon(self.field)
+            for alpha in self.arrows_out.get(s, ()):
+                src_key = (a.tgt[alpha], t)
+                for vec in kernels.get(src_key, ()):
+                    ech.add(self._arrow_mul(lvl, src_key, vec, alpha, True, block_pos))
+            for beta in self.arrows_in.get(t, ()):
+                src_key = (s, a.src[beta])
+                for vec in kernels.get(src_key, ()):
+                    ech.add(self._arrow_mul(lvl, src_key, vec, beta, False, block_pos))
+            for vec in kernels.get(key, ()):
+                residue = ech.add(vec)
+                if residue is not None:
+                    new_gens.append(key)
+                    new_images.append({block_coords[off]: val
+                                       for off, val in enumerate(residue) if val})
+        return new_gens, new_images
 
 
 def matrix_rank(rows, ncols, field):

@@ -5,13 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from collections import Counter
+
 import pytest
 
 import cthh.oracle
-from conftest import cached_algebra, matrix_rank
+from conftest import FullSpanResolution, cached_algebra, matrix_rank
 from cthh.algebra import build_algebra
 from cthh.errors import ResolutionBudgetError
 from cthh.fields import QQ
+from cthh.linalg import kernel_from_rref, rref
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class
 from cthh.relations import Path as QuiverPath, Relation, RelationSet
@@ -221,6 +224,133 @@ def test_periodic_resolution_matches_plain_steps(name, q, char):
     ranks = [0] + [plain.hom_differential_rank(i) for i in range(1, length + 1)]
     dims = tuple(len(plain.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(length))
     assert hh_dims(a, max_i=length - 1).dims == dims
+
+
+def _resolution_state(res):
+    """Generators and images (in insertion order) of every level, kernel dims, period."""
+    return ([(lvl.gens, [list(img.items()) for img in lvl.images]) for lvl in res.levels],
+            res.kernel_dims, res.period)
+
+
+@pytest.mark.parametrize("name,q,char", PERIOD_SAMPLE, ids=[c[0] for c in PERIOD_SAMPLE])
+def test_top_step_matches_full_span_reference(name, q, char):
+    # the top stops covering a block once rad*K + K*rad fills its kernel and
+    # skips blocks without kernel; the reference adds every vector of every block
+    a = cached_algebra(q, char)
+    res = BimoduleResolution(a)
+    res.extend_to(12)
+    ref = FullSpanResolution(a)
+    ref.extend_to(12)
+    assert _resolution_state(res) == _resolution_state(ref)
+
+
+def _times_path(a, vec, path):
+    """vec * path for vec {(generator, basis path): coefficient} in a free right module."""
+    out = {}
+    for (g, q), c in vec.items():
+        for k, m in a.mult.get((q, path), ()):
+            out[(g, k)] = out.get((g, k), 0) + c * m
+    return out
+
+
+def simple_ext_dims(a, vertex, top):
+    """[Counter {b: dim Ext^n_A(S_vertex, S_b)} for n = 0..top].
+
+    Convention: right A-modules, paths composed left to right, so e_b A is
+    spanned by the paths starting at b and P_b = e_b A covers S_b.  In the
+    minimal projective resolution of S_vertex, P_b occurs dim Ext^n(S_vertex,
+    S_b) times in the n-th term, read here as the top of the (n-1)-th syzygy
+    at b.  With this convention, generator (a, b) of level n of the bimodule
+    resolution is a summand A e_a (x) e_b A, counted dim Ext^n(S_a, S_b)
+    times (Happel, LNM 1404, 1989).
+    """
+    fld = a.field
+    paths_from = {}
+    for i in range(a.dimension):
+        paths_from.setdefault(a.src[i], []).append(i)
+    arrows_into = {}
+    for g in a.arrow_indices():
+        arrows_into.setdefault(a.tgt[g], []).append(g)
+
+    def block(gens, b):
+        """Basis of (sum of the e_v A, v in gens) e_b: (generator, path ending at b)."""
+        return [(g, q) for g, v in enumerate(gens) for q in paths_from[v] if a.tgt[q] == b]
+
+    def dense(vec, basis):
+        pos = {c: j for j, c in enumerate(basis)}
+        row = [fld.zero()] * len(basis)
+        for c, x in vec.items():
+            row[pos[c]] = fld.element(x)
+        return row
+
+    gens = [vertex]
+    kernel = {}  # the kernel of P_vertex -> S_vertex is the radical, by right vertex
+    for i in paths_from[vertex]:
+        if len(a.basis[i]) > 1:
+            kernel.setdefault(a.tgt[i], []).append({(0, i): fld.one()})
+    dims = [Counter({vertex: 1})]
+    for _ in range(top):
+        # the top of the kernel: kernel vectors at b outside (kernel * rad) e_b
+        tops = []
+        for b in sorted(kernel):
+            basis = block(gens, b)
+            rows = [dense(_times_path(a, v, c), basis)
+                    for c in arrows_into.get(b, ()) for v in kernel.get(a.src[c], ())]
+            rank = matrix_rank(rows, len(basis), fld)
+            for v in kernel[b]:
+                rows.append(dense(v, basis))
+                if matrix_rank(rows, len(basis), fld) > rank:
+                    rank += 1
+                    tops.append((b, v))
+                else:
+                    rows.pop()
+        dims.append(Counter(b for b, _ in tops))
+        # the next syzygy: the kernel of the sum of the P_b onto those generators
+        new_gens = [b for b, _ in tops]
+        kernel = {}
+        for b in sorted({a.tgt[q] for v in new_gens for q in paths_from[v]}):
+            cols = block(new_gens, b)
+            basis = block(gens, b)
+            mat = [list(row) for row in zip(*(dense(_times_path(a, tops[g][1], q), basis)
+                                              for g, q in cols))]
+            _, pivots = rref(mat, len(cols), fld)
+            vectors = kernel_from_rref(mat, len(cols), pivots, fld)
+            if vectors:
+                kernel[b] = [{cols[j]: x for j, x in enumerate(v) if x} for v in vectors]
+        gens = new_gens
+    return dims
+
+
+MINIMALITY_CASES = [
+    (f"{name}-{char}", q, char)
+    for name, q in [
+        ("A4-seed", dynkin_seed("A", 4)),
+        *((f"A5-{k}", q) for k, q in enumerate(sample_by_canonical(
+            enumerate_class(dynkin_seed("A", 5)), 2))),
+        *((f"D5-{k}", q) for k, q in enumerate(sample_by_canonical(
+            enumerate_class(dynkin_seed("D", 5)), 2))),
+        *((f"E6-{k}", q) for k, q in enumerate(sample_by_canonical(
+            enumerate_class(dynkin_seed("E", 6)), 2))),
+        ("D5-triangles", D5_TRIANGLES),
+        ("cycle-3", oriented_cycle(3)),
+        ("cycle-4", oriented_cycle(4)),
+    ]
+    for char in (2, 0)
+]
+
+
+@pytest.mark.parametrize("name,q,char", MINIMALITY_CASES, ids=[c[0] for c in MINIMALITY_CASES])
+def test_generators_count_ext_between_simples(name, q, char):
+    # exactness cannot see a redundant generator; minimality can: block (a, b)
+    # of level n holds dim Ext^n(S_a, S_b) generators
+    a = cached_algebra(q, char)
+    res = BimoduleResolution(a)
+    res.extend_to(6)
+    for v in range(1, a.vertex_count + 1):
+        ext = simple_ext_dims(a, v, 6)
+        for n in range(7):
+            got = Counter(b for av, b in res.levels[n].gens if av == v)
+            assert got == ext[n], (v, n)
 
 
 def test_resolution_budget_counts_shared_levels(monkeypatch):
