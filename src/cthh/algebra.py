@@ -175,10 +175,15 @@ def build_algebra(q: Quiver, rels: RelationSet, fieldspec: FieldSpec = QQ) -> Bo
     basis = tuple(sorted((w for layer in layers for w in layer), key=_path_key))
     index = {p: i for i, p in enumerate(basis)}
     mult = {}
+    one = fieldspec.one()
     for i, p in enumerate(basis):
         for j, r in enumerate(basis):
             if p[-1] == r[0]:
-                nf = _reduce({p + r[1:]: 1}, rules)
+                word = p + r[1:]
+                if word in index:  # a normal word is its own normal form
+                    mult[(i, j)] = ((index[word], one),)
+                    continue
+                nf = _reduce({word: 1}, rules)
                 entries = ((index[w], fieldspec.element(c)) for w, c in nf.items())
                 entries = tuple(sorted(e for e in entries if e[1]))
                 if entries:

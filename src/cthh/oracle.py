@@ -9,6 +9,17 @@ and those generators index the next projective.  Applying Hom(-, A) turns
 the resolution into a cochain complex of small exact matrices whose
 cohomology dimensions are the answer.
 
+The kernel of a block is read off a dense matrix, one column per coordinate
+(g, p, q) of the block (src p, tgt q), holding p * image(g) * q.  The left
+product p * image(g) is formed once per generator g and left path p, then
+multiplied by each right path q out of g's right vertex; entries are reduced
+modulo the characteristic as they are written, each checked to lie in the
+column's block.  A block of full rank has no kernel, so none is read off.
+The d-compose-d check on every new level recomputes the images term by term
+through pad, so it cross-checks this assembly; it also checks that each
+generator image lies in its generator's block, since a term outside it would
+be multiplied away unseen.
+
 The top of a kernel block K_(s,t) is covered by an Echelon fed first the
 arrow multiples of the neighbouring kernel blocks (arrows out of s times
 K_(t(a),t), then K_(s,s(b)) times arrows into t), which span the block of
@@ -80,6 +91,24 @@ class _AlgebraAsBimodule:
             for m, c2 in mult.get((k, q), ()):
                 acc[m] = acc.get(m, 0) + coeff * c1 * c2
 
+    @staticmethod
+    def left(mult, p, vec):
+        """p * vec, for vec a dict coord -> coefficient."""
+        out = {}
+        for coord, coeff in vec.items():
+            for k, c1 in mult.get((p, coord), ()):
+                out[k] = out.get(k, 0) + coeff * c1
+        return out
+
+    @staticmethod
+    def right(mult, vec, q):
+        """vec * q, for vec a dict coord -> coefficient."""
+        out = {}
+        for k, v in vec.items():
+            for m, c2 in mult.get((k, q), ()):
+                out[m] = out.get(m, 0) + v * c2
+        return out
+
 
 class _Level:
     """One projective P = sum of A e_a (x) e_b A over generators (a, b)."""
@@ -106,6 +135,26 @@ class _Level:
             for m, c2 in mult.get((qq, q), ()):
                 key = (g, k, m)
                 acc[key] = acc.get(key, 0) + coeff * c1 * c2
+
+    @staticmethod
+    def left(mult, p, vec):
+        """p * vec, for vec a dict (g, p', q') -> coefficient."""
+        out = {}
+        for (g, pp, qq), coeff in vec.items():
+            for k, c1 in mult.get((p, pp), ()):
+                key = (g, k, qq)
+                out[key] = out.get(key, 0) + coeff * c1
+        return out
+
+    @staticmethod
+    def right(mult, vec, q):
+        """vec * q, for vec a dict (g, p', q') -> coefficient."""
+        out = {}
+        for (g, k, qq), v in vec.items():
+            for m, c2 in mult.get((qq, q), ()):
+                key = (g, k, m)
+                out[key] = out.get(key, 0) + v * c2
+        return out
 
 
 class BimoduleResolution:
@@ -153,46 +202,12 @@ class BimoduleResolution:
         p = self.field.characteristic
         return x % p if p else x
 
-    def _column_image(self, level_index, coord):
-        """Image under the differential of one basis element (g, p, q)."""
-        lvl = self.levels[level_index]
-        target = self._target(level_index)
-        g, p, q = coord
-        acc = {}
-        for tcoord, coeff in lvl.images[g].items():
-            target.pad(self.a, tcoord, p, q, coeff, acc)
-        mod = self.field.characteristic
-        if mod:
-            return {k: r for k, v in acc.items() if (r := v % mod)}
-        return {k: v for k, v in acc.items() if v}
-
     def extend_once(self):
         """Kernel of the topmost differential, then cover it minimally."""
         a = self.a
-        fld = self.field
         i = len(self.levels) - 1
         lvl = self.levels[i]
-        target = self._target(i)
-
-        kernels = {}
-        rank_total = 0
-        zero = fld.zero()
-        for key in sorted(lvl.blocks):
-            cols = lvl.blocks[key]
-            tcoords = target.blocks.get(key, [])
-            mat = [[zero] * len(cols) for _ in range(len(tcoords))]
-            for c, coord in enumerate(cols):
-                img = self._column_image(i, coord)
-                for tcoord, val in img.items():
-                    tkey, toff = target.offset[tcoord]
-                    if tkey != key:
-                        raise InvariantError("differential broke the vertex bigrading")
-                    mat[toff][c] = val
-            rank, pivots = rref(mat, len(cols), fld)
-            rank_total += rank
-            kb = kernel_from_rref(mat, len(cols), pivots, fld)
-            if kb:
-                kernels[key] = [list(v) for v in kb]
+        kernels, rank_total = self._kernels(i)
 
         # exactness: the image of d_i must fill the previously computed kernel
         if i == 0 and rank_total != a.dimension:
@@ -206,6 +221,54 @@ class BimoduleResolution:
         new_gens, new_images = self._top(lvl, kernels)
         self._append(_Level(a, new_gens, new_images, self.paths_to, self.paths_from))
         self._check_square_zero(len(self.levels) - 1)
+
+    def _kernels(self, i):
+        """Kernel bases of the differential out of level i, by block, and its rank."""
+        fld = self.field
+        blocks = self.levels[i].blocks
+        kernels = {}
+        rank_total = 0
+        for key, mat in sorted(self._differential_blocks(i).items()):
+            ncols = len(blocks[key])
+            rank, pivots = rref(mat, ncols, fld)
+            rank_total += rank
+            if rank < ncols:
+                kernels[key] = kernel_from_rref(mat, ncols, pivots, fld)
+        return kernels, rank_total
+
+    def _differential_blocks(self, i):
+        """Dense matrix of each block of the differential out of level i: rows
+        are the target block's coordinates, columns the level block's."""
+        a = self.a
+        mult, src, tgt = a.mult, a.src, a.tgt
+        lvl = self.levels[i]
+        target = self._target(i)
+        offset = target.offset
+        mod = self.field.characteristic
+        mats = {key: [[0] * len(cols) for _ in target.blocks.get(key, ())]
+                for key, cols in lvl.blocks.items()}
+        filled = dict.fromkeys(lvl.blocks, 0)
+        # the same loops as _Level.__init__, so column c of a block is its c-th coordinate
+        for g, (av, bv) in enumerate(lvl.gens):
+            image = lvl.images[g]
+            rights = self.paths_from.get(bv, ())
+            for p in self.paths_to.get(av, ()):
+                left = target.left(mult, p, image)
+                s = src[p]
+                for q in rights:
+                    key = (s, tgt[q])
+                    c = filled[key]
+                    filled[key] = c + 1
+                    mat = mats[key]
+                    for tcoord, v in target.right(mult, left, q).items():
+                        tkey, toff = offset[tcoord]
+                        if tkey != key:
+                            raise InvariantError("differential broke the vertex bigrading")
+                        if mod:
+                            v %= mod
+                        if v:
+                            mat[toff][c] = v
+        return mats
 
     def _top(self, lvl, kernels):
         """Generators (block keys) and images lifting the kernel top modulo
@@ -267,14 +330,18 @@ class BimoduleResolution:
         return [x % p for x in out] if p else out
 
     def _check_square_zero(self, i):
-        """d_{i-1} after d_i must vanish on every generator image."""
+        """Each generator image of level i lies in its generator's block of
+        level i - 1, and d_{i-1} after d_i vanishes on it."""
         if i < 1:
             return
         prev = self.levels[i - 1]
         target = self._target(i - 1)
-        for img in self.levels[i].images:
+        for key, img in zip(self.levels[i].gens, self.levels[i].images):
             acc = {}
-            for (g, p, q), coeff in img.items():
+            for coord, coeff in img.items():
+                if prev.offset[coord][0] != key:
+                    raise InvariantError("differential broke the vertex bigrading")
+                g, p, q = coord
                 for tcoord, c2 in prev.images[g].items():
                     target.pad(self.a, tcoord, p, q, coeff * c2, acc)
             if any(self._normalize(v) for v in acc.values()):

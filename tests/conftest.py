@@ -5,9 +5,9 @@ from functools import lru_cache
 
 import pytest
 
-from cthh.algebra import build_algebra
+from cthh.algebra import _complete, _reduce, build_algebra
 from cthh.fields import FieldSpec
-from cthh.linalg import Echelon, rref
+from cthh.linalg import Echelon, kernel_from_rref, rref
 from cthh.oracle import BimoduleResolution
 from cthh.quiver import Cycle, Quiver, dynkin_seed, enumerate_class
 from cthh.relations import generate_relations
@@ -34,6 +34,23 @@ def multiply(a, xs, ys):
     if p:
         return tuple((k, v % p) for k, v in sorted(acc.items()) if v % p)
     return tuple((k, v) for k, v in sorted(acc.items()) if v)
+
+
+def reduced_products(a, rels):
+    """Reference for a.mult: every composable product of basis words is reduced
+    by the rewriting rules, normal words included."""
+    rules = _complete(rels, 2 * a.vertex_count + 1)
+    index = {p: i for i, p in enumerate(a.basis)}
+    mult = {}
+    for i, p in enumerate(a.basis):
+        for j, r in enumerate(a.basis):
+            if p[-1] == r[0]:
+                nf = _reduce({p + r[1:]: 1}, rules)
+                entries = ((index[w], a.field.element(c)) for w, c in nf.items())
+                entries = tuple(sorted(e for e in entries if e[1]))
+                if entries:
+                    mult[(i, j)] = entries
+    return mult
 
 
 def det_cofactor(rows) -> int:
@@ -121,6 +138,58 @@ class FullSpanResolution(BimoduleResolution):
                     new_images.append({block_coords[off]: val
                                        for off, val in enumerate(residue) if val})
         return new_gens, new_images
+
+
+def _column_image(res, level_index, coord):
+    """Image under the differential of one basis element (g, p, q) of a level,
+    term by term through the target's pad."""
+    lvl = res.levels[level_index]
+    target = res.base if level_index == 0 else res.levels[level_index - 1]
+    g, p, q = coord
+    acc = {}
+    for tcoord, coeff in lvl.images[g].items():
+        target.pad(res.a, tcoord, p, q, coeff, acc)
+    mod = res.field.characteristic
+    if mod:
+        return {k: r for k, v in acc.items() if (r := v % mod)}
+    return {k: v for k, v in acc.items() if v}
+
+
+def column_image_blocks(res, i):
+    """Dense matrix of each block of the differential out of level i, one
+    _column_image per column."""
+    lvl = res.levels[i]
+    target = res.base if i == 0 else res.levels[i - 1]
+    mats = {}
+    for key, cols in lvl.blocks.items():
+        mat = [[res.field.zero()] * len(cols) for _ in target.blocks.get(key, ())]
+        for c, coord in enumerate(cols):
+            for tcoord, val in _column_image(res, i, coord).items():
+                tkey, toff = target.offset[tcoord]
+                assert tkey == key, (coord, tcoord)
+                mat[toff][c] = val
+        mats[key] = mat
+    return mats
+
+
+class ColumnImageResolution(BimoduleResolution):
+    """Reference for the kernel step: each column image computed on its own
+    (column_image_blocks), then the RREF of each block and kernel_from_rref
+    on every block, full rank or not."""
+
+    def _kernels(self, i):
+        kernels = {}
+        rank_total = 0
+        blocks = column_image_blocks(self, i)
+        for key in sorted(blocks):
+            mat = blocks[key]
+            ncols = len(self.levels[i].blocks[key])
+            rank, pivots = rref(mat, ncols, self.field)
+            rank_total += rank
+            kb = kernel_from_rref(mat, ncols, pivots, self.field)
+            if kb:
+                kernels[key] = [list(v) for v in kb]
+        return kernels, rank_total
 
 
 def matrix_rank(rows, ncols, field):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import cached_algebra, multiply, mutation_class
+from conftest import cached_algebra, multiply, mutation_class, reduced_products
 from cthh.algebra import build_algebra, cartan
 from cthh.classify import classify_D, lookup_E
 from cthh.errors import AlgebraError, InvalidRelationsError, NotFiniteDimensionalError
@@ -126,6 +126,17 @@ def test_mult_respects_endpoints():
             for k, _ in prod:
                 assert a.basis[k][0] == p[0]
                 assert a.basis[k][-1] == r[-1]
+
+
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))],
+                         ids=["A2-A6", "D4-D6", "E6"])
+def test_mult_table_matches_reducing_every_product(family, ranks):
+    # build_algebra stores a product that is a normal word without reducing it
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            for char in (2, 3, 0):
+                a = cached_algebra(q, char)
+                assert a.mult == reduced_products(a, generate_relations(q)), (q, char)
 
 
 def test_trivial_paths_are_units():

@@ -10,9 +10,10 @@ from collections import Counter
 import pytest
 
 import cthh.oracle
-from conftest import FullSpanResolution, cached_algebra, matrix_rank
+from conftest import (ColumnImageResolution, FullSpanResolution, cached_algebra,
+                      column_image_blocks, matrix_rank)
 from cthh.algebra import build_algebra
-from cthh.errors import ResolutionBudgetError
+from cthh.errors import InvariantError, ResolutionBudgetError
 from cthh.fields import QQ
 from cthh.linalg import kernel_from_rref, rref
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
@@ -244,6 +245,22 @@ def test_top_step_matches_full_span_reference(name, q, char):
     assert _resolution_state(res) == _resolution_state(ref)
 
 
+@pytest.mark.parametrize("name,q,char", PERIOD_SAMPLE, ids=[c[0] for c in PERIOD_SAMPLE])
+def test_kernel_step_matches_column_image_reference(name, q, char):
+    # the kernel step forms p * image(g) once per (generator, left path) and
+    # skips the kernel of a full-rank block; the reference computes every
+    # column image on its own and reads a kernel off every block
+    a = cached_algebra(q, char)
+    res = BimoduleResolution(a)
+    res.extend_to(12)
+    ref = ColumnImageResolution(a)
+    ref.extend_to(12)
+    assert _resolution_state(res) == _resolution_state(ref)
+    for i in range(len(res.levels) - 1):
+        if res.distinct_index(i) == i:
+            assert res._differential_blocks(i) == column_image_blocks(res, i), i
+
+
 def _times_path(a, vec, path):
     """vec * path for vec {(generator, basis path): coefficient} in a free right module."""
     out = {}
@@ -381,6 +398,62 @@ def test_dims_invariant_under_relabeling():
         assert d1 == d2
 
 
+class PlantedFault(BimoduleResolution):
+    """Applies corrupt(resolution, gens, images) to the generators and images
+    of level `level` as its extend_once step builds them, before they are checked."""
+
+    def __init__(self, a, level, corrupt):
+        super().__init__(a)
+        self.planted = (level, corrupt)
+
+    def _top(self, lvl, kernels):
+        gens, images = super()._top(lvl, kernels)
+        level, corrupt = self.planted
+        if len(self.levels) == level:
+            corrupt(self, gens, images)
+        return gens, images
+
+
+def _term_in_other_block(res, gens, images):
+    prev = res.levels[-1]  # the level the new images map into
+    images[0][next(c for key in sorted(prev.blocks) if key != gens[0]
+                   for c in prev.blocks[key])] = 1
+
+
+def _doubled_coefficient(res, gens, images):
+    coord, c = next(iter(images[0].items()))
+    images[0][coord] = 2 * c
+
+
+def _dropped_generator(res, gens, images):
+    del gens[-1], images[-1]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_term_in_other_block, "differential broke the vertex bigrading"),
+    (_doubled_coefficient, "d o d != 0"),
+    (_dropped_generator, "resolution not exact at step 3"),
+], ids=["wrong-block", "wrong-coefficient", "dropped-generator"])
+def test_planted_fault_raises_invariant_error(corrupt, message):
+    # a wrong block or coefficient is caught when level 3 is built, a dropped
+    # generator when the next step finds the image of d_3 short of the kernel
+    a = cached_algebra(D5_TRIANGLES, 3)
+    BimoduleResolution(a).extend_to(5)  # the same steps pass without the fault
+    res = PlantedFault(a, 3, corrupt)
+    with pytest.raises(InvariantError, match=message):
+        while len(res.levels) < 6:
+            res.extend_once()
+
+
+def _run_optimized(code):
+    """Standard output lines of `python -O -c code` with this checkout's cthh."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return run.stdout.splitlines()
+
+
 def test_invariant_checks_survive_optimize():
     # a wrong center dimension must stop hh_dims even with asserts compiled out
     code = (
@@ -395,8 +468,27 @@ def test_invariant_checks_survive_optimize():
         "except InvariantError as e:\n"
         "    print(__debug__, type(e).__name__)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert run.stdout.split() == ["False", "InvariantError"]
+    assert _run_optimized(code) == ["False InvariantError"]
+
+
+def test_planted_fault_survives_optimize():
+    # the d o d check of extend_once still runs with asserts compiled out
+    code = (
+        "from cthh import GF3, Quiver, build_algebra, generate_relations\n"
+        "from cthh.errors import InvariantError\n"
+        "from cthh.oracle import BimoduleResolution\n"
+        f"q = Quiver.make(5, {list(D5_TRIANGLES.arrows)})\n"
+        "class Planted(BimoduleResolution):\n"
+        "    def _top(self, lvl, kernels):\n"
+        "        gens, images = super()._top(lvl, kernels)\n"
+        "        if len(self.levels) == 3:\n"
+        "            coord, c = next(iter(images[0].items()))\n"
+        "            images[0][coord] = 2 * c\n"
+        "        return gens, images\n"
+        "try:\n"
+        "    Planted(build_algebra(q, generate_relations(q), GF3)).extend_to(5)\n"
+        "    print(__debug__, 'no error')\n"
+        "except InvariantError as e:\n"
+        "    print(__debug__, e)\n"
+    )
+    assert _run_optimized(code) == ["False d o d != 0"]

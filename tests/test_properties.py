@@ -7,7 +7,7 @@ Every instance enumerated by a suite must pass; there is no tolerance.
 
 import random
 
-from conftest import cached_algebra, matrix_rank, multiply, mutation_class
+from conftest import _column_image, cached_algebra, matrix_rank, multiply, mutation_class
 from cthh.algebra import cartan
 from cthh.oracle import BimoduleResolution, hh_dims
 from cthh.quiver import Quiver, canonical_form, mutate, validate
@@ -66,7 +66,7 @@ def check_resolution_exactness(algebra, length):
         tpos = {c: r for r, c in enumerate(tcoords)}
         mat = [[fld.zero()] * len(ccoords) for _ in tcoords]
         for col, coord in enumerate(ccoords):
-            for tcoord, val in res._column_image(i, coord).items():
+            for tcoord, val in _column_image(res, i, coord).items():
                 mat[tpos[tcoord]][col] = val
         return mat
 

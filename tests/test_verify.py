@@ -118,7 +118,7 @@ def test_long_tier_pins_one_report_sha_per_workflow_seed():
                   .read_text(encoding="utf-8").splitlines() if not line.startswith("#"))
     assert list(pinned) == seeds == ["A8", "D8", "E7", "A9", "D9", "E8"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for sha in pinned.values())
-    # tier1.yml runs the two shortest legs on every push, against the same pins
+    # tier1.yml runs the A8, E7 and D8 legs on every push, against the same pins
     tier1 = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
-    assert re.search(r"seed: \[(.*)\]", tier1).group(1).split(", ") == ["A8", "E7"]
+    assert re.search(r"seed: \[(.*)\]", tier1).group(1).split(", ") == ["A8", "E7", "D8"]
     assert tier1.count("tests/long_tier_sha256.txt") == 1
