@@ -28,7 +28,7 @@ from itertools import count
 
 from .errors import InvalidRelationsError, NotFiniteDimensionalError, AlgebraError
 from .fields import FieldSpec, QQ
-from .linalg import det_int, pencil_det
+from .linalg import pencil_det
 from .quiver import Quiver, validate
 from .relations import RelationSet
 
@@ -205,7 +205,7 @@ def cartan(a: BoundAlgebra) -> CartanData:
     c = [[0] * n for _ in range(n)]
     for p in a.basis:
         c[p[0] - 1][p[-1] - 1] += 1
-    det = det_int(c)
     neg_ct = [[-c[j][i] for j in range(n)] for i in range(n)]
     poly = pencil_det(c, neg_ct)
-    return CartanData(tuple(tuple(r) for r in c), det, poly)
+    # det C is the leading coefficient of det(xC - C^T)
+    return CartanData(tuple(tuple(r) for r in c), poly[-1], poly)

@@ -15,7 +15,7 @@ from importlib import resources
 
 from .algebra import CartanData
 from .errors import NotInTableError, UnclassifiedDError
-from .quiver import Quiver, chordless_cycles, oriented_triangle_count
+from .quiver import Quiver, chordless_cycles, components, neighbours, oriented_triangle_count
 from .series import HSeries, parse_h, series_from_invariants
 
 
@@ -68,10 +68,7 @@ class DTypeParams:
 
 
 def _fork_pair(q: Quiver):
-    adj = {v: set() for v in range(1, q.vertex_count + 1)}
-    for s, t in q.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
+    adj = neighbours(q)
     pendants = [v for v in adj if len(adj[v]) == 1]
     for i in range(len(pendants)):
         for j in range(i + 1, len(pendants)):
@@ -85,24 +82,7 @@ def _arm_components(q: Quiver, core_vertices):
     """Connected components of the quiver minus the core, with the triangles
     counted inside each component plus its attachment vertices."""
     outside = [v for v in range(1, q.vertex_count + 1) if v not in core_vertices]
-    adj = {v: set() for v in range(1, q.vertex_count + 1)}
-    for s, t in q.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
-    comps = []
-    unseen = set(outside)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in unseen and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        unseen -= comp
-        comps.append(comp)
+    comps = components(neighbours(q), outside)
     triangles = [c for c in chordless_cycles(q) if c.oriented and c.length == 3]
     out = []
     for comp in comps:

@@ -323,10 +323,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except InputSyntaxError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (InputSyntaxError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except CthhError as e:

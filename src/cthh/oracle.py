@@ -13,8 +13,9 @@ The kernel of a block is read off a dense matrix, one column per coordinate
 (g, p, q) of the block (src p, tgt q), holding p * image(g) * q.  The left
 product p * image(g) is formed once per generator g and left path p, then
 multiplied by each right path q out of g's right vertex; entries are reduced
-modulo the characteristic as they are written, each checked to lie in the
-column's block.  A block of full rank has no kernel, so none is read off.
+modulo the characteristic as they are written.  A nonzero p * x * q lies in
+block (src p, tgt q), so every entry lands in its column's block.  A block of
+full rank has no kernel, so none is read off.
 The d-compose-d check on every new level recomputes the images term by term
 through pad, so it cross-checks this assembly; it also checks that each
 generator image lies in its generator's block, since a term outside it would
@@ -239,35 +240,26 @@ class BimoduleResolution:
     def _differential_blocks(self, i):
         """Dense matrix of each block of the differential out of level i: rows
         are the target block's coordinates, columns the level block's."""
-        a = self.a
-        mult, src, tgt = a.mult, a.src, a.tgt
+        mult = self.a.mult
         lvl = self.levels[i]
         target = self._target(i)
         offset = target.offset
         mod = self.field.characteristic
         mats = {key: [[0] * len(cols) for _ in target.blocks.get(key, ())]
                 for key, cols in lvl.blocks.items()}
-        filled = dict.fromkeys(lvl.blocks, 0)
-        # the same loops as _Level.__init__, so column c of a block is its c-th coordinate
         for g, (av, bv) in enumerate(lvl.gens):
             image = lvl.images[g]
             rights = self.paths_from.get(bv, ())
             for p in self.paths_to.get(av, ()):
                 left = target.left(mult, p, image)
-                s = src[p]
                 for q in rights:
-                    key = (s, tgt[q])
-                    c = filled[key]
-                    filled[key] = c + 1
+                    key, c = lvl.offset[(g, p, q)]
                     mat = mats[key]
                     for tcoord, v in target.right(mult, left, q).items():
-                        tkey, toff = offset[tcoord]
-                        if tkey != key:
-                            raise InvariantError("differential broke the vertex bigrading")
                         if mod:
                             v %= mod
                         if v:
-                            mat[toff][c] = v
+                            mat[offset[tcoord][1]][c] = v
         return mats
 
     def _top(self, lvl, kernels):

@@ -57,15 +57,6 @@ class Quiver:
         """Apply a vertex permutation given as a dict old -> new."""
         return Quiver(self.vertex_count, tuple(sorted((perm[s], perm[t]) for s, t in self.arrows)))
 
-    def exchange_matrix(self):
-        """Skew-symmetric matrix b[i][j] = #arrows i->j - #arrows j->i (0-based)."""
-        n = self.vertex_count
-        b = [[0] * n for _ in range(n)]
-        for s, t in self.arrows:
-            b[s - 1][t - 1] += 1
-            b[t - 1][s - 1] -= 1
-        return b
-
     def __str__(self):
         arr = ", ".join(f"{s}->{t}" for s, t in sorted(self.arrows))
         return f"Quiver({self.vertex_count}; {arr})"
@@ -107,51 +98,59 @@ def validate(q: Quiver) -> None:
         if (t, s) in seen:
             raise TwoCycleError(f"2-cycle between {s} and {t}")
         seen.add((s, t))
-    # connectivity of the underlying graph
-    if n > 1:
-        adj = {v: set() for v in range(1, n + 1)}
-        for s, t in q.arrows:
-            adj[s].add(t)
-            adj[t].add(s)
-        seen_v = {1}
-        stack = [1]
+    reached = components(neighbours(q), range(1, n + 1))[0]
+    if len(reached) != n:
+        raise DisconnectedError(f"underlying graph is disconnected ({len(reached)} of {n} vertices reachable)")
+
+
+def neighbours(q: Quiver):
+    """The underlying graph: each vertex -> the set of vertices sharing an arrow with it."""
+    adj = {v: set() for v in range(1, q.vertex_count + 1)}
+    for s, t in q.arrows:
+        adj[s].add(t)
+        adj[t].add(s)
+    return adj
+
+
+def components(adj, vertices):
+    """Connected components (sets) of the subgraph of adj induced on vertices,
+    each led by its least vertex and listed in that order."""
+    unseen = set(vertices)
+    comps = []
+    while unseen:
+        start = min(unseen)
+        unseen.remove(start)
+        comp = {start}
+        stack = [start]
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen_v:
-                    seen_v.add(w)
-                    stack.append(w)
-        if len(seen_v) != n:
-            raise DisconnectedError(f"underlying graph is disconnected ({len(seen_v)} of {n} vertices reachable)")
+            for w in adj[stack.pop()] & unseen:
+                unseen.remove(w)
+                comp.add(w)
+                stack.append(w)
+        comps.append(comp)
+    return comps
 
 
 def mutate(q: Quiver, k: int) -> Quiver:
-    """Fomin-Zelevinsky mutation at vertex k (1-based)."""
+    """Fomin-Zelevinsky mutation at vertex k (1-based), on the arrows: reverse
+    the arrows at k, then for each path i -> k -> j cancel an arrow j -> i or
+    else add i -> j, which must not be there already."""
     n = q.vertex_count
     if not (1 <= k <= n):
         raise ValueError(f"vertex {k} out of range 1..{n}")
-    b = q.exchange_matrix()
-    kk = k - 1
-    nb = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == kk or j == kk:
-                nb[i][j] = -b[i][j]
+    ins = sorted(s for s, t in q.arrows if t == k)
+    outs = sorted(t for s, t in q.arrows if s == k)
+    arrows = {(s, t) for s, t in q.arrows if k not in (s, t)}
+    for i in ins:
+        for j in outs:
+            if (j, i) in arrows:
+                arrows.remove((j, i))
+            elif (i, j) in arrows:
+                raise MultipleArrowError(f"mutation at {k} produced multiplicity 2 between {i} and {j}")
             else:
-                bik, bkj = b[i][kk], b[kk][j]
-                prod = bik * bkj
-                corr = max(prod, 0) if bik > 0 else -max(prod, 0)
-                nb[i][j] = b[i][j] + corr
-    arrows = []
-    for i in range(n):
-        for j in range(n):
-            v = nb[i][j]
-            if v > 1:
-                raise MultipleArrowError(
-                    f"mutation at {k} produced multiplicity {v} between {i + 1} and {j + 1}"
-                )
-            if v == 1:
-                arrows.append((i + 1, j + 1))
+                arrows.add((i, j))
+    arrows.update((k, i) for i in ins)
+    arrows.update((j, k) for j in outs)
     return Quiver(n, tuple(sorted(arrows)))
 
 
@@ -188,10 +187,9 @@ def _refined_colors(n, arrows):
 def _canonical_data(n, arrows):
     """Minimal adjacency encoding over color-respecting permutations.
 
-    Returns (canonical arrow tuple, position-of-vertex list). The encoding
-    appended at depth k is the adjacency border between the new vertex and
-    all previously placed ones, so lexicographic minimization can prune
-    branch-by-branch.
+    Returns the canonical arrow tuple. The encoding appended at depth k is
+    the adjacency border between the new vertex and all previously placed
+    ones, so lexicographic minimization can prune branch-by-branch.
     """
     colors = _refined_colors(n, arrows)
     slot_color = sorted(colors)
@@ -238,21 +236,19 @@ def _canonical_data(n, arrows):
     pos = [0] * n
     for k, v in enumerate(best_perm):
         pos[v] = k
-    canon_arrows = tuple(sorted((pos[s - 1] + 1, pos[t - 1] + 1) for s, t in arrows))
-    return canon_arrows, pos
+    return tuple(sorted((pos[s - 1] + 1, pos[t - 1] + 1) for s, t in arrows))
 
 
 def canonical_form(q: Quiver) -> bytes:
     """Relabeling-invariant encoding; equal iff the quivers are isomorphic."""
-    canon_arrows, _ = _canonical_data(q.vertex_count, tuple(sorted(q.arrows)))
+    canon_arrows = _canonical_data(q.vertex_count, tuple(sorted(q.arrows)))
     body = ";".join(f"{s}>{t}" for s, t in canon_arrows)
     return f"{q.vertex_count}|{body}".encode("ascii")
 
 
 def canonical_representative(q: Quiver) -> Quiver:
     """The canonically relabeled quiver of q's isomorphism class."""
-    canon_arrows, _ = _canonical_data(q.vertex_count, tuple(sorted(q.arrows)))
-    return Quiver(q.vertex_count, canon_arrows)
+    return Quiver(q.vertex_count, _canonical_data(q.vertex_count, tuple(sorted(q.arrows))))
 
 
 def enumerate_class(seed: Quiver, cap: int = DEFAULT_CLASS_CAP):
@@ -301,10 +297,7 @@ def _chordless_cycles(q: Quiver):
     vertices above u that have no edge to the interior of the path, and
     close as soon as the new end is adjacent to a.
     """
-    adj = {v: set() for v in range(1, q.vertex_count + 1)}
-    for s, t in q.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
+    adj = neighbours(q)
     found = []
 
     def extend(path, blocked):
@@ -365,7 +358,8 @@ def detect_dynkin(q: Quiver):
     if not all(c.oriented for c in cycles):
         raise NotDynkinError(f"{q} has a chordless cycle that is not oriented")
     m = len(q.arrows)
-    rows = [[int(a in c.arrow_list()) for a in q.arrows] + [1] for c in cycles]
+    cycle_arrows = [set(c.arrow_list()) for c in cycles]
+    rows = [[int(a in arrows) for a in q.arrows] + [1] for arrows in cycle_arrows]
     rank, pivots = rref_mod(rows, m + 1, 2)
     if m in pivots:
         raise NotDynkinError(f"{q} has no admissible quasi-Cartan companion")

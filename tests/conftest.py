@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 
 from cthh.algebra import _complete, _reduce, build_algebra
+from cthh.errors import MultipleArrowError
 from cthh.fields import FieldSpec
 from cthh.linalg import Echelon, kernel_from_rref, rref
 from cthh.oracle import BimoduleResolution
@@ -51,6 +52,33 @@ def reduced_products(a, rels):
                 if entries:
                     mult[(i, j)] = entries
     return mult
+
+
+def mutate_by_exchange_matrix(q: Quiver, k: int) -> Quiver:
+    """Reference for mutate: the Fomin-Zelevinsky rule on the dense exchange
+    matrix b[i][j] = #arrows i->j - #arrows j->i, scanned row by row."""
+    n = q.vertex_count
+    b = [[0] * n for _ in range(n)]
+    for s, t in q.arrows:
+        b[s - 1][t - 1] += 1
+        b[t - 1][s - 1] -= 1
+    kk = k - 1
+    arrows = []
+    for i in range(n):
+        for j in range(n):
+            if i == kk or j == kk:
+                v = -b[i][j]
+            else:
+                prod = b[i][kk] * b[kk][j]
+                corr = max(prod, 0) if b[i][kk] > 0 else -max(prod, 0)
+                v = b[i][j] + corr
+            if v > 1:
+                raise MultipleArrowError(
+                    f"mutation at {k} produced multiplicity {v} between {i + 1} and {j + 1}"
+                )
+            if v == 1:
+                arrows.append((i + 1, j + 1))
+    return Quiver(n, tuple(sorted(arrows)))
 
 
 def det_cofactor(rows) -> int:

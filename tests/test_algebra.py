@@ -7,6 +7,7 @@ from cthh.algebra import build_algebra, cartan
 from cthh.classify import classify_D, lookup_E
 from cthh.errors import AlgebraError, InvalidRelationsError, NotFiniteDimensionalError
 from cthh.fields import FieldSpec, QQ, GF2, GF3, GF5, GF7
+from cthh.linalg import det_int
 from cthh.oracle import hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed
 from cthh.relations import Path, Relation, RelationSet, generate_relations
@@ -168,6 +169,15 @@ def test_cartan_field_independent(classes):
             base = cartan(cached_algebra(q, 0))
             for char in (2, 3, 5, 7):
                 assert cartan(cached_algebra(q, char)) == base
+
+
+def test_cartan_det_is_leading_pencil_coefficient(classes):
+    # det(xC - C^T) has x^n coefficient det C and constant term (-1)^n det C,
+    # so the odd ranks tell the two ends apart
+    for cls in classes.values():
+        for q in cls:
+            cd = cartan(cached_algebra(q, 0))
+            assert cd.det == det_int(cd.matrix), q
 
 
 def test_degree_dims_no_resurrection(classes):

@@ -94,6 +94,12 @@ def test_cli_mutate(tmp_path, capsys):
     assert doc == {"vertices": 3, "arrows": [[1, 3], [2, 1], [3, 2]]}
 
 
+def test_cli_mutate_multiple_arrow(tmp_path, capsys):
+    path = write(tmp_path, "q.json", '{"vertices":3,"arrows":[[1,2],[1,3],[2,3]]}')
+    assert main(["mutate", path, "--at", "2"]) == 2
+    assert "MultipleArrowError" in capsys.readouterr().err
+
+
 def test_cli_mutate_bad_vertex(tmp_path, capsys):
     path = write(tmp_path, "q.json", TRIANGLE)
     assert main(["mutate", path, "--at", "7"]) == 2

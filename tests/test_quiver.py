@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from conftest import chordless_cycles_bruteforce, mutation_class
+from conftest import chordless_cycles_bruteforce, mutate_by_exchange_matrix, mutation_class
 from cthh.errors import (
     CapExceededError,
     DisconnectedError,
     LoopError,
+    MultipleArrowError,
     NotDynkinError,
     ParallelArrowError,
     TwoCycleError,
@@ -18,10 +19,12 @@ from cthh.quiver import (
     canonical_form,
     canonical_representative,
     chordless_cycles,
+    components,
     detect_dynkin,
     dynkin_seed,
     enumerate_class,
     mutate,
+    neighbours,
     validate,
 )
 
@@ -36,8 +39,19 @@ def test_validate_two_cycle():
 
 
 def test_validate_disconnected():
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(DisconnectedError, match=r"\(2 of 3 vertices reachable\)"):
         validate(Quiver(3, ((1, 2),)))
+    with pytest.raises(DisconnectedError, match=r"\(1 of 4 vertices reachable\)"):
+        validate(Quiver(4, ((2, 3), (4, 3))))
+
+
+def test_neighbours_and_components():
+    q = Quiver(6, ((2, 1), (3, 5), (6, 3)))
+    adj = neighbours(q)
+    assert adj == {1: {2}, 2: {1}, 3: {5, 6}, 4: set(), 5: {3}, 6: {3}}
+    assert components(adj, range(1, 7)) == [{1, 2}, {3, 5, 6}, {4}]
+    # induced on a subset: removing 3 splits 5 from 6
+    assert components(adj, [6, 5, 4]) == [{4}, {5}, {6}]
 
 
 def test_validate_loop_and_parallel():
@@ -68,6 +82,39 @@ def test_mutate_involution_random():
         k = rng.randint(1, 5)
         assert mutate(mutate(q, k), k) == Quiver(5, tuple(sorted(q.arrows)))
         q = mutate(q, k)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 7), ("D", 8), ("E", 7)])
+def test_mutate_matches_exchange_matrix_reference(family, rank):
+    for q in mutation_class(family, rank):
+        for k in range(1, rank + 1):
+            assert mutate(q, k) == mutate_by_exchange_matrix(q, k), (q, k)
+
+
+def test_mutate_multiple_arrow_raises():
+    q = Quiver.make(3, [(1, 2), (1, 3), (2, 3)])
+    for fn in (mutate, mutate_by_exchange_matrix):
+        with pytest.raises(MultipleArrowError, match="^mutation at 2 produced multiplicity 2 between 1 and 3$"):
+            fn(q, 2)
+
+
+def outcome(fn, q, k):
+    try:
+        return fn(q, k)
+    except MultipleArrowError as e:
+        return str(e)
+
+
+def test_mutate_matches_exchange_matrix_reference_on_random_quivers():
+    # most of these leave finite type, so many mutations raise; the reference's
+    # row-major scan fixes which pair the message names
+    raised = 0
+    for q in random_quivers(random.Random(2003), 150):
+        for k in range(1, q.vertex_count + 1):
+            got = outcome(mutate, q, k)
+            assert got == outcome(mutate_by_exchange_matrix, q, k), (q, k)
+            raised += isinstance(got, str)
+    assert raised >= 100
 
 
 def test_mutate_vertex_range():
@@ -143,16 +190,16 @@ def test_enumerate_seed_independence(classes):
         assert again == forms, (fam, rank)
 
 
-def test_known_class_sizes(classes):
-    sizes = {key: len(v) for key, v in classes.items()}
-    assert sizes[("A", 2)] == 1
-    assert sizes[("A", 3)] == 4
-    assert sizes[("A", 4)] == 6
-    assert sizes[("A", 5)] == 19
-    assert sizes[("D", 4)] == 6
-    assert sizes[("D", 5)] == 26
-    assert sizes[("D", 6)] == 80
-    assert sizes[("E", 6)] == 67
+KNOWN_CLASS_SIZES = {
+    ("A", 2): 1, ("A", 3): 4, ("A", 4): 6, ("A", 5): 19, ("A", 6): 49, ("A", 7): 150, ("A", 8): 442,
+    ("D", 4): 6, ("D", 5): 26, ("D", 6): 80, ("D", 7): 246, ("D", 8): 810, ("D", 9): 2704,
+    ("E", 6): 67, ("E", 7): 416, ("E", 8): 1574,
+}
+
+
+def test_known_class_sizes():
+    sizes = {key: len(mutation_class(*key)) for key in KNOWN_CLASS_SIZES}
+    assert sizes == KNOWN_CLASS_SIZES
 
 
 def test_chordless_cycles_tree_empty():
