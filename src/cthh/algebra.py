@@ -15,7 +15,9 @@ multiplication table holds the normal forms of products.
 The rules are computed once over the integers, and every tip must have
 leading coefficient +-1 (else AlgebraError).  Each reduction over Z then maps
 term by term to one mod p, so the same rules are a Groebner basis over every
-field; the field enters only when stored coefficients are coerced.  A tip or
+field: the basis is the same, and the multiplication table over GF(p) is the
+integer one reduced mod p (`BoundAlgebra.over`).  Every algebra is built over
+the integers and then moved to its field.  A tip or
 a normal word longer than 2n + 1 arrows (n vertices) raises
 NotFiniteDimensionalError, which bounds the tips and so ends completion.
 """
@@ -23,7 +25,7 @@ NotFiniteDimensionalError, which bounds the tips and so ends completion.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import count
 
 from .errors import InvalidRelationsError, NotFiniteDimensionalError, AlgebraError
@@ -139,6 +141,21 @@ class BoundAlgebra:
     def arrow_indices(self):
         return [i for i, p in enumerate(self.basis) if len(p) == 2]
 
+    def over(self, fieldspec: FieldSpec) -> "BoundAlgebra":
+        """This algebra over fieldspec.  The integer multiplication table of an
+        algebra over QQ is reduced mod p, and the entries that vanish are
+        dropped; the module docstring says why that is the algebra over GF(p)."""
+        if fieldspec == self.field:
+            return self
+        if self.field != QQ:
+            raise ValueError(f"cannot move an algebra over {self.field} to {fieldspec}")
+        mult = {}
+        for key, entries in self.mult.items():
+            reduced = tuple((k, r) for k, c in entries if (r := fieldspec.element(c)))
+            if reduced:
+                mult[key] = reduced
+        return replace(self, field=fieldspec, mult=mult)
+
 
 def _check_relations(q: Quiver, rels: RelationSet):
     arrow_set = q.arrow_set
@@ -174,23 +191,20 @@ def build_algebra(q: Quiver, rels: RelationSet, fieldspec: FieldSpec = QQ) -> Bo
 
     basis = tuple(sorted((w for layer in layers for w in layer), key=_path_key))
     index = {p: i for i, p in enumerate(basis)}
-    mult = {}
-    one = fieldspec.one()
+    mult = {}  # over the integers; zero coefficients never reach a normal form
     for i, p in enumerate(basis):
         for j, r in enumerate(basis):
             if p[-1] == r[0]:
                 word = p + r[1:]
                 if word in index:  # a normal word is its own normal form
-                    mult[(i, j)] = ((index[word], one),)
+                    mult[(i, j)] = ((index[word], 1),)
                     continue
                 nf = _reduce({word: 1}, rules)
-                entries = ((index[w], fieldspec.element(c)) for w, c in nf.items())
-                entries = tuple(sorted(e for e in entries if e[1]))
-                if entries:
-                    mult[(i, j)] = entries
+                if nf:
+                    mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
     src = tuple(p[0] for p in basis)
     tgt = tuple(p[-1] for p in basis)
-    return BoundAlgebra(q, fieldspec, basis, tuple(dims), mult, src, tgt)
+    return BoundAlgebra(q, QQ, basis, tuple(dims), mult, src, tgt).over(fieldspec)
 
 
 @dataclass(frozen=True)

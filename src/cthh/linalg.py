@@ -70,8 +70,13 @@ def qdiv(x, d):
 
 
 def rref_frac(rows, ncols):
-    """In-place reduced row echelon form over the rationals. Returns (rank, pivots)."""
+    """In-place reduced row echelon form over the rationals.
+
+    Returns (rank, pivots, minor): minor is the product of the pivots as found,
+    before each is normalised to 1, which is +- the determinant of the rows
+    and columns the elimination picked."""
     pivots = []
+    minor = 1
     r = 0
     nrows = len(rows)
     for c in range(ncols):
@@ -86,6 +91,7 @@ def rref_frac(rows, ncols):
         row = rows[r]
         pv = row[c]
         if pv != 1:
+            minor *= pv
             row[:] = [qdiv(x, pv) for x in row]
         for i in range(nrows):
             if i != r:
@@ -97,14 +103,15 @@ def rref_frac(rows, ncols):
         r += 1
         if r == nrows:
             break
-    return r, pivots
+    return r, pivots, minor
 
 
 def rref(rows, ncols, field: FieldSpec):
+    """In-place reduced row echelon form over field. Returns (rank, pivots)."""
     p = field.characteristic
     if p:
         return rref_mod(rows, ncols, p)
-    return rref_frac(rows, ncols)
+    return rref_frac(rows, ncols)[:2]
 
 
 def kernel_from_rref(rows, ncols, pivots, field: FieldSpec):

@@ -15,7 +15,8 @@ product p * image(g) is formed once per generator g and left path p, then
 multiplied by each right path q out of g's right vertex; entries are reduced
 modulo the characteristic as they are written.  A nonzero p * x * q lies in
 block (src p, tgt q), so every entry lands in its column's block.  A block of
-full rank has no kernel, so none is read off.
+full rank has no kernel, so none is read off; a block with no rows or no
+nonzero entry has rank 0 and every column free, so it is not row-reduced.
 The d-compose-d check on every new level recomputes the images term by term
 through pad, so it cross-checks this assembly; it also checks that each
 generator image lies in its generator's block, since a term outside it would
@@ -44,6 +45,23 @@ some j < n, level m >= j equals level j + (m - j) % (n - j), and each distinct
 level and Hom rank is computed once.  The exactness check at level n also
 reads the kernel dimension of level n - 1; it runs on every level computed.
 
+One resolution over QQ serves every characteristic (hh_dims_by_field).  The
+algebra's multiplication table is integral, and HH is the cohomology of
+Hom(P, A) for any projective bimodule resolution P (Happel, LNM 1404, 1989).
+Suppose that, for a prime p, every image coefficient of levels 0..n + 1 is
+p-integral and every block of d_0..d_{n+1} (d_0 the augmentation) keeps its
+rank mod p.  Then the levels reduce mod p to a complex of projective
+bimodules over GF(p) in which d o d = 0 still holds, and its ranks, equal to
+those over QQ, still add up to exactness at levels 0..n; so its Hom complex
+gives HH^0..HH^n over GF(p).  A block keeps its rank when the minor on the
+rows and columns its elimination picked is a unit mod p, and that minor is
++- the product of the pivots rref_frac meets, so the certificate costs no
+extra elimination.  extend_to(n + 1) row-reduces only d_0..d_n; unless level
+n + 1 repeats an earlier one, d_{n+1} is row-reduced once more, kernel step
+only.  When p divides a denominator or a minor, the certificate fails (it
+does not prove the ranks drop) and that field is resolved on its own, with a
+RuntimeWarning.
+
 The HH^0/HH^1 cross-checks solve small systems in the same bigrading: Z(A) lies
 in the sum of the e_v A e_v, and up to an inner derivation a derivation vanishes
 on the trivial paths, so maps each e_u A e_v into itself (Happel, LNM 1404, 1989).
@@ -53,13 +71,14 @@ l the number of paths from a vertex to itself: dim Der = dim Der_0 + dim A - l.
 
 from __future__ import annotations
 
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import BoundAlgebra
 from .errors import InvariantError, ResolutionBudgetError
-from .fields import FieldSpec
-from .linalg import Echelon, kernel_from_rref, rref
+from .fields import QQ, FieldSpec
+from .linalg import Echelon, kernel_from_rref, rref, rref_frac, rref_mod
 
 DEFAULT_BUDGET = 50000
 
@@ -186,6 +205,7 @@ class BimoduleResolution:
         self.levels = []
         self._append(_Level(a, gens, images, self.paths_to, self.paths_from))
         self.kernel_dims = []    # per level: total kernel dimension
+        self.minors = {}         # level n -> +- the product of d_n's pivot minors (1 over GF(p))
         self.period = None
         self._states = {}        # (gens[n-1], gens[n]) -> levels n with that pair
 
@@ -209,32 +229,44 @@ class BimoduleResolution:
         i = len(self.levels) - 1
         lvl = self.levels[i]
         kernels, rank_total = self._kernels(i)
-
-        # exactness: the image of d_i must fill the previously computed kernel
-        if i == 0 and rank_total != a.dimension:
-            raise InvariantError("augmentation is not surjective")
-        if i > 0 and rank_total != self.kernel_dims[i - 1]:
-            raise InvariantError(f"resolution not exact at step {i}: image {rank_total}, "
-                                 f"kernel {self.kernel_dims[i - 1]}")
-
+        self._check_exact(i, rank_total)
         self.kernel_dims.append(sum(len(v) for v in kernels.values()))
 
         new_gens, new_images = self._top(lvl, kernels)
         self._append(_Level(a, new_gens, new_images, self.paths_to, self.paths_from))
         self._check_square_zero(len(self.levels) - 1)
 
+    def _check_exact(self, i, rank):
+        """The image of d_i, the differential out of level i, must fill A
+        (i = 0) or the kernel of d_{i-1}."""
+        if i == 0 and rank != self.a.dimension:
+            raise InvariantError("augmentation is not surjective")
+        if i > 0 and rank != self.kernel_dims[i - 1]:
+            raise InvariantError(f"resolution not exact at step {i}: image {rank}, "
+                                 f"kernel {self.kernel_dims[i - 1]}")
+
     def _kernels(self, i):
-        """Kernel bases of the differential out of level i, by block, and its rank."""
+        """Kernel bases of the differential out of level i, by block, and its
+        rank; over QQ the product of its blocks' pivot minors goes to minors[i]."""
         fld = self.field
+        p = fld.characteristic
         blocks = self.levels[i].blocks
         kernels = {}
         rank_total = 0
+        minor = 1
         for key, mat in sorted(self._differential_blocks(i).items()):
             ncols = len(blocks[key])
-            rank, pivots = rref(mat, ncols, fld)
-            rank_total += rank
-            if rank < ncols:
+            if not any(map(any, mat)):  # no rows, or all zero: every column is free
+                pivots = []
+            elif p:
+                pivots = rref_mod(mat, ncols, p)[1]
+            else:
+                _, pivots, block_minor = rref_frac(mat, ncols)
+                minor *= block_minor
+            rank_total += len(pivots)
+            if len(pivots) < ncols:
                 kernels[key] = kernel_from_rref(mat, ncols, pivots, fld)
+        self.minors[i] = minor
         return kernels, rank_total
 
     def _differential_blocks(self, i):
@@ -379,8 +411,28 @@ class BimoduleResolution:
         blocks = self.base.blocks
         return [(g, w) for g, key in enumerate(self.levels[i].gens) for w in blocks.get(key, ())]
 
-    def hom_differential_rank(self, i):
-        """Rank of Hom(P_{i-1}, A) -> Hom(P_i, A)."""
+    def obstruction(self, length):
+        """An integer N such that, for every prime p not dividing N, levels
+        0..length over QQ reduce mod p to the start of a projective bimodule
+        resolution over GF(p) (module docstring).  N is the product of the
+        denominators of the image coefficients and the numerators of the pivot
+        minors of d_0..d_length; after extend_to(length), d_length is row-reduced
+        here unless its level repeats an earlier one."""
+        out = 1
+        for n in {self.distinct_index(n) for n in range(length + 1)}:
+            if n not in self.minors:
+                self._check_exact(n, self._kernels(n)[1])
+            out *= self.minors[n].numerator
+            for img in self.levels[n].images:
+                for c in img.values():
+                    if type(c) is not int:
+                        out *= c.denominator
+        return out
+
+    def hom_differential_rank(self, i, field):
+        """Rank of Hom(P_{i-1}, A) -> Hom(P_i, A) over field: the resolution's
+        own, or GF(p) for a resolution over QQ, whose coefficients are then
+        reduced mod p."""
         dom = self.hom_basis(i - 1)
         cod_pos = {gw: r for r, gw in enumerate(self.hom_basis(i))}
         mult = self.a.mult
@@ -395,7 +447,7 @@ class BimoduleResolution:
                             for m, c2 in mult.get((k, qq), ()):
                                 yield cod_pos[(g, m)], col, coeff * c1 * c2
 
-        return _rank(terms(), len(dom), self.field)
+        return _rank(terms(), len(dom), field)
 
 
 def _rank(terms, ncols, fld: FieldSpec) -> int:
@@ -471,20 +523,50 @@ def hh1_dim(a: BoundAlgebra) -> int:
     return der - inn
 
 
-def hh_dims(a: BoundAlgebra, max_i: int = 8) -> HHDims:
-    """dim HH^i for i = 0..max_i, from a resolution of length max_i + 1."""
-    res = BimoduleResolution(a)
-    res.extend_to(max_i + 1)
+def _hh_dims(res: BimoduleResolution, a: BoundAlgebra, max_i: int) -> HHDims:
+    """dim HH^i over a's field for i = 0..max_i, from the Hom complex of res
+    (levels 0..max_i + 1), checked against the center and Der/Inn of a."""
+    fld = a.field
     ranks = [0] * (max_i + 2)
     for i in range(1, max_i + 2):
         m = res.distinct_index(i)  # the rank reads the same state as the level
-        ranks[i] = ranks[m] if m < i else res.hom_differential_rank(i)
-    dims = []
-    for i in range(max_i + 1):
-        total = len(res.hom_basis(i))
-        dims.append(total - ranks[i] - ranks[i + 1])
+        ranks[i] = ranks[m] if m < i else res.hom_differential_rank(i, fld)
+    dims = [len(res.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(max_i + 1)]
     if dims[0] != center_dim(a):
         raise InvariantError("HH^0 disagrees with the center")
     if max_i >= 1 and dims[1] != hh1_dim(a):
         raise InvariantError("HH^1 disagrees with Der/Inn")
-    return HHDims(tuple(dims), a.field, max_i)
+    return HHDims(tuple(dims), fld, max_i)
+
+
+def hh_dims(a: BoundAlgebra, max_i: int = 8) -> HHDims:
+    """dim HH^i for i = 0..max_i, from a resolution of length max_i + 1."""
+    res = BimoduleResolution(a)
+    res.extend_to(max_i + 1)
+    return _hh_dims(res, a, max_i)
+
+
+def hh_dims_by_field(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
+    """hh_dims(a.over(fs), max_i) for each fs in fieldspecs, in order, from one
+    resolution of a (an algebra over QQ).  Over GF(p) its Hom complex is
+    reduced mod p; when p divides the resolution's obstruction, the algebra is
+    resolved over GF(p) instead, with a RuntimeWarning."""
+    if a.field != QQ:
+        raise ValueError(f"expected an algebra over QQ, got {a.field}")
+    res = BimoduleResolution(a)
+    res.extend_to(max_i + 1)
+    obstruction = None
+    out = []
+    for fs in fieldspecs:
+        alg = a.over(fs)
+        p = fs.characteristic
+        if p:
+            if obstruction is None:
+                obstruction = res.obstruction(max_i + 1)
+            if obstruction % p == 0:
+                warnings.warn(f"{a.quiver}: the resolution over QQ is not certified mod {p}; "
+                              f"resolving over {fs}", RuntimeWarning, stacklevel=2)
+                out.append(hh_dims(alg, max_i))
+                continue
+        out.append(_hh_dims(res, alg, max_i))
+    return out

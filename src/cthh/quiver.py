@@ -239,11 +239,14 @@ def _canonical_data(n, arrows):
     return tuple(sorted((pos[s - 1] + 1, pos[t - 1] + 1) for s, t in arrows))
 
 
+def _encode(q: Quiver) -> bytes:
+    """The canonical_form encoding of q's own labels."""
+    return f"{q.vertex_count}|{';'.join(f'{s}>{t}' for s, t in q.arrows)}".encode("ascii")
+
+
 def canonical_form(q: Quiver) -> bytes:
     """Relabeling-invariant encoding; equal iff the quivers are isomorphic."""
-    canon_arrows = _canonical_data(q.vertex_count, tuple(sorted(q.arrows)))
-    body = ";".join(f"{s}>{t}" for s, t in canon_arrows)
-    return f"{q.vertex_count}|{body}".encode("ascii")
+    return _encode(canonical_representative(q))
 
 
 def canonical_representative(q: Quiver) -> Quiver:
@@ -256,14 +259,14 @@ def enumerate_class(seed: Quiver, cap: int = DEFAULT_CLASS_CAP):
     per isomorphism class, sorted by canonical form."""
     validate(seed)
     start = canonical_representative(seed)
-    found = {canonical_form(start): start}
+    found = {_encode(start): start}
     frontier = [start]
     while frontier:
         nxt = []
         for rep in frontier:
             for k in range(1, rep.vertex_count + 1):
                 m = canonical_representative(mutate(rep, k))
-                key = canonical_form(m)
+                key = _encode(m)  # m is canonical: its encoding is its canonical form
                 if key not in found:
                     if len(found) >= cap:
                         raise CapExceededError(cap)

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import cached_algebra, multiply, mutation_class, reduced_products
-from cthh.algebra import build_algebra, cartan
+from cthh.algebra import BoundAlgebra, build_algebra, cartan
 from cthh.classify import classify_D, lookup_E
 from cthh.errors import AlgebraError, InvalidRelationsError, NotFiniteDimensionalError
 from cthh.fields import FieldSpec, QQ, GF2, GF3, GF5, GF7
@@ -205,6 +205,24 @@ def test_build_over_all_default_fields():
     for fs in (QQ, GF2, GF3, GF5, GF7):
         a = build_algebra(q, rels, fs)
         assert a.dimension == 20
+
+
+def test_over_reduces_the_rational_table():
+    # an algebra over QQ moves to GF(p) with its basis and its integer table
+    # reduced mod p; the vanishing entries are dropped
+    q = oriented_cycle(5)
+    a = cached_algebra(q, 0)
+    assert a.over(QQ) is a
+    for fs in (GF2, GF3, GF5):
+        b = a.over(fs)
+        assert (b.field, b.basis, b.degree_dims, b.src, b.tgt) == \
+            (fs, a.basis, a.degree_dims, a.src, a.tgt)
+        assert b.mult == reduced_products(b, generate_relations(q))
+        with pytest.raises(ValueError, match="cannot move"):
+            b.over(GF7)
+    hand = BoundAlgebra(q, QQ, a.basis, a.degree_dims, {(0, 0): ((0, 6), (1, 4))}, a.src, a.tgt)
+    assert hand.over(GF2).mult == {}
+    assert hand.over(GF3).mult == {(0, 0): ((1, 1),)}
 
 
 def test_d8_class_builds_and_matches_universal_route():

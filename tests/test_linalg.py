@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon forms, kernels, determinants, pencils."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from cthh.linalg import (
     kernel_from_rref,
     pencil_det,
     rref,
+    rref_frac,
 )
 from cthh.quiver import Quiver
 from cthh.verify import check_quiver
@@ -92,6 +94,24 @@ def test_rank_nullity_random():
             for v in kb:
                 for row in rows:
                     assert field.element(sum(a * b for a, b in zip(row, v))) == field.zero()
+
+
+def test_rref_frac_minor_is_the_pivot_minor():
+    # the product of the pivots is +- the determinant of the picked rows and
+    # pivot columns; when p does not divide it, the rank survives mod p
+    rng = random.Random(1212)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        rank, pivots, minor = rref_frac([list(r) for r in rows], ncols)
+        dets = {abs(det_int([[rows[i][c] for c in pivots] for i in picked]))
+                for picked in itertools.combinations(range(nrows), rank)}
+        assert abs(minor) in dets
+        if rank == nrows:
+            assert abs(minor) == abs(det_int([[r[c] for c in pivots] for r in rows]))
+        for field in (GF2, GF3, GF5, GF7):
+            if minor.numerator % field.characteristic:
+                assert reduced(field, rows, ncols)[0] == rank
 
 
 def test_det_int_identity():

@@ -3,20 +3,22 @@
 import os
 import subprocess
 import sys
-from pathlib import Path
-
+import warnings
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import cthh.oracle
 from conftest import (ColumnImageResolution, FullSpanResolution, cached_algebra,
-                      column_image_blocks, matrix_rank)
+                      column_image_blocks, matrix_rank, mutation_class)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
-from cthh.fields import QQ
+from cthh.fields import QQ, FieldSpec
 from cthh.linalg import kernel_from_rref, rref
-from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
+from cthh.oracle import (BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims,
+                         hh_dims_by_field)
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class
 from cthh.relations import Path as QuiverPath, Relation, RelationSet
 from cthh.verify import sample_by_canonical
@@ -222,7 +224,7 @@ def test_periodic_resolution_matches_plain_steps(name, q, char):
     assert 1 <= j and 1 <= d and j + d <= length
     for n in range(j, length + 1):
         assert res.levels[n] is res.levels[j + (n - j) % d]
-    ranks = [0] + [plain.hom_differential_rank(i) for i in range(1, length + 1)]
+    ranks = [0] + [plain.hom_differential_rank(i, a.field) for i in range(1, length + 1)]
     dims = tuple(len(plain.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(length))
     assert hh_dims(a, max_i=length - 1).dims == dims
 
@@ -492,3 +494,118 @@ def test_planted_fault_survives_optimize():
         "    print(__debug__, e)\n"
     )
     assert _run_optimized(code) == ["False d o d != 0"]
+
+
+# ---------------------------------------------------------------------------
+# One resolution over QQ for every characteristic
+# ---------------------------------------------------------------------------
+
+ALL_FIELDS = [FieldSpec(c) for c in (2, 3, 5, 0)]
+
+
+def _per_field(q, max_i):
+    return [hh_dims(cached_algebra(q, fs.characteristic), max_i=max_i) for fs in ALL_FIELDS]
+
+
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 6)), ("D", range(4, 7)), ("E", (6,))],
+                         ids=["A2-A5", "D4-D6", "E6"])
+def test_hh_dims_by_field_matches_per_field_hh_dims(family, ranks):
+    # the Hom complex of the resolution over QQ, reduced mod p, gives what a
+    # resolution over GF(p) gives, with no fallback on these classes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rank in ranks:
+            for q in mutation_class(family, rank):
+                got = hh_dims_by_field(cached_algebra(q, 0), ALL_FIELDS, max_i=8)
+                assert got == _per_field(q, 8), q
+
+
+def test_hh_dims_by_field_rejects_an_algebra_over_gfp():
+    with pytest.raises(ValueError, match="over QQ"):
+        hh_dims_by_field(cached_algebra(oriented_cycle(3), 2), ALL_FIELDS, max_i=2)
+
+
+class _TimesThree(BimoduleResolution):
+    """Multiplies the recorded pivot minor of d_n by 3 for n = PLANTED_LEVEL,
+    so the certificate fails for p = 3 alone."""
+
+    PLANTED_LEVEL = 2
+
+    def _kernels(self, i):
+        out = super()._kernels(i)
+        if i == self.PLANTED_LEVEL:
+            self.minors[i] *= 3
+        return out
+
+
+def test_failed_certificate_falls_back_for_that_prime(monkeypatch):
+    q = D5_TRIANGLES
+    monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
+    with pytest.warns(RuntimeWarning, match=r"Quiver\(5; .*not certified mod 3") as record:
+        got = hh_dims_by_field(cached_algebra(q, 0), ALL_FIELDS, max_i=6)
+    assert len(record) == 1
+    assert got == _per_field(q, 6)
+
+
+def test_top_differential_is_certified_before_the_period_closes(monkeypatch):
+    # levels 0..3 of the triangle algebra hold no repeat yet, so d_3 (the
+    # differential out of the top level) is row-reduced only for the
+    # certificate; a minor planted there must still reach the fallback
+    q, max_i = oriented_cycle(3), 2
+    res = BimoduleResolution(cached_algebra(q, 0))
+    res.extend_to(max_i + 1)
+    assert res.period is None and max_i + 1 not in res.minors
+    assert res.obstruction(max_i + 1) % 3 and max_i + 1 in res.minors
+    monkeypatch.setattr(_TimesThree, "PLANTED_LEVEL", max_i + 1)
+    monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
+    with pytest.warns(RuntimeWarning, match="not certified mod 3"):
+        got = hh_dims_by_field(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
+    assert got == _per_field(q, max_i)
+
+
+class _HalvedTop(BimoduleResolution):
+    """Over QQ, halves the image of the first generator of the top level,
+    which is still a resolution of A (its generator is rescaled) but not
+    2-integral."""
+
+    def extend_to(self, length):
+        super().extend_to(length)
+        if self.field == QQ:
+            assert self.distinct_index(length) == length
+            images = self.levels[length].images
+            images[0] = {c: Fraction(v, 2) for c, v in images[0].items()}
+
+
+def test_non_integral_image_falls_back_without_crashing(monkeypatch):
+    q, max_i = oriented_cycle(3), 2
+    monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _HalvedTop)
+    with pytest.warns(RuntimeWarning, match="not certified mod 2") as record:
+        got = hh_dims_by_field(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
+    assert len(record) == 1  # GF(3) and GF(5) invert the denominator 2
+    assert got == _per_field(q, max_i)
+
+
+def test_fallback_survives_optimize():
+    # the certificate and its fallback are branches, not asserts
+    code = (
+        "import warnings\n"
+        "import cthh.oracle as o\n"
+        "from cthh import FieldSpec, Quiver, build_algebra, generate_relations, hh_dims\n"
+        f"q = Quiver.make(5, {list(D5_TRIANGLES.arrows)})\n"
+        "rels = generate_relations(q)\n"
+        "class Planted(o.BimoduleResolution):\n"
+        "    def _kernels(self, i):\n"
+        "        out = super()._kernels(i)\n"
+        "        if i == 2:\n"
+        "            self.minors[i] *= 3\n"
+        "        return out\n"
+        "fields = [FieldSpec(c) for c in (2, 3, 5, 0)]\n"
+        "want = [hh_dims(build_algebra(q, rels, fs), max_i=4) for fs in fields]\n"
+        "o.BimoduleResolution = Planted\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    got = o.hh_dims_by_field(build_algebra(q, rels), fields, max_i=4)\n"
+        "print(__debug__, got == want, [str(w.message).split(': ')[1] for w in caught])\n"
+    )
+    assert _run_optimized(code) == [
+        "False True ['the resolution over QQ is not certified mod 3; resolving over GF(3)']"]

@@ -16,6 +16,7 @@ from cthh.errors import (
 )
 from cthh.quiver import (
     Quiver,
+    _canonical_data,
     canonical_form,
     canonical_representative,
     chordless_cycles,
@@ -188,6 +189,21 @@ def test_enumerate_seed_independence(classes):
         forms = {canonical_form(q) for q in cls}
         again = {canonical_form(q) for q in enumerate_class(cls[-1])}
         assert again == forms, (fam, rank)
+
+
+def test_enumerate_labels_each_mutant_once(classes):
+    # one labelling search per seed and per mutant: the key of a new member
+    # is read off its canonical arrows, not searched for again
+    for (fam, rank), cls in classes.items():
+        if len(cls) > 100:
+            continue
+        _canonical_data.cache_clear()
+        again = enumerate_class(dynkin_seed(fam, rank))
+        info = _canonical_data.cache_info()
+        assert info.hits + info.misses == 1 + rank * len(cls), (fam, rank)
+        forms = [canonical_form(q) for q in again]
+        assert forms == sorted(set(forms)) and len(again) == len(cls)
+        assert all(canonical_representative(q) == q for q in again)
 
 
 KNOWN_CLASS_SIZES = {

@@ -47,23 +47,23 @@ def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
     counts = count_calls(monkeypatch, ["build_algebra", "cartan", "hh1_dim", "classify_D"])
     record = check_quiver(q, family, 6, [GF2, QQ], max_i=4)
     assert record.passed, record.messages
-    # one build per field; hh1_dim once for the closed forms and once per
-    # field as the oracle's Der/Inn cross-check; the type-D pattern match
-    # gives both the closed form and the record's subtype
-    assert counts == {"build_algebra": 2, "cartan": 1, "hh1_dim": 3,
+    # one build over QQ, moved to each other field; hh1_dim once for the
+    # closed forms and once per field as the oracle's Der/Inn cross-check;
+    # the type-D pattern match gives both the closed form and the record's subtype
+    assert counts == {"build_algebra": 1, "cartan": 1, "hh1_dim": 3,
                       "classify_D": int(family == "D")}
 
 
 def test_typed_error_in_one_quiver_gives_one_fail_record(monkeypatch, capsys):
     bad = enumerate_class(dynkin_seed("A", 4))[2]
-    real = cthh.verify.hh_dims
+    real = cthh.verify.hh_dims_by_field
 
-    def hh_dims(a, max_i):
+    def hh_dims_by_field(a, fieldspecs, max_i):
         if a.quiver == bad:
             raise InvariantError("planted failure")
-        return real(a, max_i=max_i)
+        return real(a, fieldspecs, max_i)
 
-    monkeypatch.setattr(cthh.verify, "hh_dims", hh_dims)
+    monkeypatch.setattr(cthh.verify, "hh_dims_by_field", hh_dims_by_field)
     report = verify_suite("A", 4, [GF2], max_i=2, jobs=1)
     assert len(report.records) == 6
     failed = [r for r in report.records if not r.passed]
@@ -87,20 +87,20 @@ def test_pool_fallback_warns_and_keeps_report(monkeypatch):
 
 def test_worker_oserror_propagates_without_serial_rerun(monkeypatch):
     bad = enumerate_class(dynkin_seed("A", 4))[2]
-    real = cthh.verify.hh_dims
+    real = cthh.verify.hh_dims_by_field
     parent_calls = []  # forked workers append to their own copies
 
-    def hh_dims(a, max_i):
+    def hh_dims_by_field(a, fieldspecs, max_i):
         parent_calls.append(a.quiver)
         if a.quiver == bad:
             raise OSError(5, "Input/output error")
-        return real(a, max_i=max_i)
+        return real(a, fieldspecs, max_i)
 
     def fork_pool(max_workers):
-        # forked workers see the patched hh_dims whatever the default start method
+        # forked workers see the patched oracle whatever the default start method
         return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("fork"))
 
-    monkeypatch.setattr(cthh.verify, "hh_dims", hh_dims)
+    monkeypatch.setattr(cthh.verify, "hh_dims_by_field", hh_dims_by_field)
     monkeypatch.setattr(cthh.verify, "ProcessPoolExecutor", fork_pool)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
