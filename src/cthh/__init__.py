@@ -8,7 +8,7 @@ from .relations import RelationSet, generate_relations
 from .algebra import BoundAlgebra, CartanData, build_algebra, cartan
 from .series import HSeries, f_coeff, format_h, hh_dim, parse_h
 from .classify import classify_D, hh_closed_form, hh_type_A, lookup_E
-from .oracle import HHDims, center_dim, hh1_dim, hh_dims, hh_dims_by_field
+from .oracle import center_dim, hh1_dim, hh_dims
 from .verify import VerifyReport, check_quiver, verify_suite
 
 __version__ = "0.1.0"
@@ -21,7 +21,7 @@ __all__ = [
     "BoundAlgebra", "CartanData", "build_algebra", "cartan",
     "HSeries", "f_coeff", "format_h", "hh_dim", "parse_h",
     "classify_D", "hh_closed_form", "hh_type_A", "lookup_E",
-    "HHDims", "center_dim", "hh1_dim", "hh_dims", "hh_dims_by_field",
+    "center_dim", "hh1_dim", "hh_dims",
     "VerifyReport", "check_quiver", "verify_suite",
     "__version__",
 ]

@@ -196,22 +196,16 @@ def classify_D(q: Quiver) -> DTypeParams:
 def _load_e_table():
     text = resources.files("cthh").joinpath("data/e_table.txt").read_text()
     table = {}
-    rows_by_rank = {6: [], 7: [], 8: []}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rank_s, coeffs_s, h_s = line.split(";")
-        rank = int(rank_s)
-        desc = [int(c) for c in coeffs_s.split(",")]
-        asc = tuple(reversed(desc))
-        h = parse_h(h_s)
-        table[asc] = h
-        rows_by_rank[rank].append((asc, h))
-    return table, rows_by_rank
+        _, coeffs_s, h_s = line.split(";")  # the rank is the polynomial's degree
+        table[tuple(int(c) for c in reversed(coeffs_s.split(",")))] = parse_h(h_s)
+    return table
 
 
-_E_TABLE, E_TABLE_ROWS = _load_e_table()
+_E_TABLE = _load_e_table()
 
 
 def lookup_E(assoc_poly) -> HSeries:

@@ -200,12 +200,12 @@ def _cmd_hh_oracle(args):
     q = _read_quiver(args.file)
     fs = FieldSpec(args.char)
     a = build_algebra(q, generate_relations(q), fs)
-    result = hh_dims(a, max_i=args.max_i)
+    dims = hh_dims(a, [fs], args.max_i)[0]
     if args.json:
-        print(json.dumps({"characteristic": args.char, "dims": list(result.dims)}))
+        print(json.dumps({"characteristic": args.char, "dims": list(dims)}))
     else:
         print(f"oracle dim HH^i over {fs} for i = 0..{args.max_i}:")
-        print("  " + " ".join(str(d) for d in result.dims))
+        print("  " + " ".join(str(d) for d in dims))
     return 0
 
 

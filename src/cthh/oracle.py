@@ -45,9 +45,10 @@ some j < n, level m >= j equals level j + (m - j) % (n - j), and each distinct
 level and Hom rank is computed once.  The exactness check at level n also
 reads the kernel dimension of level n - 1; it runs on every level computed.
 
-One resolution over QQ serves every characteristic (hh_dims_by_field).  The
-algebra's multiplication table is integral, and HH is the cohomology of
-Hom(P, A) for any projective bimodule resolution P (Happel, LNM 1404, 1989).
+hh_dims resolves an algebra once, over its own field, and one resolution
+over QQ serves every characteristic.  The algebra's multiplication table is
+integral, and HH is the cohomology of Hom(P, A) for any projective bimodule
+resolution P (Happel, LNM 1404, 1989).
 Suppose that, for a prime p, every image coefficient of levels 0..n + 1 is
 p-integral and every block of d_0..d_{n+1} (d_0 the augmentation) keeps its
 rank mod p.  Then the levels reduce mod p to a complex of projective
@@ -73,23 +74,13 @@ from __future__ import annotations
 
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .algebra import BoundAlgebra
 from .errors import InvariantError, ResolutionBudgetError
-from .fields import QQ, FieldSpec
+from .fields import FieldSpec
 from .linalg import Echelon, kernel_from_rref, rref, rref_frac, rref_mod
 
 DEFAULT_BUDGET = 50000
-
-
-@dataclass(frozen=True)
-class HHDims:
-    """dims[i] = dim_K HH^i for 0 <= i <= max_i."""
-
-    dims: tuple
-    field: FieldSpec
-    max_i: int
 
 
 class _AlgebraAsBimodule:
@@ -436,10 +427,13 @@ class BimoduleResolution:
         dom = self.hom_basis(i - 1)
         cod_pos = {gw: r for r, gw in enumerate(self.hom_basis(i))}
         mult = self.a.mult
+        # the one place a Fraction can meet GF(p): coerce each coefficient once
+        images = [{coord: field.element(c) for coord, c in img.items()}
+                  for img in self.levels[i].images]
 
         def terms():
             for col, (gsrc, w) in enumerate(dom):
-                for g, img in enumerate(self.levels[i].images):
+                for g, img in enumerate(images):
                     for (gg, pp, qq), coeff in img.items():
                         if gg != gsrc:
                             continue
@@ -451,11 +445,12 @@ class BimoduleResolution:
 
 
 def _rank(terms, ncols, fld: FieldSpec) -> int:
-    """Rank of the system whose (row key, column, value) terms sum into dense rows."""
+    """Rank of the system whose (row key, column, value) terms sum into dense
+    rows; over GF(p) the sums need not be reduced, since rref_mod reduces them."""
     rows = defaultdict(lambda: [0] * ncols)
     for key, col, val in terms:
         rows[key][col] += val
-    return rref([[fld.element(x) for x in row] for row in rows.values()], ncols, fld)[0]
+    return rref(list(rows.values()), ncols, fld)[0]
 
 
 def center_dim(a: BoundAlgebra) -> int:
@@ -523,50 +518,37 @@ def hh1_dim(a: BoundAlgebra) -> int:
     return der - inn
 
 
-def _hh_dims(res: BimoduleResolution, a: BoundAlgebra, max_i: int) -> HHDims:
-    """dim HH^i over a's field for i = 0..max_i, from the Hom complex of res
-    (levels 0..max_i + 1), checked against the center and Der/Inn of a."""
-    fld = a.field
-    ranks = [0] * (max_i + 2)
-    for i in range(1, max_i + 2):
-        m = res.distinct_index(i)  # the rank reads the same state as the level
-        ranks[i] = ranks[m] if m < i else res.hom_differential_rank(i, fld)
-    dims = [len(res.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(max_i + 1)]
-    if dims[0] != center_dim(a):
-        raise InvariantError("HH^0 disagrees with the center")
-    if max_i >= 1 and dims[1] != hh1_dim(a):
-        raise InvariantError("HH^1 disagrees with Der/Inn")
-    return HHDims(tuple(dims), fld, max_i)
-
-
-def hh_dims(a: BoundAlgebra, max_i: int = 8) -> HHDims:
-    """dim HH^i for i = 0..max_i, from a resolution of length max_i + 1."""
-    res = BimoduleResolution(a)
-    res.extend_to(max_i + 1)
-    return _hh_dims(res, a, max_i)
-
-
-def hh_dims_by_field(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
-    """hh_dims(a.over(fs), max_i) for each fs in fieldspecs, in order, from one
-    resolution of a (an algebra over QQ).  Over GF(p) its Hom complex is
-    reduced mod p; when p divides the resolution's obstruction, the algebra is
-    resolved over GF(p) instead, with a RuntimeWarning."""
-    if a.field != QQ:
-        raise ValueError(f"expected an algebra over QQ, got {a.field}")
+def hh_dims(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
+    """(dim HH^0, ..., dim HH^max_i) of a.over(fs) for each fs in fieldspecs,
+    in order, from one resolution of a over its own field, of length max_i + 1.
+    A GF(p) field of an algebra over QQ takes the Hom complex reduced mod p;
+    when p divides the resolution's obstruction, a.over(fs) is resolved on its
+    own instead, with a RuntimeWarning.  Each field's HH^0 and HH^1 are checked
+    against the center and Der/Inn of a.over(fs)."""
+    algebras = [a.over(fs) for fs in fieldspecs]  # a wrong field fails before any level
     res = BimoduleResolution(a)
     res.extend_to(max_i + 1)
     obstruction = None
     out = []
-    for fs in fieldspecs:
-        alg = a.over(fs)
-        p = fs.characteristic
-        if p:
+    for fs, alg in zip(fieldspecs, algebras):
+        if fs != a.field:
+            p = fs.characteristic
             if obstruction is None:
                 obstruction = res.obstruction(max_i + 1)
             if obstruction % p == 0:
-                warnings.warn(f"{a.quiver}: the resolution over QQ is not certified mod {p}; "
-                              f"resolving over {fs}", RuntimeWarning, stacklevel=2)
-                out.append(hh_dims(alg, max_i))
+                warnings.warn(f"{a.quiver}: the resolution over {a.field} is not certified "
+                              f"mod {p}; resolving over {fs}", RuntimeWarning, stacklevel=2)
+                out += hh_dims(alg, [fs], max_i)
                 continue
-        out.append(_hh_dims(res, alg, max_i))
+        ranks = [0] * (max_i + 2)
+        for i in range(1, max_i + 2):
+            m = res.distinct_index(i)  # the rank reads the same state as the level
+            ranks[i] = ranks[m] if m < i else res.hom_differential_rank(i, fs)
+        dims = tuple(len(res.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(max_i + 1))
+        if dims[0] != center_dim(alg):
+            raise InvariantError("HH^0 disagrees with the center")
+        # dim HH^1 = dim Der - dim Inn, and dim Inn = dim A - dim Z(A) = dim A - dims[0]
+        if max_i >= 1 and dims[1] != derivation_space_dim(alg) - alg.dimension + dims[0]:
+            raise InvariantError("HH^1 disagrees with Der/Inn")
+        out.append(dims)
     return out

@@ -53,10 +53,6 @@ class Quiver:
     def arrow_set(self):
         return frozenset(self.arrows)
 
-    def relabel(self, perm) -> "Quiver":
-        """Apply a vertex permutation given as a dict old -> new."""
-        return Quiver(self.vertex_count, tuple(sorted((perm[s], perm[t]) for s, t in self.arrows)))
-
     def __str__(self):
         arr = ", ".join(f"{s}->{t}" for s, t in sorted(self.arrows))
         return f"Quiver({self.vertex_count}; {arr})"

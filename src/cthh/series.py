@@ -55,18 +55,6 @@ class HSeries:
     def is_zero(self):
         return not self.cycle_orders
 
-    def universal_params(self):
-        """The (n, t) with h = f_n + t*f_3, or None for h = 0."""
-        if not self.cycle_orders:
-            return None
-        c = Counter(self.cycle_orders)
-        big = [n for n in c if n > 3]
-        if len(big) > 1 or (big and c[big[0]] > 1):
-            raise ValueError(f"{self} is not of the shape f_n + t*f_3")
-        if big:
-            return big[0], c.get(3, 0)
-        return 3, c[3] - 1
-
     def __str__(self):
         return format_h(self)
 

@@ -1,10 +1,10 @@
 """Batch verification: closed forms vs the universal route vs the oracle.
 
 For every quiver in a mutation class (or a deterministic sample of it),
-the suite generates relations, builds the algebra, computes the
+the suite generates relations, builds the algebra once over QQ, computes the
 closed-form series by type dispatch and by the universal (HH^1, det C)
-route, runs the brute-force oracle over each requested field (one resolution
-over QQ, its Hom complex reduced mod p), and demands
+route, runs the brute-force oracle once for all requested fields (hh_dims:
+one resolution over QQ, its Hom complex reduced mod p), and demands
 exact agreement coefficient by coefficient, plus vanishing HH^2.
 """
 
@@ -20,7 +20,7 @@ from .algebra import build_algebra, cartan
 from .classify import hh_closed_form
 from .errors import CthhError
 from .fields import QQ, FieldSpec
-from .oracle import hh1_dim, hh_dims_by_field
+from .oracle import hh1_dim, hh_dims
 from .quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
 from .relations import generate_relations
 from .series import hh_dim, series_from_invariants
@@ -106,8 +106,7 @@ def check_quiver(q: Quiver, family: str, rank: int, fieldspecs, max_i: int) -> Q
         messages.append(f"closed form {closed} != universal {universal}")
 
     oracle_dims = []
-    for result in hh_dims_by_field(base, fieldspecs, max_i):
-        fs, dims = result.field, result.dims
+    for fs, dims in zip(fieldspecs, hh_dims(base, fieldspecs, max_i)):
         oracle_dims.append((str(fs), dims))
         expected_closed = tuple(hh_dim(closed, i, fs) for i in range(max_i + 1))
         expected_universal = tuple(hh_dim(universal, i, fs) for i in range(max_i + 1))

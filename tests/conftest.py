@@ -1,11 +1,13 @@
 """Shared fixtures: mutation classes and cached algebra builds."""
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
 from cthh.algebra import _complete, _reduce, build_algebra
+from cthh.classify import _E_TABLE
 from cthh.errors import MultipleArrowError
 from cthh.fields import FieldSpec
 from cthh.linalg import Echelon, kernel_from_rref, rref
@@ -22,6 +24,30 @@ def mutation_class(family, rank):
 @lru_cache(maxsize=None)
 def cached_algebra(q: Quiver, characteristic: int):
     return build_algebra(q, generate_relations(q), FieldSpec(characteristic))
+
+
+def relabel(q: Quiver, perm) -> Quiver:
+    """q with its vertices permuted by the dict old -> new."""
+    return Quiver(q.vertex_count, tuple(sorted((perm[s], perm[t]) for s, t in q.arrows)))
+
+
+def universal_params(h):
+    """The (n, t) with h = f_n + t*f_3, or None for h = 0."""
+    if not h.cycle_orders:
+        return None
+    c = Counter(h.cycle_orders)
+    big = [n for n in c if n > 3]
+    if len(big) > 1 or (big and c[big[0]] > 1):
+        raise ValueError(f"{h} is not of the shape f_n + t*f_3")
+    if big:
+        return big[0], c.get(3, 0)
+    return 3, c[3] - 1
+
+
+# rank -> the type-E table's (ascending polynomial, series) rows in file
+# order; a row's rank is the degree of its polynomial
+E_TABLE_ROWS = {r: [(poly, h) for poly, h in _E_TABLE.items() if len(poly) - 1 == r]
+                for r in (6, 7, 8)}
 
 
 def multiply(a, xs, ys):

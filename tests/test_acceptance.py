@@ -7,9 +7,10 @@ complete; the heavy sweeps run on `verify_suite`'s default worker pool.
 
 import time
 
-from conftest import cached_algebra, mutation_class, quiver_from_canonical
+from conftest import (E_TABLE_ROWS, cached_algebra, mutation_class, quiver_from_canonical,
+                      universal_params)
 from cthh.algebra import cartan
-from cthh.classify import E_TABLE_ROWS, classify_D, hh_closed_form
+from cthh.classify import classify_D, hh_closed_form
 from cthh.fields import QQ, GF2, GF3, GF5, GF7, FieldSpec
 from cthh.oracle import hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class, oriented_triangle_count
@@ -66,7 +67,7 @@ def test_criterion_02_hh2_vanishes_everywhere():
     for fam, rank in scope:
         for q in mutation_class(fam, rank):
             for fs in fields:
-                dims = hh_dims(cached_algebra(q, fs.characteristic), max_i=2).dims
+                dims = hh_dims(cached_algebra(q, fs.characteristic), [fs], max_i=2)[0]
                 if dims[2] != 0:
                     ok = False
                 count += 1
@@ -99,9 +100,9 @@ def test_criterion_03_type_d_universal():
 
 
 def test_criterion_04_characteristic_sensitivity():
-    d2 = hh_dims(cached_algebra(oriented_cycle(3), 2), max_i=3).dims
-    d3 = hh_dims(cached_algebra(oriented_cycle(3), 3), max_i=3).dims
-    d0 = hh_dims(cached_algebra(oriented_cycle(3), 0), max_i=3).dims
+    d2 = hh_dims(cached_algebra(oriented_cycle(3), 2), [GF2], max_i=3)[0]
+    d3 = hh_dims(cached_algebra(oriented_cycle(3), 3), [GF3], max_i=3)[0]
+    d0 = hh_dims(cached_algebra(oriented_cycle(3), 0), [QQ], max_i=3)[0]
     ok = d2[3] == 1 and d3[3] == 0 and d0[3] == 0
     announce(4, ok, f"3-cycle: dim HH^3 = {d2[3]} over GF(2), {d3[3]} over GF(3), {d0[3]} over QQ")
 
@@ -111,7 +112,8 @@ def test_criterion_05_truncated_cycle_periodicity():
     ok = True
     for n in (4, 5):
         for char in (2, 5):
-            dims = hh_dims(cached_algebra(oriented_cycle(n), char), max_i=2 * n + 4).dims
+            a = cached_algebra(oriented_cycle(n), char)
+            dims = hh_dims(a, [a.field], max_i=2 * n + 4)[0]
             for i in range(1, 5):
                 if dims[i] != dims[i + 2 * n]:
                     ok = False
@@ -160,7 +162,7 @@ def test_criterion_07_type_e_oracle_spot_check():
     for poly, h in E_TABLE_ROWS[6]:
         q = reps[poly]
         for fs in (GF2, GF3, GF5):
-            dims = hh_dims(cached_algebra(q, fs.characteristic), max_i=6).dims
+            dims = hh_dims(cached_algebra(q, fs.characteristic), [fs], max_i=6)[0]
             if dims != expand(h, 6, fs):
                 ok = False
     elapsed = time.time() - t0
@@ -173,7 +175,7 @@ def test_criterion_08_table_internal_consistency():
     for rank, rows in E_TABLE_ROWS.items():
         for poly, h in rows:
             lead, const = poly[-1], poly[0]
-            params = h.universal_params()
+            params = universal_params(h)
             want = 1 if params is None else (1 << params[1]) * (params[0] - 1)
             if lead != want or abs(const) != want:
                 ok = False

@@ -236,7 +236,7 @@ def test_d8_class_builds_and_matches_universal_route():
 
 def test_mixed_length_d8_quiver_oracle():
     want = tuple(hh_dim(HSeries.of(8), i, GF2) for i in range(11))
-    assert hh_dims(cached_algebra(D8_MIXED, 2), max_i=10).dims == want
+    assert hh_dims(cached_algebra(D8_MIXED, 2), [GF2], max_i=10)[0] == want
 
 
 def test_mixed_length_d9_quivers():

@@ -1,12 +1,13 @@
 """Closed-form classification: type A counts, type D patterns, the E table,
 and the universal (HH^1, det C) route."""
 
+from importlib import resources
+
 import pytest
 
-from conftest import cached_algebra
+from conftest import E_TABLE_ROWS, cached_algebra
 from cthh.algebra import cartan
 from cthh.classify import (
-    E_TABLE_ROWS,
     DTypeParams,
     classify_D,
     hh_closed_form,
@@ -16,7 +17,7 @@ from cthh.classify import (
 from cthh.errors import NotInTableError
 from cthh.oracle import hh1_dim
 from cthh.quiver import Quiver, detect_dynkin, dynkin_seed
-from cthh.series import HSeries, series_from_invariants
+from cthh.series import HSeries, parse_h, series_from_invariants
 
 
 def oriented_cycle(n):
@@ -90,9 +91,11 @@ def test_lookup_e_rejects_unknown():
 def test_table_shape():
     assert sum(len(rows) for rows in E_TABLE_ROWS.values()) == 35
     assert [len(E_TABLE_ROWS[r]) for r in (6, 7, 8)] == [6, 14, 15]
-    for rank, rows in E_TABLE_ROWS.items():
-        polys = [p for p, _ in rows]
-        assert len(set(polys)) == len(polys), f"duplicate polynomial in rank {rank}"
+    # every line of the data file is one row, under the rank the file gives it
+    text = resources.files("cthh").joinpath("data/e_table.txt").read_text()
+    lines = [line.split(";") for line in text.splitlines() if line.strip() and line[0] != "#"]
+    assert E_TABLE_ROWS == {r: [(tuple(int(c) for c in reversed(coeffs.split(","))), parse_h(h))
+                                for rank, coeffs, h in lines if int(rank) == r] for r in (6, 7, 8)}
 
 
 def test_universal_examples():

@@ -12,13 +12,12 @@ import pytest
 
 import cthh.oracle
 from conftest import (ColumnImageResolution, FullSpanResolution, cached_algebra,
-                      column_image_blocks, matrix_rank, mutation_class)
+                      column_image_blocks, matrix_rank, mutation_class, relabel)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
-from cthh.fields import QQ, FieldSpec
+from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
 from cthh.linalg import kernel_from_rref, rref
-from cthh.oracle import (BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims,
-                         hh_dims_by_field)
+from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class
 from cthh.relations import Path as QuiverPath, Relation, RelationSet
 from cthh.verify import sample_by_canonical
@@ -31,7 +30,7 @@ def oriented_cycle(n):
 def test_center_one_vertex():
     a = cached_algebra(Quiver(1, ()), 0)
     assert center_dim(a) == 1
-    assert hh_dims(a, max_i=3).dims == (1, 0, 0, 0)
+    assert hh_dims(a, [a.field], max_i=3)[0] == (1, 0, 0, 0)
 
 
 def test_center_connected_basic_algebras():
@@ -137,29 +136,29 @@ def test_center_dim_matches_all_basis_reference():
 
 
 def test_hereditary_a3_dims():
-    d = hh_dims(cached_algebra(dynkin_seed("A", 3), 0), max_i=4)
-    assert d.dims == (1, 0, 0, 0, 0)
+    d = hh_dims(cached_algebra(dynkin_seed("A", 3), 0), [QQ], max_i=4)[0]
+    assert d == (1, 0, 0, 0, 0)
 
 
 def test_oriented_triangle_gf3():
-    d = hh_dims(cached_algebra(oriented_cycle(3), 3), max_i=7)
-    assert d.dims == (1, 1, 0, 0, 0, 0, 1, 1)
+    d = hh_dims(cached_algebra(oriented_cycle(3), 3), [GF3], max_i=7)[0]
+    assert d == (1, 1, 0, 0, 0, 0, 1, 1)
 
 
 def test_oriented_triangle_gf2():
-    d = hh_dims(cached_algebra(oriented_cycle(3), 2), max_i=4)
-    assert d.dims == (1, 1, 0, 1, 1)
+    d = hh_dims(cached_algebra(oriented_cycle(3), 2), [GF2], max_i=4)[0]
+    assert d == (1, 1, 0, 1, 1)
 
 
 def test_oriented_triangle_rationals():
-    d = hh_dims(cached_algebra(oriented_cycle(3), 0), max_i=7)
-    assert d.dims == (1, 1, 0, 0, 0, 0, 1, 1)
+    d = hh_dims(cached_algebra(oriented_cycle(3), 0), [QQ], max_i=7)[0]
+    assert d == (1, 1, 0, 0, 0, 0, 1, 1)
 
 
 def test_truncated_cycle_periodicity_window():
     for n, char in ((4, 2), (4, 5), (5, 2)):
         a = cached_algebra(oriented_cycle(n), char)
-        dims = hh_dims(a, max_i=2 * n + 4).dims
+        dims = hh_dims(a, [a.field], max_i=2 * n + 4)[0]
         for i in range(1, 5):
             assert dims[i] == dims[i + 2 * n], (n, char, i)
 
@@ -167,10 +166,10 @@ def test_truncated_cycle_periodicity_window():
 def test_dims_rational_vs_good_prime():
     # over a prime not dividing n-1 the oracle agrees with char 0
     q = oriented_cycle(4)
-    d0 = hh_dims(cached_algebra(q, 0), max_i=8).dims
-    d5 = hh_dims(cached_algebra(q, 5), max_i=8).dims
+    d0 = hh_dims(cached_algebra(q, 0), [QQ], max_i=8)[0]
+    d5 = hh_dims(cached_algebra(q, 5), [GF5], max_i=8)[0]
     assert d0 == d5
-    d7 = hh_dims(cached_algebra(q, 7), max_i=8).dims
+    d7 = hh_dims(cached_algebra(q, 7), [GF7], max_i=8)[0]
     assert d0 == d7
 
 
@@ -189,7 +188,7 @@ def test_resolution_budget(monkeypatch):
     monkeypatch.setattr(cthh.oracle, "DEFAULT_BUDGET", 50)
     a = cached_algebra(oriented_cycle(5), 0)
     with pytest.raises(ResolutionBudgetError):
-        hh_dims(a, max_i=10)
+        hh_dims(a, [a.field], max_i=10)
 
 
 PERIOD_SAMPLE = [(f"{family}{rank}-{k}-{char}", q, char)
@@ -226,7 +225,7 @@ def test_periodic_resolution_matches_plain_steps(name, q, char):
         assert res.levels[n] is res.levels[j + (n - j) % d]
     ranks = [0] + [plain.hom_differential_rank(i, a.field) for i in range(1, length + 1)]
     dims = tuple(len(plain.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(length))
-    assert hh_dims(a, max_i=length - 1).dims == dims
+    assert hh_dims(a, [a.field], max_i=length - 1)[0] == dims
 
 
 def _resolution_state(res):
@@ -393,10 +392,10 @@ def test_resolution_budget_counts_shared_levels(monkeypatch):
 def test_dims_invariant_under_relabeling():
     q = Quiver.make(4, [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)])
     perm = {1: 4, 2: 1, 3: 3, 4: 2}
-    relabeled = q.relabel(perm)
+    relabeled = relabel(q, perm)
     for char in (0, 2):
-        d1 = hh_dims(cached_algebra(q, char), max_i=6).dims
-        d2 = hh_dims(cached_algebra(relabeled, char), max_i=6).dims
+        d1 = hh_dims(cached_algebra(q, char), [FieldSpec(char)], max_i=6)[0]
+        d2 = hh_dims(cached_algebra(relabeled, char), [FieldSpec(char)], max_i=6)[0]
         assert d1 == d2
 
 
@@ -466,7 +465,7 @@ def test_invariant_checks_survive_optimize():
         "a = build_algebra(q, generate_relations(q), QQ)\n"
         "o.center_dim = lambda a: 2\n"
         "try:\n"
-        "    print(__debug__, o.hh_dims(a, max_i=3).dims)\n"
+        "    print(__debug__, o.hh_dims(a, [a.field], max_i=3)[0])\n"
         "except InvariantError as e:\n"
         "    print(__debug__, type(e).__name__)\n"
     )
@@ -504,25 +503,30 @@ ALL_FIELDS = [FieldSpec(c) for c in (2, 3, 5, 0)]
 
 
 def _per_field(q, max_i):
-    return [hh_dims(cached_algebra(q, fs.characteristic), max_i=max_i) for fs in ALL_FIELDS]
+    return [hh_dims(cached_algebra(q, fs.characteristic), [fs], max_i=max_i)[0] for fs in ALL_FIELDS]
 
 
 @pytest.mark.parametrize("family,ranks", [("A", range(2, 6)), ("D", range(4, 7)), ("E", (6,))],
                          ids=["A2-A5", "D4-D6", "E6"])
-def test_hh_dims_by_field_matches_per_field_hh_dims(family, ranks):
+def test_hh_dims_over_qq_matches_per_field_hh_dims(family, ranks):
     # the Hom complex of the resolution over QQ, reduced mod p, gives what a
     # resolution over GF(p) gives, with no fallback on these classes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for rank in ranks:
             for q in mutation_class(family, rank):
-                got = hh_dims_by_field(cached_algebra(q, 0), ALL_FIELDS, max_i=8)
+                got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=8)
                 assert got == _per_field(q, 8), q
 
 
-def test_hh_dims_by_field_rejects_an_algebra_over_gfp():
-    with pytest.raises(ValueError, match="over QQ"):
-        hh_dims_by_field(cached_algebra(oriented_cycle(3), 2), ALL_FIELDS, max_i=2)
+def test_hh_dims_rejects_another_field_of_an_algebra_over_gfp(monkeypatch):
+    # every field is checked before the first level is built
+    def no_step(self):
+        raise AssertionError("extend_once called")
+
+    monkeypatch.setattr(BimoduleResolution, "extend_once", no_step)
+    with pytest.raises(ValueError, match="cannot move an algebra over GF\\(2\\) to QQ"):
+        hh_dims(cached_algebra(oriented_cycle(3), 2), [GF2, QQ], max_i=2)
 
 
 class _TimesThree(BimoduleResolution):
@@ -542,7 +546,7 @@ def test_failed_certificate_falls_back_for_that_prime(monkeypatch):
     q = D5_TRIANGLES
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
     with pytest.warns(RuntimeWarning, match=r"Quiver\(5; .*not certified mod 3") as record:
-        got = hh_dims_by_field(cached_algebra(q, 0), ALL_FIELDS, max_i=6)
+        got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=6)
     assert len(record) == 1
     assert got == _per_field(q, 6)
 
@@ -559,7 +563,7 @@ def test_top_differential_is_certified_before_the_period_closes(monkeypatch):
     monkeypatch.setattr(_TimesThree, "PLANTED_LEVEL", max_i + 1)
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
     with pytest.warns(RuntimeWarning, match="not certified mod 3"):
-        got = hh_dims_by_field(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
+        got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
     assert got == _per_field(q, max_i)
 
 
@@ -580,8 +584,22 @@ def test_non_integral_image_falls_back_without_crashing(monkeypatch):
     q, max_i = oriented_cycle(3), 2
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _HalvedTop)
     with pytest.warns(RuntimeWarning, match="not certified mod 2") as record:
-        got = hh_dims_by_field(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
+        got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
     assert len(record) == 1  # GF(3) and GF(5) invert the denominator 2
+    assert got == _per_field(q, max_i)
+
+
+def test_non_integral_image_is_reduced_in_the_hom_complex(monkeypatch):
+    # at max_i 3 the halved level carries a nonzero Hom differential, so the
+    # 1/2 enters the GF(3) and GF(5) rank systems and must be reduced there
+    q, max_i = oriented_cycle(3), 3
+    res = _HalvedTop(cached_algebra(q, 0))
+    res.extend_to(max_i + 1)
+    assert res.hom_differential_rank(max_i + 1, QQ) > 0
+    monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _HalvedTop)
+    with pytest.warns(RuntimeWarning, match="not certified mod 2") as record:
+        got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
+    assert len(record) == 1
     assert got == _per_field(q, max_i)
 
 
@@ -600,11 +618,11 @@ def test_fallback_survives_optimize():
         "            self.minors[i] *= 3\n"
         "        return out\n"
         "fields = [FieldSpec(c) for c in (2, 3, 5, 0)]\n"
-        "want = [hh_dims(build_algebra(q, rels, fs), max_i=4) for fs in fields]\n"
+        "want = [hh_dims(build_algebra(q, rels, fs), [fs], max_i=4)[0] for fs in fields]\n"
         "o.BimoduleResolution = Planted\n"
         "with warnings.catch_warnings(record=True) as caught:\n"
         "    warnings.simplefilter('always')\n"
-        "    got = o.hh_dims_by_field(build_algebra(q, rels), fields, max_i=4)\n"
+        "    got = o.hh_dims(build_algebra(q, rels), fields, max_i=4)\n"
         "print(__debug__, got == want, [str(w.message).split(': ')[1] for w in caught])\n"
     )
     assert _run_optimized(code) == [

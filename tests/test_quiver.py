@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import chordless_cycles_bruteforce, mutate_by_exchange_matrix, mutation_class
+from conftest import (chordless_cycles_bruteforce, mutate_by_exchange_matrix, mutation_class,
+                      relabel)
 from cthh.errors import (
     CapExceededError,
     DisconnectedError,
@@ -156,7 +157,7 @@ def test_canonical_random_permutations():
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             mapping = {i + 1: perm[i] for i in range(n)}
-            assert canonical_form(q.relabel(mapping)) == want
+            assert canonical_form(relabel(q, mapping)) == want
 
 
 def test_canonical_representative_is_fixed_point():

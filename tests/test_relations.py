@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import relabel
 from cthh.errors import ArrowOnThreeCyclesError, NonOrientedCycleError
 from cthh.quiver import Quiver, dynkin_seed
 from cthh.relations import Path, Relation, generate_relations
@@ -91,7 +92,7 @@ def test_arrow_on_three_cycles_rejected():
 def test_relations_commute_with_relabeling():
     q = Quiver.make(4, [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)])
     perm = {1: 3, 2: 4, 3: 1, 4: 2}
-    relabeled = q.relabel(perm)
+    relabeled = relabel(q, perm)
     rels = generate_relations(q)
     rels2 = {arrow: rel for arrow, rel in generate_relations(relabeled)}
     for arrow, rel in rels:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import universal_params
 from cthh.errors import NonIntegralNError
 from cthh.fields import QQ, GF2, GF3, GF5, GF7, FieldSpec
 from cthh.series import HSeries, epsilon, f_coeff, format_h, hh_dim, parse_h, series_from_invariants
@@ -146,7 +147,7 @@ def test_universal_route_rejects_inconsistent():
 
 
 def test_universal_params():
-    assert HSeries.of(4, 3, 3).universal_params() == (4, 2)
-    assert HSeries.of(3, 3).universal_params() == (3, 1)
-    assert HSeries.of(5).universal_params() == (5, 0)
-    assert HSeries.of().universal_params() is None
+    assert universal_params(HSeries.of(4, 3, 3)) == (4, 2)
+    assert universal_params(HSeries.of(3, 3)) == (3, 1)
+    assert universal_params(HSeries.of(5)) == (5, 0)
+    assert universal_params(HSeries.of()) is None

@@ -44,26 +44,29 @@ def count_calls(monkeypatch, names):
     ("E", dynkin_seed("E", 6)),
 ])
 def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
-    counts = count_calls(monkeypatch, ["build_algebra", "cartan", "hh1_dim", "classify_D"])
-    record = check_quiver(q, family, 6, [GF2, QQ], max_i=4)
+    names = ["build_algebra", "cartan", "hh1_dim", "center_dim", "classify_D"]
+    counts = count_calls(monkeypatch, names)
+    fields = [GF2, QQ]
+    record = check_quiver(q, family, 6, fields, max_i=4)
     assert record.passed, record.messages
-    # one build over QQ, moved to each other field; hh1_dim once for the
-    # closed forms and once per field as the oracle's Der/Inn cross-check;
+    # one build over QQ, moved to each other field; hh1_dim once, for the
+    # closed forms; the center once inside it and once per field as the
+    # oracle's HH^0 cross-check, whose value the HH^1 cross-check reuses;
     # the type-D pattern match gives both the closed form and the record's subtype
-    assert counts == {"build_algebra": 1, "cartan": 1, "hh1_dim": 3,
-                      "classify_D": int(family == "D")}
+    assert counts == {"build_algebra": 1, "cartan": 1, "hh1_dim": 1,
+                      "center_dim": 1 + len(fields), "classify_D": int(family == "D")}
 
 
 def test_typed_error_in_one_quiver_gives_one_fail_record(monkeypatch, capsys):
     bad = enumerate_class(dynkin_seed("A", 4))[2]
-    real = cthh.verify.hh_dims_by_field
+    real = cthh.verify.hh_dims
 
-    def hh_dims_by_field(a, fieldspecs, max_i):
+    def hh_dims(a, fieldspecs, max_i):
         if a.quiver == bad:
             raise InvariantError("planted failure")
         return real(a, fieldspecs, max_i)
 
-    monkeypatch.setattr(cthh.verify, "hh_dims_by_field", hh_dims_by_field)
+    monkeypatch.setattr(cthh.verify, "hh_dims", hh_dims)
     report = verify_suite("A", 4, [GF2], max_i=2, jobs=1)
     assert len(report.records) == 6
     failed = [r for r in report.records if not r.passed]
@@ -87,10 +90,10 @@ def test_pool_fallback_warns_and_keeps_report(monkeypatch):
 
 def test_worker_oserror_propagates_without_serial_rerun(monkeypatch):
     bad = enumerate_class(dynkin_seed("A", 4))[2]
-    real = cthh.verify.hh_dims_by_field
+    real = cthh.verify.hh_dims
     parent_calls = []  # forked workers append to their own copies
 
-    def hh_dims_by_field(a, fieldspecs, max_i):
+    def hh_dims(a, fieldspecs, max_i):
         parent_calls.append(a.quiver)
         if a.quiver == bad:
             raise OSError(5, "Input/output error")
@@ -100,7 +103,7 @@ def test_worker_oserror_propagates_without_serial_rerun(monkeypatch):
         # forked workers see the patched oracle whatever the default start method
         return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("fork"))
 
-    monkeypatch.setattr(cthh.verify, "hh_dims_by_field", hh_dims_by_field)
+    monkeypatch.setattr(cthh.verify, "hh_dims", hh_dims)
     monkeypatch.setattr(cthh.verify, "ProcessPoolExecutor", fork_pool)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
