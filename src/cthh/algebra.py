@@ -122,7 +122,6 @@ class BoundAlgebra:
     quiver: Quiver
     field: FieldSpec
     basis: tuple
-    degree_dims: tuple
     mult: dict
     src: tuple = dc_field(repr=False, default=())
     tgt: tuple = dc_field(repr=False, default=())
@@ -134,9 +133,6 @@ class BoundAlgebra:
     @property
     def vertex_count(self):
         return self.quiver.vertex_count
-
-    def trivial_index(self, v):
-        return self.basis.index((v,))
 
     def arrow_indices(self):
         return [i for i, p in enumerate(self.basis) if len(p) == 2]
@@ -181,13 +177,6 @@ def build_algebra(q: Quiver, rels: RelationSet, fieldspec: FieldSpec = QQ) -> Bo
         layers.append([w for w in layer if not any(w[-k:] in rules for k in lengths)])
         if layers[-1] and len(layers) - 1 > limit:
             raise NotFiniteDimensionalError(f"normal words longer than {limit} arrows")
-    dims = [len(layer) for layer in layers[:-1]]
-    # a trailing 0 records that the quiver has paths one arrow longer than the basis
-    ends = set(range(1, n + 1))
-    for _ in dims:
-        ends = {t for s, t in q.arrows if s in ends}
-    if ends:
-        dims.append(0)
 
     basis = tuple(sorted((w for layer in layers for w in layer), key=_path_key))
     index = {p: i for i, p in enumerate(basis)}
@@ -204,7 +193,7 @@ def build_algebra(q: Quiver, rels: RelationSet, fieldspec: FieldSpec = QQ) -> Bo
                     mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
     src = tuple(p[0] for p in basis)
     tgt = tuple(p[-1] for p in basis)
-    return BoundAlgebra(q, QQ, basis, tuple(dims), mult, src, tgt).over(fieldspec)
+    return BoundAlgebra(q, QQ, basis, mult, src, tgt).over(fieldspec)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ from .errors import CthhError, InputSyntaxError
 from .fields import QQ, FieldSpec
 from .linalg import format_poly
 from .oracle import hh1_dim, hh_dims
-from .quiver import Quiver, detect_dynkin, dynkin_seed, enumerate_class, mutate, validate
+from .quiver import (DEFAULT_CLASS_CAP, Quiver, detect_dynkin, dynkin_seed, enumerate_class,
+                     mutate, validate)
 from .relations import generate_relations
-from .series import hh_dims_list, series_from_invariants
+from .series import hh_dim, series_from_invariants
 from .verify import verify_suite
 
 
@@ -180,7 +181,7 @@ def _cmd_hh(args):
             h, _ = hh_closed_form(q, family, hh1, cd)
         else:
             h = series_from_invariants(hh1, cd.det)
-    dims = hh_dims_list(h, args.max_i, fs)
+    dims = [hh_dim(h, i, fs) for i in range(args.max_i + 1)]
     if args.json:
         print(json.dumps({
             "family": f"{family}{rank}",
@@ -251,7 +252,7 @@ _COMMANDS = {
     ]),
     "class": ("enumerate a mutation class", _cmd_class, [
         (("--seed",), dict(required=True, metavar="{A|D|E}N")),
-        (("--cap",), dict(type=int, default=100000)),
+        (("--cap",), dict(type=int, default=DEFAULT_CLASS_CAP)),
     ]),
     "relations": ("defining relations from the quiver", _cmd_relations, [
         (("file",), {}),

@@ -43,12 +43,6 @@ class FieldSpec:
         if p >= 1 << 31:
             raise ValueError(f"prime too large for exact word arithmetic: {p}")
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def element(self, n):
         """Coerce an integer (or Fraction, over the rationals) into the field.
 
@@ -63,11 +57,6 @@ class FieldSpec:
                 raise ZeroDivisionError(f"denominator of {n} vanishes mod {self.characteristic}")
             return n.numerator * pow(n.denominator, -1, self.characteristic) % self.characteristic
         return n % self.characteristic
-
-    def divides(self, n: int) -> bool:
-        """True when the characteristic is a prime dividing n."""
-        p = self.characteristic
-        return p != 0 and n % p == 0
 
     def __str__(self):
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"

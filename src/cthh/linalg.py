@@ -116,14 +116,13 @@ def rref(rows, ncols, field: FieldSpec):
 
 def kernel_from_rref(rows, ncols, pivots, field: FieldSpec):
     """Right null space basis given an RREF. One vector per free column."""
-    zero, one = field.zero(), field.one()
     pivot_set = set(pivots)
     basis = []
     for j in range(ncols):
         if j in pivot_set:
             continue
-        v = [zero] * ncols
-        v[j] = one
+        v = [0] * ncols
+        v[j] = 1
         for r, c in enumerate(pivots):
             x = rows[r][j]
             if x:

@@ -191,7 +191,8 @@ class BimoduleResolution:
             self.arrows_out.setdefault(a.src[idx], []).append(idx)
             self.arrows_in.setdefault(a.tgt[idx], []).append(idx)
         gens = [(v, v) for v in range(1, a.vertex_count + 1)]
-        images = [{a.trivial_index(v): a.field.one()} for v in range(1, a.vertex_count + 1)]
+        # the basis lists the trivial paths first, the one at v at index v - 1
+        images = [{v - 1: 1} for v in range(1, a.vertex_count + 1)]
         self.base = _AlgebraAsBimodule(a)
         self.levels = []
         self._append(_Level(a, gens, images, self.paths_to, self.paths_from))
@@ -209,10 +210,6 @@ class BimoduleResolution:
 
     def _target(self, i):
         return self.base if i == 0 else self.levels[i - 1]
-
-    def _normalize(self, x):
-        p = self.field.characteristic
-        return x % p if p else x
 
     def extend_once(self):
         """Kernel of the topmost differential, then cover it minimally."""
@@ -330,7 +327,7 @@ class BimoduleResolution:
 
     def _arrow_mul(self, lvl, src_key, vec, arrow, left, dst_pos):
         """arrow * vec if left, else vec * arrow: a block of lvl into the block of dst_pos (dense)."""
-        out = [self.field.zero()] * len(dst_pos)
+        out = [0] * len(dst_pos)
         mult = self.a.mult
         for (g, p, q), val in zip(lvl.blocks[src_key], vec):
             if not val:
@@ -351,6 +348,7 @@ class BimoduleResolution:
             return
         prev = self.levels[i - 1]
         target = self._target(i - 1)
+        mod = self.field.characteristic
         for key, img in zip(self.levels[i].gens, self.levels[i].images):
             acc = {}
             for coord, coeff in img.items():
@@ -359,7 +357,7 @@ class BimoduleResolution:
                 g, p, q = coord
                 for tcoord, c2 in prev.images[g].items():
                     target.pad(self.a, tcoord, p, q, coeff * c2, acc)
-            if any(self._normalize(v) for v in acc.values()):
+            if any(v % mod if mod else v for v in acc.values()):
                 raise InvariantError("d o d != 0")
 
     def extend_to(self, length):

@@ -113,8 +113,9 @@ def components(adj, vertices):
     each led by its least vertex and listed in that order."""
     unseen = set(vertices)
     comps = []
-    while unseen:
-        start = min(unseen)
+    for start in sorted(unseen):
+        if start not in unseen:
+            continue
         unseen.remove(start)
         comp = {start}
         stack = [start]
@@ -179,7 +180,7 @@ def _refined_colors(n, arrows):
         colors = new
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded: enumeration meets almost every mutant once
 def _canonical_data(n, arrows):
     """Minimal adjacency encoding over color-respecting permutations.
 

@@ -64,14 +64,6 @@ class Relation:
             raise ValueError("zero coefficient in relation")
 
     @property
-    def source(self):
-        return self.terms[0][1].source
-
-    @property
-    def target(self):
-        return self.terms[0][1].target
-
-    @property
     def is_zero_relation(self):
         return len(self.terms) == 1
 

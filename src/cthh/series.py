@@ -21,7 +21,8 @@ def epsilon(n: int, field: FieldSpec) -> int:
     """0 when the characteristic divides n-1, else 1."""
     if n < 3:
         raise ValueError(f"cycle order must be >= 3, got {n}")
-    return 0 if field.divides(n - 1) else 1
+    p = field.characteristic
+    return 0 if p and (n - 1) % p == 0 else 1
 
 
 def f_coeff(n: int, i: int, field: FieldSpec) -> int:
@@ -51,10 +52,6 @@ class HSeries:
             raise ValueError("every cycle order must be >= 3")
         return HSeries(orders)
 
-    @property
-    def is_zero(self):
-        return not self.cycle_orders
-
     def __str__(self):
         return format_h(self)
 
@@ -64,10 +61,6 @@ def hh_dim(h: HSeries, i: int, field: FieldSpec) -> int:
     if i == 0:
         return 1
     return sum(f_coeff(n, i, field) for n in h.cycle_orders)
-
-
-def hh_dims_list(h: HSeries, max_i: int, field: FieldSpec):
-    return [hh_dim(h, i, field) for i in range(max_i + 1)]
 
 
 def format_h(h: HSeries) -> str:

@@ -14,12 +14,12 @@ import hashlib
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 from .algebra import build_algebra, cartan
 from .classify import hh_closed_form
 from .errors import CthhError
-from .fields import QQ, FieldSpec
+from .fields import QQ
 from .oracle import hh1_dim, hh_dims
 from .quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
 from .relations import generate_relations
@@ -28,34 +28,24 @@ from .series import hh_dim, series_from_invariants
 
 @dataclass(frozen=True)
 class QuiverRecord:
+    """One quiver's reconciliation; the defaults are those of a FAIL record
+    for a quiver whose check raised."""
+
     canonical: str
     family: str
     rank: int
-    zero_relations: int
-    commutativity_relations: int
-    cartan_det: int
-    assoc_poly: tuple
-    closed_form: str
-    subtype: str
-    oracle_dims: tuple  # tuple of (field name, dims tuple)
-    passed: bool
-    messages: tuple
+    zero_relations: int = 0
+    commutativity_relations: int = 0
+    cartan_det: int = 0
+    assoc_poly: tuple = ()
+    closed_form: str = ""
+    subtype: str = ""
+    oracle_dims: tuple = ()  # tuple of (field name, dims tuple)
+    passed: bool = False
+    messages: tuple = ()
 
     def to_dict(self):
-        return {
-            "canonical": self.canonical,
-            "family": self.family,
-            "rank": self.rank,
-            "zero_relations": self.zero_relations,
-            "commutativity_relations": self.commutativity_relations,
-            "cartan_det": self.cartan_det,
-            "assoc_poly": list(self.assoc_poly),
-            "closed_form": self.closed_form,
-            "subtype": self.subtype,
-            "oracle_dims": {name: list(d) for name, d in self.oracle_dims},
-            "passed": self.passed,
-            "messages": list(self.messages),
-        }
+        return {**asdict(self), "oracle_dims": {name: list(d) for name, d in self.oracle_dims}}
 
 
 @dataclass
@@ -80,15 +70,9 @@ class VerifyReport:
         )
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "rank": self.rank,
-            "fields": list(self.fields),
-            "max_i": self.max_i,
-            "sample": self.sample,
-            "passed": self.passed,
-            "records": [r.to_dict() for r in self.records],
-        }
+        head = asdict(replace(self, records=[]))
+        del head["records"]
+        return {**head, "passed": self.passed, "records": [r.to_dict() for r in self.records]}
 
 
 def check_quiver(q: Quiver, family: str, rank: int, fieldspecs, max_i: int) -> QuiverRecord:
@@ -143,18 +127,13 @@ def sample_by_canonical(quivers, size):
 
 
 def _worker(args):
-    q, family, rank, chars, max_i = args
-    fieldspecs = [FieldSpec(c) for c in chars]
+    q, family, rank = args[:3]
     try:
-        return check_quiver(q, family, rank, fieldspecs, max_i)
+        return check_quiver(*args)
     except CthhError as e:
         # one bad quiver fails its own record, not the sweep
-        return QuiverRecord(
-            canonical=canonical_form(q).decode("ascii"), family=family, rank=rank,
-            zero_relations=0, commutativity_relations=0, cartan_det=0, assoc_poly=(),
-            closed_form="", subtype="", oracle_dims=(), passed=False,
-            messages=(f"{type(e).__name__}: {e}",),
-        )
+        return QuiverRecord(canonical_form(q).decode("ascii"), family, rank,
+                            messages=(f"{type(e).__name__}: {e}",))
 
 
 def verify_suite(family: str, rank: int, fieldspecs, max_i: int,
@@ -164,8 +143,8 @@ def verify_suite(family: str, rank: int, fieldspecs, max_i: int,
     quivers = sample_by_canonical(quivers, sample)
     if jobs is None:
         jobs = min(os.cpu_count() or 1, 8)
-    chars = tuple(fs.characteristic for fs in fieldspecs)
-    tasks = [(q, family, rank, chars, max_i) for q in quivers]
+    fieldspecs = tuple(fieldspecs)
+    tasks = [(q, family, rank, fieldspecs, max_i) for q in quivers]
     records = None
     if jobs > 1 and len(tasks) > 1:
         pool = None

@@ -50,13 +50,26 @@ E_TABLE_ROWS = {r: [(poly, h) for poly, h in _E_TABLE.items() if len(poly) - 1 =
                 for r in (6, 7, 8)}
 
 
+def degree_dims(a):
+    """Basis paths of each length, then a 0 when the quiver has a path one
+    arrow longer than the longest basis path."""
+    counts = Counter(len(p) - 1 for p in a.basis)
+    dims = [counts[k] for k in range(max(counts) + 1)]
+    ends = set(range(1, a.vertex_count + 1))
+    for _ in dims:
+        ends = {t for s, t in a.quiver.arrows if s in ends}
+    if ends:
+        dims.append(0)
+    return tuple(dims)
+
+
 def multiply(a, xs, ys):
     """Product in the algebra a of two sparse vectors of (basis index, coefficient)."""
     acc = {}
     for i, x in xs:
         for j, y in ys:
             for k, c in a.mult.get((i, j), ()):
-                acc[k] = acc.get(k, a.field.zero()) + x * y * c
+                acc[k] = acc.get(k, 0) + x * y * c
     p = a.field.characteristic
     if p:
         return tuple((k, v % p) for k, v in sorted(acc.items()) if v % p)
@@ -216,7 +229,7 @@ def column_image_blocks(res, i):
     target = res.base if i == 0 else res.levels[i - 1]
     mats = {}
     for key, cols in lvl.blocks.items():
-        mat = [[res.field.zero()] * len(cols) for _ in target.blocks.get(key, ())]
+        mat = [[0] * len(cols) for _ in target.blocks.get(key, ())]
         for c, coord in enumerate(cols):
             for tcoord, val in _column_image(res, i, coord).items():
                 tkey, toff = target.offset[tcoord]

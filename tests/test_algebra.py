@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import cached_algebra, multiply, mutation_class, reduced_products
+from conftest import cached_algebra, degree_dims, multiply, mutation_class, reduced_products
 from cthh.algebra import BoundAlgebra, build_algebra, cartan
 from cthh.classify import classify_D, lookup_E
 from cthh.errors import AlgebraError, InvalidRelationsError, NotFiniteDimensionalError
@@ -42,20 +42,20 @@ E8_LONG_OVERLAPS = (
 def test_linear_a3_dimensions():
     a = cached_algebra(dynkin_seed("A", 3), 0)
     assert a.dimension == 6
-    assert a.degree_dims == (3, 2, 1)
+    assert degree_dims(a) == (3, 2, 1)
 
 
 def test_oriented_triangle_dimensions():
     a = cached_algebra(oriented_cycle(3), 0)
     assert a.dimension == 6
-    assert a.degree_dims == (3, 3, 0)
+    assert degree_dims(a) == (3, 3, 0)
 
 
 def test_two_triangle_quiver_dimensions():
     q = Quiver.make(4, [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)])
     a = cached_algebra(q, 0)
     assert a.dimension == 10
-    assert a.degree_dims == (4, 5, 1, 0)
+    assert degree_dims(a) == (4, 5, 1, 0)
     # one length-2 class survives: exactly one of bc, de is a basis path and
     # the product b*c reduces to it with coefficient +-1
     in_basis = [(p in a.basis) for p in ((2, 3, 1), (2, 4, 1))]
@@ -68,7 +68,7 @@ def test_truncated_cycle_dimensions_and_grading():
     for n in (3, 4, 5, 6):
         a = cached_algebra(oriented_cycle(n), 0)
         assert a.dimension == n * (n - 1)
-        assert a.degree_dims == tuple([n] * (n - 1) + [0])
+        assert degree_dims(a) == tuple([n] * (n - 1) + [0])
 
 
 def test_cartan_linear_a3():
@@ -143,10 +143,10 @@ def test_mult_table_matches_reducing_every_product(family, ranks):
 def test_trivial_paths_are_units():
     a = cached_algebra(dynkin_seed("D", 4), 0)
     for i, p in enumerate(a.basis):
-        e_src = a.trivial_index(p[0])
-        e_tgt = a.trivial_index(p[-1])
-        assert a.mult.get((e_src, i)) == ((i, a.field.one()),)
-        assert a.mult.get((i, e_tgt)) == ((i, a.field.one()),)
+        e_src = a.basis.index((p[0],))
+        e_tgt = a.basis.index((p[-1],))
+        assert a.mult.get((e_src, i)) == ((i, 1),)
+        assert a.mult.get((i, e_tgt)) == ((i, 1),)
 
 
 def test_associativity_exact_on_basis_triples():
@@ -158,8 +158,8 @@ def test_associativity_exact_on_basis_triples():
             for j in range(d):
                 ij = a.mult.get((i, j), ())
                 for k in range(d):
-                    left = multiply(a, ij, ((k, a.field.one()),))
-                    right = multiply(a, ((i, a.field.one()),), a.mult.get((j, k), ()))
+                    left = multiply(a, ij, ((k, 1),))
+                    right = multiply(a, ((i, 1),), a.mult.get((j, k), ()))
                     assert left == right, (i, j, k)
 
 
@@ -183,7 +183,7 @@ def test_cartan_det_is_leading_pencil_coefficient(classes):
 def test_degree_dims_no_resurrection(classes):
     for cls in classes.values():
         for q in cls[: 15]:
-            dims = cached_algebra(q, 0).degree_dims
+            dims = degree_dims(cached_algebra(q, 0))
             seen_zero = False
             for d in dims:
                 if seen_zero:
@@ -215,12 +215,12 @@ def test_over_reduces_the_rational_table():
     assert a.over(QQ) is a
     for fs in (GF2, GF3, GF5):
         b = a.over(fs)
-        assert (b.field, b.basis, b.degree_dims, b.src, b.tgt) == \
-            (fs, a.basis, a.degree_dims, a.src, a.tgt)
+        assert (b.field, b.basis, degree_dims(b), b.src, b.tgt) == \
+            (fs, a.basis, degree_dims(a), a.src, a.tgt)
         assert b.mult == reduced_products(b, generate_relations(q))
         with pytest.raises(ValueError, match="cannot move"):
             b.over(GF7)
-    hand = BoundAlgebra(q, QQ, a.basis, a.degree_dims, {(0, 0): ((0, 6), (1, 4))}, a.src, a.tgt)
+    hand = BoundAlgebra(q, QQ, a.basis, {(0, 0): ((0, 6), (1, 4))}, a.src, a.tgt)
     assert hand.over(GF2).mult == {}
     assert hand.over(GF3).mult == {(0, 0): ((1, 1),)}
 

@@ -5,8 +5,9 @@ from importlib import resources
 
 import pytest
 
+import cthh.classify
 from conftest import E_TABLE_ROWS, cached_algebra
-from cthh.algebra import cartan
+from cthh.algebra import CartanData, cartan
 from cthh.classify import (
     DTypeParams,
     classify_D,
@@ -14,7 +15,7 @@ from cthh.classify import (
     hh_type_A,
     lookup_E,
 )
-from cthh.errors import NotInTableError
+from cthh.errors import NotInTableError, UnclassifiedDError
 from cthh.oracle import hh1_dim
 from cthh.quiver import Quiver, detect_dynkin, dynkin_seed
 from cthh.series import HSeries, parse_h, series_from_invariants
@@ -141,3 +142,30 @@ def test_closed_form_e6_f5_row(classes):
             break
     else:
         pytest.fail("no E6 quiver with the f_5 polynomial found")
+
+
+def test_closed_form_unmatched_type_d_takes_the_universal_route(monkeypatch):
+    def no_pattern(q):
+        raise UnclassifiedDError("no pattern")
+
+    monkeypatch.setattr(cthh.classify, "classify_D", no_pattern)
+    q = oriented_cycle(6)
+    a = cached_algebra(q, 0)
+    assert hh_closed_form(q, "D", hh1_dim(a), cartan(a)) == (HSeries.of(6), "unclassified")
+
+
+def test_closed_form_type_d_pattern_against_universal_raises():
+    # the hereditary D4 pattern gives 0; (HH^1, det C) = (1, 2) gives f_3
+    q = dynkin_seed("D", 4)
+    cd = cartan(cached_algebra(q, 0))
+    with pytest.raises(UnclassifiedDError,
+                       match="type-D pattern gave 0 but the universal route gave f_3"):
+        hh_closed_form(q, "D", 1, CartanData(cd.matrix, 2, cd.assoc_poly))
+
+
+def test_closed_form_type_e_row_against_universal_raises():
+    # the hereditary E6 polynomial's row is 0; (HH^1, det C) = (1, 2) gives f_3
+    q = dynkin_seed("E", 6)
+    cd = cartan(cached_algebra(q, 0))
+    with pytest.raises(NotInTableError, match="table row 0 disagrees with universal f_3"):
+        hh_closed_form(q, "E", 1, CartanData(cd.matrix, 2, cd.assoc_poly))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from cthh.cli import build_parser, main, parse_quiver, serialize_quiver
 from cthh.errors import InputSyntaxError
 from cthh.fields import GF2, QQ
 from cthh.quiver import Quiver
-from cthh.series import HSeries, hh_dims_list
+from cthh.series import HSeries, hh_dim
 
 
 def write(tmp_path, name, text):
@@ -73,7 +74,9 @@ def test_roundtrip_parse_serialize():
 def test_cli_validate_ok(tmp_path, capsys):
     path = write(tmp_path, "q.json", TRIANGLE)
     assert main(["validate", path]) == 0
-    assert "ok" in capsys.readouterr().out
+    assert capsys.readouterr().out == "ok: 3 vertices, 3 arrows\n"
+    assert main(["validate", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "vertices": 3, "arrows": 3}
 
 
 def test_cli_validate_bad_input_exit_2(tmp_path, capsys):
@@ -81,6 +84,18 @@ def test_cli_validate_bad_input_exit_2(tmp_path, capsys):
     assert main(["validate", path]) == 2
     path = write(tmp_path, "b.json", BOOLEAN_VERTICES)
     assert main(["validate", path]) == 2
+    path = write(tmp_path, "r.json", '{"vertices": 3, "arrows": [[1, 5]]}')
+    assert main(["validate", path]) == 2
+    assert "arrow (1,5) out of vertex range 1..3" in capsys.readouterr().err
+
+
+def test_cli_validate_many_isolated_vertices_is_fast(tmp_path, capsys):
+    # one linear pass over the components, not a scan of the unseen vertices per component
+    path = write(tmp_path, "q.json", '{"vertices": 50000, "arrows": []}')
+    start = time.perf_counter()
+    assert main(["validate", path]) == 2
+    assert time.perf_counter() - start < 2
+    assert "DisconnectedError" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_2(capsys):
@@ -139,6 +154,26 @@ def test_cli_hh_typed_and_universal(tmp_path, capsys):
     assert uni["dims"] == typed["dims"]
 
 
+# quivers of types D5 and E6 whose closed forms come from the type-D patterns
+# and the type-E table: (document, characteristic, JSON output of `cthh hh`)
+HH_TYPED_CASES = [
+    pytest.param('{"vertices":5,"arrows":[[1,2],[2,4],[3,4],[4,5],[5,1],[5,3]]}', "3",
+                 {"family": "D5", "h": "f_4", "characteristic": 3,
+                  "dims": [1, 1, 0, 1, 1, 0, 1, 1, 1]}, id="D5"),
+    pytest.param('{"vertices":6,"arrows":[[1,2],[2,4],[3,6],[4,6],[5,3],[5,4],[6,1],[6,5]]}',
+                 "0", {"family": "E6", "h": "f_5", "characteristic": 0,
+                       "dims": [1, 1, 0, 0, 0, 0, 1, 1, 1]}, id="E6"),
+]
+
+
+@pytest.mark.parametrize("doc, char, expected", HH_TYPED_CASES)
+def test_cli_hh_typed_matches_universal_on_types_d_and_e(tmp_path, capsys, doc, char, expected):
+    path = write(tmp_path, "q.json", doc)
+    for method in ("typed", "universal"):
+        assert main(["hh", path, "--char", char, "--method", method, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected, method
+
+
 def test_cli_hh_outside_finite_type_exit_2(tmp_path, capsys):
     # affine A~3: a chordless 4-cycle that is not oriented
     path = write(tmp_path, "q.json", '{"vertices":4,"arrows":[[1,2],[2,3],[3,4],[1,4]]}')
@@ -151,6 +186,37 @@ def test_cli_hh_oracle(tmp_path, capsys):
     assert main(["hh-oracle", path, "--char", "3", "--max-i", "7", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dims"] == [1, 1, 0, 0, 0, 0, 1, 1]
+
+
+# the default text output of each command: (arguments, standard output)
+TEXT_OUTPUT_CASES = [
+    pytest.param(["class", "--seed", "A3"],
+                 "A3: 4 isomorphism classes\n"
+                 '  {"vertices": 3, "arrows": [[1, 3], [2, 1], [3, 2]]}\n'
+                 '  {"vertices": 3, "arrows": [[2, 1], [3, 1]]}\n'
+                 '  {"vertices": 3, "arrows": [[2, 3], [3, 1]]}\n'
+                 '  {"vertices": 3, "arrows": [[3, 1], [3, 2]]}\n', id="class"),
+    pytest.param(["relations", "{q}"],
+                 "  arrow 1->2  [zero]  2->3->1\n"
+                 "  arrow 2->3  [zero]  3->1->2\n"
+                 "  arrow 3->1  [zero]  1->2->3\n", id="relations"),
+    pytest.param(["relations", "{a3}"], "no relations (hereditary)\n", id="relations-hereditary"),
+    pytest.param(["cartan", "{q}"],
+                 "Cartan matrix:\n  1 1 0\n  0 1 1\n  1 0 1\ndet C = 2\n"
+                 "associated polynomial: 2x^3 - 2\n", id="cartan"),
+    pytest.param(["hh", "{q}", "--max-i", "5"],
+                 "type A3, h = f_3\ndim HH^i over QQ for i = 0..5:\n  1 1 0 0 0 0\n", id="hh"),
+    pytest.param(["hh-oracle", "{q}", "--char", "2", "--max-i", "5"],
+                 "oracle dim HH^i over GF(2) for i = 0..5:\n  1 1 0 1 1 0\n", id="hh-oracle"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", TEXT_OUTPUT_CASES)
+def test_cli_text_output(tmp_path, capsys, argv, expected):
+    paths = {"q": write(tmp_path, "q.json", TRIANGLE),
+             "a3": write(tmp_path, "a3.json", '{"vertices":3,"arrows":[[1,2],[2,3]]}')}
+    assert main([a.format(**paths) for a in argv]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_verify_pass_and_exit_code(capsys):
@@ -278,6 +344,6 @@ def test_cli_hh_and_oracle_on_an_a40_mutant(tmp_path, capsys):
     assert main(["hh", path, "--json"]) == 0
     closed = json.loads(capsys.readouterr().out)
     assert (closed["family"], closed["h"]) == ("A40", "10 f_3")
-    assert closed["dims"] == hh_dims_list(h, 8, QQ)
+    assert closed["dims"] == [hh_dim(h, i, QQ) for i in range(9)]
     assert main(["hh-oracle", path, "--char", "2", "--max-i", "4", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["dims"] == hh_dims_list(h, 4, GF2)
+    assert json.loads(capsys.readouterr().out)["dims"] == [hh_dim(h, i, GF2) for i in range(5)]

@@ -296,7 +296,7 @@ def simple_ext_dims(a, vertex, top):
 
     def dense(vec, basis):
         pos = {c: j for j, c in enumerate(basis)}
-        row = [fld.zero()] * len(basis)
+        row = [0] * len(basis)
         for c, x in vec.items():
             row[pos[c]] = fld.element(x)
         return row
@@ -305,7 +305,7 @@ def simple_ext_dims(a, vertex, top):
     kernel = {}  # the kernel of P_vertex -> S_vertex is the radical, by right vertex
     for i in paths_from[vertex]:
         if len(a.basis[i]) > 1:
-            kernel.setdefault(a.tgt[i], []).append({(0, i): fld.one()})
+            kernel.setdefault(a.tgt[i], []).append({(0, i): 1})
     dims = [Counter({vertex: 1})]
     for _ in range(top):
         # the top of the kernel: kernel vectors at b outside (kernel * rad) e_b
@@ -444,6 +444,19 @@ def test_planted_fault_raises_invariant_error(corrupt, message):
     with pytest.raises(InvariantError, match=message):
         while len(res.levels) < 6:
             res.extend_once()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("center_dim", "HH\\^0 disagrees with the center"),
+    ("derivation_space_dim", "HH\\^1 disagrees with Der/Inn"),
+])
+@pytest.mark.parametrize("char", [0, 2])
+def test_cross_check_off_by_one_raises_invariant_error(monkeypatch, name, message, char):
+    real = getattr(cthh.oracle, name)
+    monkeypatch.setattr(cthh.oracle, name, lambda a: real(a) + 1)
+    a = cached_algebra(oriented_cycle(3), 0)
+    with pytest.raises(InvariantError, match=message):
+        hh_dims(a, [FieldSpec(char)], max_i=2)
 
 
 def _run_optimized(code):

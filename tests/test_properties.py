@@ -65,7 +65,7 @@ def check_resolution_exactness(algebra, length):
         tcoords = [c for key in sorted(target.blocks) for c in target.blocks[key]]
         ccoords = [c for key in sorted(lvl.blocks) for c in lvl.blocks[key]]
         tpos = {c: r for r, c in enumerate(tcoords)}
-        mat = [[fld.zero()] * len(ccoords) for _ in tcoords]
+        mat = [[0] * len(ccoords) for _ in tcoords]
         for col, coord in enumerate(ccoords):
             for tcoord, val in _column_image(res, i, coord).items():
                 mat[tpos[tcoord]][col] = val
@@ -91,13 +91,12 @@ def check_resolution_exactness(algebra, length):
 
 def check_associativity(algebra):
     d = algebra.dimension
-    one = algebra.field.one()
     for i in range(d):
         for j in range(d):
             ij = algebra.mult.get((i, j), ())
             for k in range(d):
-                left = multiply(algebra, ij, ((k, one),))
-                right = multiply(algebra, ((i, one),), algebra.mult.get((j, k), ()))
+                left = multiply(algebra, ij, ((k, 1),))
+                right = multiply(algebra, ((i, 1),), algebra.mult.get((j, k), ()))
                 assert left == right, (i, j, k)
 
 

@@ -14,6 +14,7 @@ from cthh.cli import main
 from cthh.errors import InvariantError
 from cthh.fields import GF2, QQ
 from cthh.quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
+from cthh.series import HSeries
 from cthh.verify import check_quiver, verify_suite
 
 
@@ -75,6 +76,41 @@ def test_typed_error_in_one_quiver_gives_one_fail_record(monkeypatch, capsys):
     assert failed[0].messages == ("InvariantError: planted failure",)
     assert main(["verify", "--seed", "A4", "--chars", "2", "--max-i", "2", "--jobs", "1"]) == 1
     assert "FAIL: A4, 5/6 quivers ok" in capsys.readouterr().out
+
+
+TRIANGLE = Quiver.make(3, [(1, 2), (2, 3), (3, 1)])  # h = f_3
+
+
+def test_closed_form_disagreeing_with_universal_fails_the_record(monkeypatch):
+    # f_4 and f_3 agree over QQ up to degree 4, but not over GF(2)
+    monkeypatch.setattr(cthh.verify, "hh_closed_form", lambda *args: (HSeries.of(4), ""))
+    record = check_quiver(TRIANGLE, "A", 3, [GF2, QQ], max_i=4)
+    assert not record.passed
+    assert record.closed_form == "f_4"
+    assert record.messages == (
+        "closed form f_4 != universal f_3",
+        "GF(2): oracle (1, 1, 0, 1, 1) != closed form (1, 1, 0, 0, 0)",
+    )
+
+
+def test_oracle_disagreeing_with_both_routes_fails_the_record(monkeypatch):
+    real = cthh.verify.hh_dims
+
+    def hh_dims(a, fieldspecs, max_i):
+        return [d[:2] + (1,) + d[3:] for d in real(a, fieldspecs, max_i)]
+
+    monkeypatch.setattr(cthh.verify, "hh_dims", hh_dims)
+    record = check_quiver(TRIANGLE, "A", 3, [GF2, QQ], max_i=4)
+    assert not record.passed
+    assert record.oracle_dims == (("GF(2)", (1, 1, 1, 1, 1)), ("QQ", (1, 1, 1, 0, 0)))
+    assert record.messages == (
+        "GF(2): oracle (1, 1, 1, 1, 1) != closed form (1, 1, 0, 1, 1)",
+        "GF(2): oracle (1, 1, 1, 1, 1) != universal (1, 1, 0, 1, 1)",
+        "GF(2): HH^2 = 1 is nonzero",
+        "QQ: oracle (1, 1, 1, 0, 0) != closed form (1, 1, 0, 0, 0)",
+        "QQ: oracle (1, 1, 1, 0, 0) != universal (1, 1, 0, 0, 0)",
+        "QQ: HH^2 = 1 is nonzero",
+    )
 
 
 def test_pool_fallback_warns_and_keeps_report(monkeypatch):
