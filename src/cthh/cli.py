@@ -77,6 +77,9 @@ def _parse_chars(text: str):
         raise InputSyntaxError(str(e)) from None
     if not fields:
         raise InputSyntaxError(f"--chars names no characteristic: {text!r}")
+    for i, f in enumerate(fields):
+        if f in fields[:i]:
+            raise InputSyntaxError(f"--chars names characteristic {f.characteristic} twice: {text!r}")
     return fields
 
 

@@ -225,6 +225,28 @@ def det_int(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def leading_minors(rows):
+    """Yield the leading principal minors of a square integer matrix, k = 1..n,
+    from one fraction-free (Bareiss) elimination with no row swaps: the k-th
+    pivot is the k-th leading minor.  A zero minor ends the sequence, since
+    the elimination cannot go past it without a swap."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    prev = 1
+    for k in range(n):
+        akk = a[k][k]
+        yield akk
+        if akk == 0:
+            return
+        ak = a[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+        prev = akk
+
+
 def pencil_det(a, b):
     """Integer coefficients of det(x*a + b), ascending by power of x.
 

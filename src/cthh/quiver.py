@@ -3,8 +3,12 @@
 A quiver here is always loop-free, 2-cycle-free, without parallel arrows,
 and connected (simply laced finite type).  Vertices are 1-based.  Canonical
 forms are computed by minimizing an adjacency encoding over all vertex
-permutations compatible with an iteratively refined degree partition; with
-at most 9 vertices this needs no external graph canonicalization machinery.
+permutations compatible with an iteratively refined degree partition, in
+the manner of individualization-refinement (McKay-Piperno 2014): a discrete
+partition is the labelling, and otherwise a search places one vertex of
+least border at a time, each vertex's border to the placed ones carried as
+an int with 2 bits per placed vertex.  Class enumeration never mutates a new
+member at the vertex it was reached by, since mutation is an involution.
 
 Chordless cycles are found by extending induced paths from each cycle's
 least vertex (Dias-Castonguay-Longo-Jradi 2013), so the search stays cheap
@@ -33,7 +37,7 @@ from .errors import (
     ParallelArrowError,
     TwoCycleError,
 )
-from .linalg import det_int, rref_mod
+from .linalg import leading_minors, rref_mod
 
 DEFAULT_CLASS_CAP = 100000
 
@@ -94,7 +98,11 @@ def validate(q: Quiver) -> None:
         if (t, s) in seen:
             raise TwoCycleError(f"2-cycle between {s} and {t}")
         seen.add((s, t))
-    reached = components(neighbours(q), range(1, n + 1))[0]
+    adj = {}  # from the arrows only: the declared vertex count may be huge
+    for s, t in q.arrows:
+        adj.setdefault(s, set()).add(t)
+        adj.setdefault(t, set()).add(s)
+    reached = components(adj, adj)[0] if 1 in adj else {1}
     if len(reached) != n:
         raise DisconnectedError(f"underlying graph is disconnected ({len(reached)} of {n} vertices reachable)")
 
@@ -155,85 +163,119 @@ def mutate(q: Quiver, k: int) -> Quiver:
 # Canonical form
 # ---------------------------------------------------------------------------
 
-def _refined_colors(n, arrows):
-    out_adj = [[] for _ in range(n)]
-    in_adj = [[] for _ in range(n)]
-    for s, t in arrows:
-        out_adj[s - 1].append(t - 1)
-        in_adj[t - 1].append(s - 1)
-    colors = [(len(out_adj[v]), len(in_adj[v])) for v in range(n)]
-    comp = {c: i for i, c in enumerate(sorted(set(colors)))}
-    colors = [comp[c] for c in colors]
-    while True:
-        sigs = [
-            (
-                colors[v],
-                tuple(sorted(colors[w] for w in out_adj[v])),
-                tuple(sorted(colors[w] for w in in_adj[v])),
-            )
-            for v in range(n)
-        ]
+def _refined_colors(n, out_adj, in_adj):
+    """Colour refinement from (out, in) degrees: a vertex's next colour is its
+    colour with the sorted colours of its out- and in-neighbours, numbered in
+    sorted order.  A round that splits no class renumbers nothing, so the
+    refinement stops as soon as the class count does not grow, or the
+    partition is discrete.
+
+    The neighbour colours enter as one int per vertex: the sum of
+    B^(count-1-c) over its out-neighbours' colours c, shifted above the same
+    sum over its in-neighbours, with B = 2^bits > n.  The vertices of a class
+    share their out- and in-degrees, so within it the pairs of sorted tuples
+    compare in the reverse order of these ints, and the colours come out the
+    same."""
+    degrees = [(len(out_adj[v]), len(in_adj[v])) for v in range(n)]
+    comp = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    colors = [comp[d] for d in degrees]
+    count = len(comp)
+    bits = n.bit_length()
+    while count < n:
+        top = bits * count  # in-sums stay below 2^top
+        weight = [1 << (top - bits * (c + 1)) for c in colors]
+        key = [0] * n
+        for v in range(n):
+            for w in out_adj[v]:
+                key[v] += weight[w] << top
+                key[w] += weight[v]
+        sigs = [(colors[v], -key[v]) for v in range(n)]
         comp = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [comp[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+        if len(comp) == count:
+            break
+        colors = [comp[s] for s in sigs]
+        count = len(comp)
+    return colors
 
 
 @lru_cache(maxsize=1024)  # bounded: enumeration meets almost every mutant once
 def _canonical_data(n, arrows):
     """Minimal adjacency encoding over color-respecting permutations.
 
-    Returns the canonical arrow tuple. The encoding appended at depth k is
-    the adjacency border between the new vertex and all previously placed
-    ones, so lexicographic minimization can prune branch-by-branch.
+    Returns (canonical arrow tuple, pos), where pos[v] is the 0-based new
+    label of old vertex v + 1.  The code appended at depth k is the border
+    between the new vertex and the k placed ones, two bits (w -> v, v -> w)
+    per placed w in placement order, so lexicographic minimization prunes
+    branch by branch.  Each vertex carries its border as an int, with placed
+    vertex j at bits 2(n-1-j) and 2(n-1-j)+1, so borders and prefixes compare
+    as ints in the order of the bit tuples.
     """
-    colors = _refined_colors(n, arrows)
-    slot_color = sorted(colors)
-    arrow_set = frozenset((s - 1, t - 1) for s, t in arrows)
+    out_adj = [[] for _ in range(n)]
+    in_adj = [[] for _ in range(n)]
+    for s, t in arrows:
+        out_adj[s - 1].append(t - 1)
+        in_adj[t - 1].append(s - 1)
+    colors = _refined_colors(n, out_adj, in_adj)
+    if len(set(colors)) == n:
+        pos = colors  # discrete: the one color-respecting order
+    else:
+        pos = _lowest_border_order(n, colors, out_adj, in_adj)
+    return tuple(sorted((pos[s - 1] + 1, pos[t - 1] + 1) for s, t in arrows)), tuple(pos)
+
+
+def _lowest_border_order(n, colors, out_adj, in_adj):
+    """The new label of each vertex on the first leaf with the least code.
+
+    Slot k takes a vertex of the k-th smallest color; at each depth only the
+    candidates of least border are tried, in vertex order, and a node whose
+    prefix exceeds the best leaf's prefix at that depth is cut."""
     by_color = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-
-    best_code = None
-    best_perm = None
-    assigned = []
+    slot_cell = [by_color[c] for c in sorted(colors)]
+    border = [0] * n
     used = [False] * n
+    assigned = []
+    prefix = [0] * (n + 1)  # prefix[k]: code of the current path's first k slots
+    best = None  # prefix codes of the best leaf, by depth
+    best_perm = None
 
-    def border(v):
-        chunk = []
-        for w in assigned:
-            chunk.append(1 if (w, v) in arrow_set else 0)
-            chunk.append(1 if (v, w) in arrow_set else 0)
-        return tuple(chunk)
-
-    def dfs(k, prefix):
-        nonlocal best_code, best_perm
+    def dfs(k):
+        nonlocal best, best_perm
         if k == n:
-            if best_code is None or prefix < best_code:
-                best_code = list(prefix)
+            if best is None or prefix[n] < best[n]:
+                best = prefix.copy()
                 best_perm = assigned.copy()
             return
-        cands = [v for v in by_color[slot_color[k]] if not used[v]]
-        scored = sorted((border(v), v) for v in cands)
-        low = scored[0][0]
-        for chunk, v in scored:
-            if chunk != low:
-                break
-            ext = prefix + list(chunk)
-            if best_code is not None and ext > best_code[: len(ext)]:
+        cands = [v for v in slot_cell[k] if not used[v]]
+        low = min([border[v] for v in cands])
+        ext = (prefix[k] << 2 * k) | (low >> 2 * (n - k))
+        if best is not None and ext > best[k + 1]:
+            return
+        prefix[k + 1] = ext
+        high = 2 << 2 * (n - 1 - k)  # v -> w sets the high bit of w's pair for v
+        for v in cands:
+            if border[v] != low:
                 continue
             assigned.append(v)
             used[v] = True
-            dfs(k + 1, ext)
+            for w in out_adj[v]:
+                border[w] += high
+            for w in in_adj[v]:
+                border[w] += high >> 1  # w -> v: the low bit
+            dfs(k + 1)
+            for w in out_adj[v]:
+                border[w] -= high
+            for w in in_adj[v]:
+                border[w] -= high >> 1
             assigned.pop()
             used[v] = False
 
-    dfs(0, [])
+    dfs(0)
     pos = [0] * n
     for k, v in enumerate(best_perm):
         pos[v] = k
-    return tuple(sorted((pos[s - 1] + 1, pos[t - 1] + 1) for s, t in arrows))
+    return pos
 
 
 def _encode(q: Quiver) -> bytes:
@@ -248,27 +290,34 @@ def canonical_form(q: Quiver) -> bytes:
 
 def canonical_representative(q: Quiver) -> Quiver:
     """The canonically relabeled quiver of q's isomorphism class."""
-    return Quiver(q.vertex_count, _canonical_data(q.vertex_count, tuple(sorted(q.arrows))))
+    return Quiver(q.vertex_count, _canonical_data(q.vertex_count, tuple(sorted(q.arrows)))[0])
 
 
 def enumerate_class(seed: Quiver, cap: int = DEFAULT_CLASS_CAP):
     """All quivers in the mutation class of seed, one canonical representative
-    per isomorphism class, sorted by canonical form."""
+    per isomorphism class, sorted by canonical form.
+
+    A new member is never mutated at the vertex it was reached by: mutation
+    is an involution, so that gives back its parent, already found."""
     validate(seed)
+    n = seed.vertex_count
     start = canonical_representative(seed)
     found = {_encode(start): start}
-    frontier = [start]
+    frontier = [(start, 0)]
     while frontier:
         nxt = []
-        for rep in frontier:
-            for k in range(1, rep.vertex_count + 1):
-                m = canonical_representative(mutate(rep, k))
+        for rep, back in frontier:
+            for k in range(1, n + 1):
+                if k == back:
+                    continue
+                arrows, pos = _canonical_data(n, mutate(rep, k).arrows)  # mutate sorts the arrows
+                m = Quiver(n, arrows)
                 key = _encode(m)  # m is canonical: its encoding is its canonical form
                 if key not in found:
                     if len(found) >= cap:
                         raise CapExceededError(cap)
                     found[key] = m
-                    nxt.append(m)
+                    nxt.append((m, pos[k - 1] + 1))
         frontier = nxt
     return [found[k] for k in sorted(found)]
 
@@ -368,10 +417,9 @@ def detect_dynkin(q: Quiver):
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for k, (s, t) in enumerate(q.arrows):
         a[s - 1][t - 1] = a[t - 1][s - 1] = 1 if k in plus else -1
-    minors = [det_int([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
-    if min(minors) <= 0:
-        raise NotDynkinError(f"{q} is not of finite type: quasi-Cartan companion not positive definite")
-    det = minors[-1]
+    for det in leading_minors(a):
+        if det <= 0:
+            raise NotDynkinError(f"{q} is not of finite type: quasi-Cartan companion not positive definite")
     if det == n + 1:
         return ("A", n)
     if det == 4:

@@ -8,11 +8,12 @@ import pytest
 
 from cthh.algebra import _complete, _reduce, build_algebra
 from cthh.classify import _E_TABLE
-from cthh.errors import MultipleArrowError
+from cthh.errors import MultipleArrowError, NotDynkinError
 from cthh.fields import FieldSpec
-from cthh.linalg import Echelon, kernel_from_rref, rref
+from cthh.linalg import Echelon, det_int, kernel_from_rref, rref, rref_mod
 from cthh.oracle import BimoduleResolution
-from cthh.quiver import Cycle, Quiver, dynkin_seed, enumerate_class
+from cthh.quiver import (Cycle, Quiver, _encode, chordless_cycles, dynkin_seed, enumerate_class, mutate,
+                         validate)
 from cthh.relations import generate_relations
 
 
@@ -118,6 +119,136 @@ def mutate_by_exchange_matrix(q: Quiver, k: int) -> Quiver:
             if v == 1:
                 arrows.append((i + 1, j + 1))
     return Quiver(n, tuple(sorted(arrows)))
+
+
+def _refined_colors_reference(n, arrows):
+    out_adj = [[] for _ in range(n)]
+    in_adj = [[] for _ in range(n)]
+    for s, t in arrows:
+        out_adj[s - 1].append(t - 1)
+        in_adj[t - 1].append(s - 1)
+    colors = [(len(out_adj[v]), len(in_adj[v])) for v in range(n)]
+    comp = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = [comp[c] for c in colors]
+    while True:
+        sigs = [
+            (
+                colors[v],
+                tuple(sorted(colors[w] for w in out_adj[v])),
+                tuple(sorted(colors[w] for w in in_adj[v])),
+            )
+            for v in range(n)
+        ]
+        comp = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [comp[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+@lru_cache(maxsize=None)
+def canonical_data_reference(n, arrows):
+    """Reference for quiver._canonical_data's arrows: refinement run to its
+    fixed point, and borders as bit tuples rebuilt from an arrow set at every
+    node of the lowest-border search."""
+    colors = _refined_colors_reference(n, arrows)
+    slot_color = sorted(colors)
+    arrow_set = frozenset((s - 1, t - 1) for s, t in arrows)
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+
+    best_code = None
+    best_perm = None
+    assigned = []
+    used = [False] * n
+
+    def border(v):
+        chunk = []
+        for w in assigned:
+            chunk.append(1 if (w, v) in arrow_set else 0)
+            chunk.append(1 if (v, w) in arrow_set else 0)
+        return tuple(chunk)
+
+    def dfs(k, prefix):
+        nonlocal best_code, best_perm
+        if k == n:
+            if best_code is None or prefix < best_code:
+                best_code = list(prefix)
+                best_perm = assigned.copy()
+            return
+        cands = [v for v in by_color[slot_color[k]] if not used[v]]
+        scored = sorted((border(v), v) for v in cands)
+        low = scored[0][0]
+        for chunk, v in scored:
+            if chunk != low:
+                break
+            ext = prefix + list(chunk)
+            if best_code is not None and ext > best_code[: len(ext)]:
+                continue
+            assigned.append(v)
+            used[v] = True
+            dfs(k + 1, ext)
+            assigned.pop()
+            used[v] = False
+
+    dfs(0, [])
+    pos = [0] * n
+    for k, v in enumerate(best_perm):
+        pos[v] = k
+    return tuple(sorted((pos[s - 1] + 1, pos[t - 1] + 1) for s, t in arrows))
+
+
+def enumerate_class_reference(seed: Quiver):
+    """Reference for enumerate_class: breadth-first search that mutates every
+    member at every vertex, labelled by canonical_data_reference."""
+    validate(seed)
+    n = seed.vertex_count
+    start = Quiver(n, canonical_data_reference(n, tuple(sorted(seed.arrows))))
+    found = {_encode(start): start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for rep in frontier:
+            for k in range(1, n + 1):
+                m = Quiver(n, canonical_data_reference(n, mutate(rep, k).arrows))
+                key = _encode(m)
+                if key not in found:
+                    found[key] = m
+                    nxt.append(m)
+        frontier = nxt
+    return [found[k] for k in sorted(found)]
+
+
+def detect_dynkin_reference(q: Quiver):
+    """Reference for detect_dynkin: each leading principal minor of the
+    quasi-Cartan companion is its own det_int call."""
+    validate(q)
+    cycles = chordless_cycles(q)
+    if not all(c.oriented for c in cycles):
+        raise NotDynkinError(f"{q} has a chordless cycle that is not oriented")
+    m = len(q.arrows)
+    cycle_arrows = [set(c.arrow_list()) for c in cycles]
+    rows = [[int(a in arrows) for a in q.arrows] + [1] for arrows in cycle_arrows]
+    rank, pivots = rref_mod(rows, m + 1, 2)
+    if m in pivots:
+        raise NotDynkinError(f"{q} has no admissible quasi-Cartan companion")
+    plus = {pivots[r] for r in range(rank) if rows[r][m]}
+    n = q.vertex_count
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k, (s, t) in enumerate(q.arrows):
+        a[s - 1][t - 1] = a[t - 1][s - 1] = 1 if k in plus else -1
+    minors = [det_int([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
+    if min(minors) <= 0:
+        raise NotDynkinError(f"{q} is not of finite type: quasi-Cartan companion not positive definite")
+    det = minors[-1]
+    if det == n + 1:
+        return ("A", n)
+    if det == 4:
+        return ("D", n)
+    if (n, det) in ((6, 3), (7, 2), (8, 1)):
+        return ("E", n)
+    raise NotDynkinError(f"{q}: no Dynkin diagram of rank {n} has Cartan determinant {det}")
 
 
 def det_cofactor(rows) -> int:

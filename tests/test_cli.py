@@ -98,6 +98,16 @@ def test_cli_validate_many_isolated_vertices_is_fast(tmp_path, capsys):
     assert "DisconnectedError" in capsys.readouterr().err
 
 
+def test_cli_validate_huge_vertex_count_is_fast(tmp_path, capsys):
+    # the connectivity search starts from the arrows, not from one set per
+    # declared vertex
+    path = write(tmp_path, "q.json", '{"vertices": 1000000000000, "arrows": [[1, 2]]}')
+    start = time.perf_counter()
+    assert main(["validate", path]) == 2
+    assert time.perf_counter() - start < 1
+    assert "(2 of 1000000000000 vertices reachable)" in capsys.readouterr().err
+
+
 def test_cli_missing_file_exit_2(capsys):
     assert main(["validate", "/nonexistent/q.json"]) == 2
 
@@ -275,6 +285,15 @@ def test_cli_out_of_range_input_exit_2(tmp_path, capsys, argv):
     path = write(tmp_path, "q.json", TRIANGLE)
     assert main([a.format(q=path) for a in argv]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_cli_verify_repeated_characteristic_exit_2(capsys):
+    assert main(["verify", "--seed", "A3", "--chars", "2,2", "--max-i", "2", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--chars names characteristic 2 twice: '2,2'" in captured.err
+    assert main(["verify", "--seed", "A3", "--chars", "0,3,00", "--max-i", "2"]) == 2
+    assert "--chars names characteristic 0 twice" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_2(capsys):

@@ -16,6 +16,7 @@ from cthh.linalg import (
     det_int,
     format_poly,
     kernel_from_rref,
+    leading_minors,
     pencil_det,
     rref,
     rref_frac,
@@ -148,6 +149,23 @@ def test_det_int_bareiss_growth_exact():
     for _ in range(10):
         m = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
         assert det_int(m) == det_cofactor(m)
+
+
+def test_leading_minors_match_det_int_per_k():
+    # every k-th pivot of the one elimination is det_int of the k x k corner;
+    # a zero minor ends the sequence
+    rng = random.Random(1404)
+    truncated = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        want = [det_int([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+        if 0 in want:
+            want = want[:want.index(0) + 1]
+            truncated += len(want) < n
+        assert list(leading_minors(m)) == want, m
+    assert truncated >= 30
+    assert list(leading_minors([])) == []
 
 
 def test_pencil_det_identity_pair():

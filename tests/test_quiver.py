@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from conftest import (chordless_cycles_bruteforce, mutate_by_exchange_matrix, mutation_class,
-                      relabel)
+from conftest import (canonical_data_reference, chordless_cycles_bruteforce, detect_dynkin_reference,
+                      enumerate_class_reference, mutate_by_exchange_matrix, mutation_class, relabel)
 from cthh.errors import (
     CapExceededError,
     DisconnectedError,
@@ -194,21 +194,64 @@ def test_enumerate_seed_independence(classes):
 
 def test_enumerate_labels_each_mutant_once(classes):
     # one labelling search per seed and per mutant: the key of a new member
-    # is read off its canonical arrows, not searched for again
+    # is read off its canonical arrows, not searched for again, and no
+    # member but the seed is mutated at the vertex it was reached by
     for (fam, rank), cls in classes.items():
         if len(cls) > 100:
             continue
         _canonical_data.cache_clear()
         again = enumerate_class(dynkin_seed(fam, rank))
         info = _canonical_data.cache_info()
-        assert info.hits + info.misses == 1 + rank * len(cls), (fam, rank)
+        assert info.hits + info.misses == 1 + rank * len(cls) - (len(cls) - 1), (fam, rank)
         forms = [canonical_form(q) for q in again]
         assert forms == sorted(set(forms)) and len(again) == len(cls)
         assert all(canonical_representative(q) == q for q in again)
 
 
+REFERENCE_CLASSES = [*(("A", r) for r in range(2, 9)), *(("D", r) for r in range(4, 9)), ("E", 6), ("E", 7)]
+
+
+def shuffled(q, rng):
+    n = q.vertex_count
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return relabel(q, dict(zip(range(1, n + 1), perm)))
+
+
+def assert_canonical_data_matches_reference(q, rng):
+    # the reference's arrows on q, and the same arrows on a random relabeling
+    # of q; relabeling by pos gives the arrows
+    n = q.vertex_count
+    want = canonical_data_reference(n, q.arrows)
+    for p in (q, shuffled(q, rng)):
+        arrows, pos = _canonical_data(n, p.arrows)
+        assert arrows == want, p
+        assert relabel(p, {v: pos[v - 1] + 1 for v in range(1, n + 1)}).arrows == arrows, p
+
+
+@pytest.mark.parametrize("family, rank", REFERENCE_CLASSES)
+def test_canonical_data_matches_reference_on_members_and_mutants(family, rank):
+    rng = random.Random(f"{family}{rank}")
+    for q in mutation_class(family, rank):
+        assert_canonical_data_matches_reference(q, rng)
+        for k in range(1, rank + 1):
+            assert_canonical_data_matches_reference(mutate(q, k), rng)
+
+
+def test_canonical_data_matches_reference_on_random_quivers():
+    rng = random.Random(2014)
+    for q in random_quivers(random.Random(1309), 250):
+        assert_canonical_data_matches_reference(q, rng)
+
+
+@pytest.mark.parametrize("family, rank", REFERENCE_CLASSES)
+def test_enumerate_class_matches_reference(family, rank):
+    assert list(mutation_class(family, rank)) == enumerate_class_reference(dynkin_seed(family, rank))
+
+
 KNOWN_CLASS_SIZES = {
     ("A", 2): 1, ("A", 3): 4, ("A", 4): 6, ("A", 5): 19, ("A", 6): 49, ("A", 7): 150, ("A", 8): 442,
+    ("A", 9): 1424,
     ("D", 4): 6, ("D", 5): 26, ("D", 6): 80, ("D", 7): 246, ("D", 8): 810, ("D", 9): 2704,
     ("E", 6): 67, ("E", 7): 416, ("E", 8): 1574,
 }
@@ -314,6 +357,44 @@ def test_detect_dynkin_star_rejected():
 def test_detect_dynkin_every_class_member(family, rank):
     for q in mutation_class(family, rank):
         assert detect_dynkin(q) == (family, rank), q
+
+
+def dynkin_outcome(fn, q):
+    try:
+        return fn(q)
+    except NotDynkinError as e:
+        return str(e)
+
+
+def random_mutated_trees(rng, count, max_vertices=10):
+    """Randomly oriented trees, each mutated at a few random vertices while
+    the arrows stay simple; many are affine or wild, so their quasi-Cartan
+    companions have a zero or negative leading minor."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, max_vertices)
+        edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+        q = Quiver.make(n, [(s, t) if rng.random() < 0.5 else (t, s) for s, t in edges])
+        for _ in range(rng.randint(0, 4)):
+            try:
+                q = mutate(q, rng.randint(1, n))
+            except MultipleArrowError:
+                break
+        out.append(q)
+    return out
+
+
+def test_detect_dynkin_matches_per_minor_reference_on_random_quivers():
+    # on class members both give the class's type, which
+    # test_detect_dynkin_every_class_member checks; here the error messages
+    # are compared too
+    outcomes = []
+    for q in random_quivers(random.Random(1309), 250) + random_mutated_trees(random.Random(1989), 250):
+        got = dynkin_outcome(detect_dynkin, q)
+        assert got == dynkin_outcome(detect_dynkin_reference, q), q
+        outcomes.append(got)
+    assert sum("not positive definite" in str(o) for o in outcomes) >= 50
+    assert sum(isinstance(o, tuple) for o in outcomes) >= 50
 
 
 @pytest.mark.parametrize("n, arrows", [
