@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
-Each class names the violated invariant or failure mode; the CLI maps
-CthhError subclasses to exit code 2 (input/usage) or 1 (verification).
+Each class names the violated invariant or failure mode.  The CLI exits 2
+on every CthhError it catches; it exits 1 only for a verify report that
+fails, where each quiver whose check raised is a FAIL record.
 """
 
 

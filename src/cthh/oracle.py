@@ -202,7 +202,8 @@ class BimoduleResolution:
         self._states = {}        # (gens[n-1], gens[n]) -> levels n with that pair
 
     def _append(self, lvl):
-        """Append a level; the budget counts every level, shared ones included."""
+        """Append a level built here; the budget counts built levels only, so a
+        shared level past the period (extend_to) is free."""
         self.total_dim += lvl.dim
         if self.total_dim > DEFAULT_BUDGET:
             raise ResolutionBudgetError(self.total_dim, DEFAULT_BUDGET)
@@ -371,7 +372,7 @@ class BimoduleResolution:
             else:
                 # kept per level, so that extend_once also works on top of shared levels
                 self.kernel_dims.append(self.kernel_dims[self.distinct_index(n - 1)])
-                self._append(self.levels[self.distinct_index(n)])
+                self.levels.append(self.levels[self.distinct_index(n)])
 
     def _find_period(self, n):
         """Record (j, n - j) if level n's state repeats level j's, and share level j."""

@@ -8,13 +8,14 @@ import pytest
 
 from cthh.algebra import _complete, _reduce, build_algebra
 from cthh.classify import _E_TABLE
-from cthh.errors import MultipleArrowError, NotDynkinError
+from cthh.errors import MultipleArrowError, NotDynkinError, UnclassifiedDError
 from cthh.fields import FieldSpec
 from cthh.linalg import Echelon, det_int, kernel_from_rref, rref, rref_mod
 from cthh.oracle import BimoduleResolution
-from cthh.quiver import (Cycle, Quiver, _encode, chordless_cycles, dynkin_seed, enumerate_class, mutate,
-                         validate)
+from cthh.quiver import (Cycle, Quiver, _encode, chordless_cycles, components, dynkin_seed, enumerate_class,
+                         mutate, neighbours, validate)
 from cthh.relations import generate_relations
+from cthh.series import HSeries
 
 
 @lru_cache(maxsize=None)
@@ -305,6 +306,124 @@ def chordless_cycles_bruteforce(q: Quiver):
                 walk = [walk[0]] + walk[1:][::-1]
             cycles.append(Cycle(tuple(walk), oriented_fwd or oriented_bwd))
     return cycles
+
+
+def _arm_components_reference(q: Quiver, core_vertices):
+    """Connected components of the quiver minus the core, with the triangles
+    counted inside each component plus its attachment vertices."""
+    outside = [v for v in range(1, q.vertex_count + 1) if v not in core_vertices]
+    comps = components(neighbours(q), outside)
+    triangles = [c for c in chordless_cycles(q) if c.oriented and c.length == 3]
+    out = []
+    for comp in comps:
+        tcount = sum(1 for c in triangles if set(c.vertices) - core_vertices <= comp and set(c.vertices) & comp)
+        out.append((len(comp), tcount))
+    return out
+
+
+def _series_reference(subtype, params):
+    if subtype == "I":
+        _, t = params
+        return HSeries.of(*([3] * t))
+    if subtype == "II":
+        _, t1, _, t2 = params
+        return HSeries.of(*([3] * (1 + t1 + t2)))
+    if subtype == "III":
+        _, t1, _, t2 = params
+        return HSeries.of(4, *([3] * (t1 + t2)))
+    if subtype == "IVa":
+        (n,) = params
+        return HSeries.of(n)
+    # IVb: (d_j, s_j, t_j) per spike, d_j the cyclic arrow-gap to the next spike
+    n = sum(d for d, _, _ in params) + sum(1 for d, _, _ in params if d == 1)
+    t = sum(tj for _, _, tj in params)
+    return HSeries.of(n, *([3] * t))
+
+
+def _fork_pair_reference(q: Quiver):
+    adj = neighbours(q)
+    pendants = [v for v in adj if len(adj[v]) == 1]
+    for i in range(len(pendants)):
+        for j in range(i + 1, len(pendants)):
+            if adj[pendants[i]] == adj[pendants[j]]:
+                return pendants[i], pendants[j]
+    return None
+
+
+def classify_D_reference(q: Quiver):
+    """The type-D pattern match by arm sizes: (subtype, series), from a fork
+    with its attached part, a glued-triangle or 4-cycle core with two arms
+    (s1, t1, s2, t2), a plain n-cycle, or a central cycle with triangle
+    spikes and per-spike (gap, arm size, arm triangles) triples."""
+    cycles = [c for c in chordless_cycles(q) if c.oriented]
+    triangles = [c for c in cycles if c.length == 3]
+    arrow_sets = [set(c.arrow_list()) for c in cycles]
+    shares = {}
+    for i in range(len(cycles)):
+        for j in range(i + 1, len(cycles)):
+            common = len(arrow_sets[i] & arrow_sets[j])
+            if common:
+                shares[(i, j)] = common
+
+    if _fork_pair_reference(q) is not None:
+        if shares or any(c.length > 3 for c in cycles):
+            raise UnclassifiedDError(f"fork together with non-free cycles in {q}")
+        return "I", _series_reference("I", (q.vertex_count - 2, len(triangles)))
+    if not cycles:
+        raise UnclassifiedDError(f"no fork and no oriented cycle in {q}")
+    if len(cycles) == 1 and len(q.arrows) == q.vertex_count and cycles[0].length == q.vertex_count:
+        return "IVa", _series_reference("IVa", (q.vertex_count,))
+    if any(v >= 2 for v in shares.values()):
+        raise UnclassifiedDError(f"cycles sharing more than one arrow in {q}")
+
+    long_cycles = [i for i, c in enumerate(cycles) if c.length >= 4]
+    if shares:
+        candidates = set.intersection(*(set(pair) for pair in shares))
+        candidates = {i for i in candidates if all(i in pair for pair in shares)}
+        if long_cycles:
+            candidates &= set(long_cycles)
+        if not candidates:
+            raise UnclassifiedDError(f"no star center among glued cycles in {q}")
+        central = min(candidates)
+    else:
+        if len(long_cycles) != 1:
+            raise UnclassifiedDError(f"no glued cycles and no unique long cycle in {q}")
+        central = long_cycles[0]
+
+    spikes = sorted({i for pair in shares for i in pair} - {central})
+    if any(cycles[i].length != 3 for i in spikes):
+        raise UnclassifiedDError(f"non-triangle spike in {q}")
+    m = cycles[central].length
+    central_arrows = cycles[central].arrow_list()
+    positions = sorted(central_arrows.index(next(iter(arrow_sets[central] & arrow_sets[i])))
+                       for i in spikes)
+    core_vertices = set(cycles[central].vertices)
+    for i in spikes:
+        core_vertices |= set(cycles[i].vertices)
+    arm_triangle_ids = [i for i in range(len(cycles)) if i != central and i not in spikes]
+    if any(cycles[i].length != 3 for i in arm_triangle_ids):
+        raise UnclassifiedDError(f"stray long cycle outside the core in {q}")
+    arms = _arm_components_reference(q, core_vertices)
+    if sum(t for _, t in arms) != len(arm_triangle_ids):
+        raise UnclassifiedDError(f"could not attribute arm triangles in {q}")
+
+    k = len(positions)
+    if k == 0 or (m == 3 and k == 1):
+        if k == 0 and m != 4:
+            raise UnclassifiedDError(f"bare central {m}-cycle with arms in {q}")
+        subtype = "III" if k == 0 else "II"
+        (s1, t1), (s2, t2) = (sorted(arms, reverse=True) + [(0, 0), (0, 0)])[:2]
+        return subtype, _series_reference(subtype, (s1, t1, s2, t2))
+
+    gaps = [(positions[(idx + 1) % k] - p) % m if k > 1 else m for idx, p in enumerate(positions)]
+    arms_sorted = sorted(arms, reverse=True)
+    triples = [(d, *(arms_sorted[idx] if idx < len(arms_sorted) else (0, 0)))
+               for idx, d in enumerate(gaps)]
+    leftover = sum(t for _, t in arms_sorted[len(gaps):])
+    if leftover:
+        d0, s0, t0 = triples[0]
+        triples[0] = (d0, s0, t0 + leftover)
+    return "IVb", _series_reference("IVb", tuple(triples))
 
 
 class FullSpanResolution(BimoduleResolution):

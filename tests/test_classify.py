@@ -1,12 +1,14 @@
 """Closed-form classification: type A counts, type D patterns, the E table,
 and the universal (HH^1, det C) route."""
 
+import json
+from collections import Counter
 from importlib import resources
 
 import pytest
 
 import cthh.classify
-from conftest import E_TABLE_ROWS, cached_algebra
+from conftest import E_TABLE_ROWS, cached_algebra, classify_D_reference, mutation_class
 from cthh.algebra import CartanData, cartan
 from cthh.classify import (
     DTypeParams,
@@ -15,10 +17,13 @@ from cthh.classify import (
     hh_type_A,
     lookup_E,
 )
+from cthh.cli import main as cli_main
 from cthh.errors import NotInTableError, UnclassifiedDError
+from cthh.fields import QQ
 from cthh.oracle import hh1_dim
-from cthh.quiver import Quiver, detect_dynkin, dynkin_seed
+from cthh.quiver import Quiver, canonical_form, detect_dynkin, dynkin_seed
 from cthh.series import HSeries, parse_h, series_from_invariants
+from cthh.verify import verify_suite
 
 
 def oriented_cycle(n):
@@ -57,16 +62,37 @@ def test_classify_d_hereditary_fork():
     q = Quiver.make(5, [(1, 3), (2, 3), (3, 4), (4, 5)])
     params = classify_D(q)
     assert params.subtype == "I"
-    assert params.params[1] == 0
+    assert params.t == 0
     assert params.series() == HSeries.of()
 
 
 def test_type_d_formulas():
-    assert DTypeParams("IVa", (5,)).series() == HSeries.of(5)
-    assert DTypeParams("III", (2, 1, 1, 0)).series() == HSeries.of(4, 3)
-    assert DTypeParams("II", (3, 2, 2, 1)).series() == HSeries.of(3, 3, 3, 3)
-    assert DTypeParams("I", (4, 2)).series() == HSeries.of(3, 3)
-    assert DTypeParams("IVb", ((1, 0, 0), (1, 2, 1), (1, 0, 0))).series() == HSeries.of(6, 3)
+    assert DTypeParams("IVa", 5, 0).series() == HSeries.of(5)
+    assert DTypeParams("III", 4, 1).series() == HSeries.of(4, 3)
+    assert DTypeParams("II", 3, 3).series() == HSeries.of(3, 3, 3, 3)
+    assert DTypeParams("I", 0, 2).series() == HSeries.of(3, 3)
+    assert DTypeParams("IVb", 6, 1).series() == HSeries.of(6, 3)
+
+
+# Vatne's types I/II/III/IVa/IVb over each class
+D_SUBTYPE_COUNTS = {
+    4: (4, 1, 0, 1, 0),
+    5: (15, 6, 2, 1, 2),
+    6: (42, 19, 8, 1, 10),
+    7: (126, 62, 24, 1, 33),
+    8: (396, 207, 85, 1, 121),
+    9: (1287, 704, 286, 1, 426),
+}
+
+
+@pytest.mark.parametrize("rank", sorted(D_SUBTYPE_COUNTS))
+def test_classify_d_matches_arm_size_reference(rank):
+    counts = Counter()
+    for q in mutation_class("D", rank):
+        params = classify_D(q)
+        assert (params.subtype, params.series()) == classify_D_reference(q), q
+        counts[params.subtype] += 1
+    assert tuple(counts[s] for s in ("I", "II", "III", "IVa", "IVb")) == D_SUBTYPE_COUNTS[rank]
 
 
 def test_classify_d_everything_in_small_classes(classes):
@@ -144,14 +170,30 @@ def test_closed_form_e6_f5_row(classes):
         pytest.fail("no E6 quiver with the f_5 polynomial found")
 
 
-def test_closed_form_unmatched_type_d_takes_the_universal_route(monkeypatch):
+def test_closed_form_unmatched_type_d_raises(monkeypatch, tmp_path, capsys):
+    # classify_D fails on the oriented n-cycle alone
+    real = cthh.classify.classify_D
+
     def no_pattern(q):
-        raise UnclassifiedDError("no pattern")
+        if canonical_form(q) == canonical_form(oriented_cycle(q.vertex_count)):
+            raise UnclassifiedDError("no pattern")
+        return real(q)
 
     monkeypatch.setattr(cthh.classify, "classify_D", no_pattern)
     q = oriented_cycle(6)
     a = cached_algebra(q, 0)
-    assert hh_closed_form(q, "D", hh1_dim(a), cartan(a)) == (HSeries.of(6), "unclassified")
+    with pytest.raises(UnclassifiedDError, match="no pattern"):
+        hh_closed_form(q, "D", hh1_dim(a), cartan(a))
+
+    path = tmp_path / "cycle6.json"
+    path.write_text(json.dumps({"vertices": 6, "arrows": [list(arrow) for arrow in q.arrows]}))
+    assert cli_main(["hh", str(path)]) == 2
+    assert "UnclassifiedDError" in capsys.readouterr().err
+
+    report = verify_suite("D", 4, [QQ], 4, jobs=1)
+    failed = [r for r in report.records if not r.passed]
+    assert len(report.records) == 6 and len(failed) == 1
+    assert failed[0].messages[0].startswith("UnclassifiedDError:")
 
 
 def test_closed_form_type_d_pattern_against_universal_raises():

@@ -184,6 +184,20 @@ def test_cli_hh_typed_matches_universal_on_types_d_and_e(tmp_path, capsys, doc, 
         assert json.loads(capsys.readouterr().out) == expected, method
 
 
+# a D8 quiver (h = f_8) whose resolution over QQ repeats with period (1, 16)
+D8_PERIOD_16 = [[1, 8], [8, 4], [4, 5], [5, 3], [3, 6], [6, 2], [2, 7], [7, 1],
+                [5, 8], [6, 5], [7, 6], [8, 7]]
+
+
+def test_cli_hh_oracle_a_thousand_degrees_costs_one_period(tmp_path, capsys):
+    # shared levels past the period are not charged to the resolution budget
+    path = write(tmp_path, "q.json", json.dumps({"vertices": 8, "arrows": D8_PERIOD_16}))
+    assert main(["hh-oracle", path, "--char", "0", "--max-i", "1000", "--json"]) == 0
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    assert dims == [hh_dim(HSeries.of(8), i, QQ) for i in range(1001)]
+    assert dims[1:985] == dims[17:]
+
+
 def test_cli_hh_outside_finite_type_exit_2(tmp_path, capsys):
     # affine A~3: a chordless 4-cycle that is not oriented
     path = write(tmp_path, "q.json", '{"vertices":4,"arrows":[[1,2],[2,3],[3,4],[1,4]]}')

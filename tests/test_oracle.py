@@ -214,12 +214,14 @@ def test_periodic_resolution_matches_plain_steps(name, q, char):
     assert len(res.levels) == length + 1
     assert [(lvl.gens, lvl.images) for lvl in res.levels] == \
         [(lvl.gens, lvl.images) for lvl in plain.levels]
-    assert res.total_dim == plain.total_dim
+    j, d = res.period  # every resolution of the sample repeats within 12 levels
+    # the budget counts the levels extend_once built, level j + d among them
+    assert res.total_dim == sum(lvl.dim for lvl in res.levels[:j + d + 1])
+    assert plain.total_dim == sum(lvl.dim for lvl in plain.levels)
     res.extend_once()  # a plain step on top of shared levels
     plain.extend_once()
     assert (res.levels[-1].gens, res.levels[-1].images) == \
         (plain.levels[-1].gens, plain.levels[-1].images)
-    j, d = res.period  # every resolution of the sample repeats within 12 levels
     assert 1 <= j and 1 <= d and j + d <= length
     for n in range(j, length + 1):
         assert res.levels[n] is res.levels[j + (n - j) % d]
@@ -371,22 +373,19 @@ def test_generators_count_ext_between_simples(name, q, char):
             assert got == ext[n], (v, n)
 
 
-def test_resolution_budget_counts_shared_levels(monkeypatch):
+def test_resolution_budget_skips_shared_levels(monkeypatch):
     a = cached_algebra(oriented_cycle(3), 2)
     length = 12
     res = BimoduleResolution(a)
     res.extend_to(length)
     j, d = res.period
     built = sum(lvl.dim for lvl in res.levels[:j + d + 1])  # level j + d was built, then shared
-    assert built < res.total_dim == sum(lvl.dim for lvl in res.levels)
+    assert j + d < length and res.total_dim == built < sum(lvl.dim for lvl in res.levels)
     monkeypatch.setattr(cthh.oracle, "DEFAULT_BUDGET", built)
-    short = BimoduleResolution(a)
-    short.extend_to(j + d)
-    assert short.period == (j, d)
+    BimoduleResolution(a).extend_to(length)
+    monkeypatch.setattr(cthh.oracle, "DEFAULT_BUDGET", built - 1)
     with pytest.raises(ResolutionBudgetError):
         BimoduleResolution(a).extend_to(length)
-    monkeypatch.setattr(cthh.oracle, "DEFAULT_BUDGET", res.total_dim)
-    BimoduleResolution(a).extend_to(length)
 
 
 def test_dims_invariant_under_relabeling():

@@ -1,6 +1,8 @@
 """Quiver invariants, mutation, canonical forms, cycles, Dynkin detection."""
 
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -260,6 +262,29 @@ KNOWN_CLASS_SIZES = {
 def test_known_class_sizes():
     sizes = {key: len(mutation_class(*key)) for key in KNOWN_CLASS_SIZES}
     assert sizes == KNOWN_CLASS_SIZES
+
+
+def torkildsen_count(n):
+    """Quivers in the mutation class of A_n: triangulations of the N-gon up to
+    rotation, N = n + 3 (Torkildsen, Int. Electron. J. Algebra 4, 2008)."""
+    big = n + 3
+
+    def catalan(k):
+        return comb(2 * k, k) // (k + 1)
+
+    count = Fraction(catalan(big - 2), big)
+    if big % 2 == 0:
+        count += Fraction(catalan(big // 2 - 1), 2)
+    if big % 3 == 0:
+        count += Fraction(2 * catalan(big // 3 - 1), 3)
+    return count
+
+
+def test_type_a_class_sizes_match_torkildsen():
+    for n in range(2, 10):
+        assert torkildsen_count(n) == len(mutation_class("A", n)), n
+    # the A10 and A11 counts of the class-sizes job of long-tier.yml
+    assert [torkildsen_count(n) for n in (10, 11)] == [4522, 14924]
 
 
 def test_chordless_cycles_tree_empty():
