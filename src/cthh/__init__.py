@@ -4,7 +4,7 @@ algebra oracle to verify every claim."""
 
 from .fields import QQ, GF2, GF3, GF5, GF7, FieldSpec
 from .quiver import Quiver, canonical_form, chordless_cycles, detect_dynkin, dynkin_seed, enumerate_class, mutate
-from .relations import RelationSet, generate_relations
+from .relations import generate_relations
 from .algebra import BoundAlgebra, CartanData, build_algebra, cartan
 from .series import HSeries, f_coeff, format_h, hh_dim, parse_h
 from .classify import classify_D, hh_closed_form, hh_type_A, lookup_E
@@ -17,7 +17,7 @@ __all__ = [
     "QQ", "GF2", "GF3", "GF5", "GF7", "FieldSpec",
     "Quiver", "canonical_form", "chordless_cycles", "detect_dynkin",
     "dynkin_seed", "enumerate_class", "mutate",
-    "RelationSet", "generate_relations",
+    "generate_relations",
     "BoundAlgebra", "CartanData", "build_algebra", "cartan",
     "HSeries", "f_coeff", "format_h", "hh_dim", "parse_h",
     "classify_D", "hh_closed_form", "hh_type_A", "lookup_E",

@@ -32,7 +32,6 @@ from .errors import InvalidRelationsError, NotFiniteDimensionalError, AlgebraErr
 from .fields import FieldSpec, QQ
 from .linalg import pencil_det
 from .quiver import Quiver, validate
-from .relations import RelationSet
 
 
 def _path_key(p):
@@ -78,7 +77,7 @@ def _overlaps(a, b, rules):
                         + [(a[:-m] + p, -c) for p, c in rules[b].items()])
 
 
-def _complete(rels: RelationSet, limit: int):
+def _complete(rels, limit: int):
     """Rewriting rules {tip: {path: int}} of the ideal generated by rels."""
     rules = {}
     pending = []  # heap of (key of the largest path, arrival, element): smallest first
@@ -123,8 +122,8 @@ class BoundAlgebra:
     field: FieldSpec
     basis: tuple
     mult: dict
-    src: tuple = dc_field(repr=False, default=())
-    tgt: tuple = dc_field(repr=False, default=())
+    src: tuple = dc_field(repr=False)
+    tgt: tuple = dc_field(repr=False)
 
     @property
     def dimension(self):
@@ -153,7 +152,7 @@ class BoundAlgebra:
         return replace(self, field=fieldspec, mult=mult)
 
 
-def _check_relations(q: Quiver, rels: RelationSet):
+def _check_relations(q: Quiver, rels):
     arrow_set = q.arrow_set
     for arrow, rel in rels:
         if arrow not in arrow_set:
@@ -164,7 +163,7 @@ def _check_relations(q: Quiver, rels: RelationSet):
                     raise InvalidRelationsError(f"relation path {p} uses missing arrow ({a},{b})")
 
 
-def build_algebra(q: Quiver, rels: RelationSet, fieldspec: FieldSpec = QQ) -> BoundAlgebra:
+def build_algebra(q: Quiver, rels, fieldspec: FieldSpec = QQ) -> BoundAlgebra:
     validate(q)
     _check_relations(q, rels)
     n = q.vertex_count

@@ -141,7 +141,7 @@ def _cmd_relations(args):
             ]
         }))
     else:
-        if not len(rels):
+        if not rels:
             print("no relations (hereditary)")
         for arrow, rel in rels:
             kind = "zero" if rel.is_zero_relation else "comm"
@@ -222,9 +222,12 @@ def _cmd_verify(args):
     elif args.sample in (None, "all"):
         sample = None
     else:
-        sample = int(args.sample)
+        try:
+            sample = int(args.sample)
+        except ValueError:
+            sample = 0  # not a number: rejected with the counts below 1
         if sample < 1:
-            raise InputSyntaxError(f"--sample must be at least 1 or 'all', got {sample}")
+            raise InputSyntaxError(f"--sample must be at least 1 or 'all', got {args.sample!r}")
     if args.jobs is not None and args.jobs < 1:
         raise InputSyntaxError(f"--jobs must be at least 1, got {args.jobs}")
     report = verify_suite(family, rank, fieldspecs, args.max_i,

@@ -100,9 +100,15 @@ def validate(q: Quiver) -> None:
         seen.add((s, t))
     adj = {}  # from the arrows only: the declared vertex count may be huge
     for s, t in q.arrows:
-        adj.setdefault(s, set()).add(t)
-        adj.setdefault(t, set()).add(s)
-    reached = components(adj, adj)[0] if 1 in adj else {1}
+        adj.setdefault(s, []).append(t)
+        adj.setdefault(t, []).append(s)
+    reached = {1}
+    stack = [1]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
     if len(reached) != n:
         raise DisconnectedError(f"underlying graph is disconnected ({len(reached)} of {n} vertices reachable)")
 
@@ -114,26 +120,6 @@ def neighbours(q: Quiver):
         adj[s].add(t)
         adj[t].add(s)
     return adj
-
-
-def components(adj, vertices):
-    """Connected components (sets) of the subgraph of adj induced on vertices,
-    each led by its least vertex and listed in that order."""
-    unseen = set(vertices)
-    comps = []
-    for start in sorted(unseen):
-        if start not in unseen:
-            continue
-        unseen.remove(start)
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()] & unseen:
-                unseen.remove(w)
-                comp.add(w)
-                stack.append(w)
-        comps.append(comp)
-    return comps
 
 
 def mutate(q: Quiver, k: int) -> Quiver:
@@ -198,7 +184,6 @@ def _refined_colors(n, out_adj, in_adj):
     return colors
 
 
-@lru_cache(maxsize=1024)  # bounded: enumeration meets almost every mutant once
 def _canonical_data(n, arrows):
     """Minimal adjacency encoding over color-respecting permutations.
 

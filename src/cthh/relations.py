@@ -75,20 +75,9 @@ class Relation:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """Relations indexed by the arrow that produced each."""
-
-    relations: tuple  # tuple of (arrow, Relation), sorted by arrow
-
-    def __len__(self):
-        return len(self.relations)
-
-    def __iter__(self):
-        return iter(self.relations)
-
-
-def generate_relations(q: Quiver) -> RelationSet:
+def generate_relations(q: Quiver) -> tuple:
+    """The relations as a tuple of (arrow, Relation), sorted by arrow: one per
+    arrow on a chordless oriented cycle."""
     validate(q)
     cycles = chordless_cycles(q)
     for c in cycles:
@@ -114,4 +103,4 @@ def generate_relations(q: Quiver) -> RelationSet:
             )
         terms = tuple((1, p) for p in sorted(paths, key=lambda p: (p.length, p.vertices)))
         out.append((arrow, Relation(terms)))
-    return RelationSet(tuple(out))
+    return tuple(out)

@@ -12,8 +12,8 @@ from cthh.errors import MultipleArrowError, NotDynkinError, UnclassifiedDError
 from cthh.fields import FieldSpec
 from cthh.linalg import Echelon, det_int, kernel_from_rref, rref, rref_mod
 from cthh.oracle import BimoduleResolution
-from cthh.quiver import (Cycle, Quiver, _encode, chordless_cycles, components, dynkin_seed, enumerate_class,
-                         mutate, neighbours, validate)
+from cthh.quiver import (Cycle, Quiver, _encode, chordless_cycles, dynkin_seed, enumerate_class, mutate,
+                         neighbours, validate)
 from cthh.relations import generate_relations
 from cthh.series import HSeries
 
@@ -306,6 +306,26 @@ def chordless_cycles_bruteforce(q: Quiver):
                 walk = [walk[0]] + walk[1:][::-1]
             cycles.append(Cycle(tuple(walk), oriented_fwd or oriented_bwd))
     return cycles
+
+
+def components(adj, vertices):
+    """Connected components (sets) of the subgraph of adj induced on vertices,
+    each led by its least vertex and listed in that order."""
+    unseen = set(vertices)
+    comps = []
+    for start in sorted(unseen):
+        if start not in unseen:
+            continue
+        unseen.remove(start)
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()] & unseen:
+                unseen.remove(w)
+                comp.add(w)
+                stack.append(w)
+        comps.append(comp)
+    return comps
 
 
 def _arm_components_reference(q: Quiver, core_vertices):

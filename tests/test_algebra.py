@@ -10,7 +10,7 @@ from cthh.fields import FieldSpec, QQ, GF2, GF3, GF5, GF7
 from cthh.linalg import det_int
 from cthh.oracle import hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed
-from cthh.relations import Path, Relation, RelationSet, generate_relations
+from cthh.relations import Path, Relation, generate_relations
 from cthh.series import HSeries, hh_dim, series_from_invariants
 
 
@@ -194,7 +194,7 @@ def test_degree_dims_no_resurrection(classes):
 
 def test_invalid_relations_rejected():
     q = dynkin_seed("A", 3)
-    bogus = RelationSet((((1, 3), Relation(((1, Path((1, 3))),))),))
+    bogus = (((1, 3), Relation(((1, Path((1, 3))),))),)
     with pytest.raises(InvalidRelationsError):
         build_algebra(q, bogus, QQ)
 
@@ -256,12 +256,12 @@ def test_e8_quivers_with_long_overlap_chains():
 
 def test_cycle_without_relations_not_finite_dimensional():
     with pytest.raises(NotFiniteDimensionalError):
-        build_algebra(oriented_cycle(3), RelationSet(()), QQ)
+        build_algebra(oriented_cycle(3), (), QQ)
 
 
 def test_non_unit_leading_coefficient_rejected():
     q = dynkin_seed("A", 3)
-    rels = RelationSet((((1, 2), Relation(((2, Path((1, 2, 3))),))),))
+    rels = (((1, 2), Relation(((2, Path((1, 2, 3))),))),)
     for fs in (QQ, GF2):
         with pytest.raises(AlgebraError):
             build_algebra(q, rels, fs)

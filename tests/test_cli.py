@@ -90,7 +90,7 @@ def test_cli_validate_bad_input_exit_2(tmp_path, capsys):
 
 
 def test_cli_validate_many_isolated_vertices_is_fast(tmp_path, capsys):
-    # one linear pass over the components, not a scan of the unseen vertices per component
+    # one search from vertex 1, not a scan of the unseen vertices per component
     path = write(tmp_path, "q.json", '{"vertices": 50000, "arrows": []}')
     start = time.perf_counter()
     assert main(["validate", path]) == 2
@@ -299,6 +299,13 @@ def test_cli_out_of_range_input_exit_2(tmp_path, capsys, argv):
     path = write(tmp_path, "q.json", TRIANGLE)
     assert main([a.format(q=path) for a in argv]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_cli_verify_non_numeric_sample_exit_2(capsys):
+    assert main(["verify", "--seed", "E6", "--chars", "2", "--sample", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --sample must be at least 1 or 'all', got 'x'\n"
 
 
 def test_cli_verify_repeated_characteristic_exit_2(capsys):

@@ -19,7 +19,7 @@ from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
 from cthh.linalg import kernel_from_rref, rref
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class
-from cthh.relations import Path as QuiverPath, Relation, RelationSet
+from cthh.relations import Path as QuiverPath, Relation
 from cthh.verify import sample_by_canonical
 from test_algebra import D8_MIXED
 
@@ -111,8 +111,8 @@ REFERENCE_CASES = [
 
 def _commutative_squares(arrows, *squares):
     """Path algebra over QQ of an acyclic quiver modulo p - q for each pair (p, q)."""
-    rels = RelationSet(tuple((p[:2], Relation(((1, QuiverPath(p)), (-1, QuiverPath(q)))))
-                             for p, q in squares))
+    rels = tuple((p[:2], Relation(((1, QuiverPath(p)), (-1, QuiverPath(q)))))
+                 for p, q in squares)
     return build_algebra(Quiver.make(max(map(max, arrows)), arrows), rels, QQ)
 
 

@@ -6,7 +6,8 @@ from math import comb
 
 import pytest
 
-from conftest import (canonical_data_reference, chordless_cycles_bruteforce, detect_dynkin_reference,
+import cthh.quiver
+from conftest import (canonical_data_reference, chordless_cycles_bruteforce, components, detect_dynkin_reference,
                       enumerate_class_reference, mutate_by_exchange_matrix, mutation_class, relabel)
 from cthh.errors import (
     CapExceededError,
@@ -23,7 +24,6 @@ from cthh.quiver import (
     canonical_form,
     canonical_representative,
     chordless_cycles,
-    components,
     detect_dynkin,
     dynkin_seed,
     enumerate_class,
@@ -194,17 +194,23 @@ def test_enumerate_seed_independence(classes):
         assert again == forms, (fam, rank)
 
 
-def test_enumerate_labels_each_mutant_once(classes):
+def test_enumerate_labels_each_mutant_once(classes, monkeypatch):
     # one labelling search per seed and per mutant: the key of a new member
     # is read off its canonical arrows, not searched for again, and no
     # member but the seed is mutated at the vertex it was reached by
+    calls = []
+
+    def counted(n, arrows):
+        calls.append(arrows)
+        return _canonical_data(n, arrows)
+
+    monkeypatch.setattr(cthh.quiver, "_canonical_data", counted)
     for (fam, rank), cls in classes.items():
         if len(cls) > 100:
             continue
-        _canonical_data.cache_clear()
+        calls.clear()
         again = enumerate_class(dynkin_seed(fam, rank))
-        info = _canonical_data.cache_info()
-        assert info.hits + info.misses == 1 + rank * len(cls) - (len(cls) - 1), (fam, rank)
+        assert len(calls) == 1 + rank * len(cls) - (len(cls) - 1), (fam, rank)
         forms = [canonical_form(q) for q in again]
         assert forms == sorted(set(forms)) and len(again) == len(cls)
         assert all(canonical_representative(q) == q for q in again)
@@ -285,6 +291,40 @@ def test_type_a_class_sizes_match_torkildsen():
         assert torkildsen_count(n) == len(mutation_class("A", n)), n
     # the A10 and A11 counts of the class-sizes job of long-tier.yml
     assert [torkildsen_count(n) for n in (10, 11)] == [4522, 14924]
+
+
+def triangulations(lo, hi):
+    """Every triangulation of the polygon on the corners lo..hi, as a list of
+    triangles (i, j, k) with i < j < k."""
+    if hi - lo < 2:
+        return [[]]
+    return [[(lo, k, hi), *left, *right]
+            for k in range(lo + 1, hi)
+            for left in triangulations(lo, k)
+            for right in triangulations(k, hi)]
+
+
+def triangulation_quiver(corners, triangles):
+    """The quiver of a triangulation of the polygon with corners 0..corners-1
+    (Caldero, Chapoton and Schiffler, Trans. AMS 358, 2006): a vertex per
+    diagonal, and in each triangle an arrow from each diagonal side to the
+    next diagonal side counterclockwise."""
+    diagonals = sorted({side for i, j, k in triangles for side in ((i, j), (j, k), (i, k))
+                        if side[1] - side[0] != 1 and side != (0, corners - 1)})
+    label = {d: v for v, d in enumerate(diagonals, 1)}
+    arrows = []
+    for i, j, k in triangles:
+        sides = [(i, j), (j, k), (i, k)]  # counterclockwise around the triangle
+        arrows += [(label[a], label[b]) for a, b in zip(sides, sides[1:] + sides[:1])
+                   if a in label and b in label]
+    return Quiver.make(len(diagonals), arrows)
+
+
+def test_type_a_class_is_the_triangulation_quivers():
+    for n in range(2, 9):
+        corners = n + 3
+        forms = {canonical_form(triangulation_quiver(corners, t)) for t in triangulations(0, corners - 1)}
+        assert forms == {canonical_form(q) for q in mutation_class("A", n)}, n
 
 
 def test_chordless_cycles_tree_empty():

@@ -155,7 +155,7 @@ def test_long_tier_pins_one_report_sha_per_workflow_seed():
     seeds = re.search(r"seed: \[(.*)\]", workflow).group(1).split(", ")
     pinned = dict(line.split() for line in (root / "tests" / "long_tier_sha256.txt")
                   .read_text(encoding="utf-8").splitlines() if not line.startswith("#"))
-    assert list(pinned) == seeds == ["A8", "D8", "E7", "A9", "D9", "E8"]
+    assert list(pinned) == seeds == ["A8", "D8", "E7", "A9", "D9", "E8", "A10", "D10"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for sha in pinned.values())
     # tier1.yml runs the A8, E7 and D8 legs on every push, against the same pins
     tier1 = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
