@@ -67,14 +67,22 @@ def _parse_seed(text: str):
     m = re.fullmatch(r"([ADEade])(\d+)", text.strip())
     if not m:
         raise InputSyntaxError(f"seed must look like A5, D4 or E6, got {text!r}")
-    return m.group(1).upper(), int(m.group(2))
+    family, rank = m.group(1).upper(), int(m.group(2))
+    if rank < {"A": 2, "D": 4, "E": 6}[family] or family == "E" and rank > 8:
+        raise InputSyntaxError(f"seed rank must be at least 2 for A, at least 4 for D "
+                               f"and 6 to 8 for E, got {text!r}")
+    return family, rank
+
+
+def _parse_char(text) -> FieldSpec:
+    try:
+        return FieldSpec(int(text))
+    except ValueError as e:
+        raise InputSyntaxError(str(e)) from None
 
 
 def _parse_chars(text: str):
-    try:
-        fields = [FieldSpec(int(c)) for c in text.split(",") if c.strip() != ""]
-    except ValueError as e:
-        raise InputSyntaxError(str(e)) from None
+    fields = [_parse_char(c) for c in text.split(",") if c.strip() != ""]
     if not fields:
         raise InputSyntaxError(f"--chars names no characteristic: {text!r}")
     for i, f in enumerate(fields):
@@ -172,8 +180,8 @@ def _cmd_cartan(args):
 
 def _cmd_hh(args):
     _check_max_i(args.max_i)
+    fs = _parse_char(args.char)
     q = _read_quiver(args.file)
-    fs = FieldSpec(args.char)
     family, rank = detect_dynkin(q)
     if args.method == "typed" and family == "A":
         h = hh_type_A(q)
@@ -201,8 +209,8 @@ def _cmd_hh(args):
 
 def _cmd_hh_oracle(args):
     _check_max_i(args.max_i)
+    fs = _parse_char(args.char)
     q = _read_quiver(args.file)
-    fs = FieldSpec(args.char)
     a = build_algebra(q, generate_relations(q), fs)
     dims = hh_dims(a, [fs], args.max_i)[0]
     if args.json:

@@ -1,6 +1,10 @@
 """Brute-force Hochschild cohomology of a bound quiver algebra.
 
-The engine builds a minimal projective bimodule resolution step by step:
+The engine builds a minimal projective bimodule resolution step by step.
+Its first two levels are written down: P_0 is the sum of the A e_v (x) e_v A,
+and P_1 has one summand A e_s (x) e_t A per arrow alpha: s -> t, with image
++-(e_s (x) alpha - alpha (x) e_t) (Happel, LNM 1404, 1989; Bardzell, J. Algebra
+188, 1997); the augmentation P_0 -> A is onto and never formed.  From then on
 each projective is a sum of A e_a (x) e_b A, the kernel of the previous
 differential is computed exactly block-by-block (the differentials respect
 the (left vertex, right vertex) bigrading, so the kernel splits), the
@@ -17,10 +21,10 @@ modulo the characteristic as they are written.  A nonzero p * x * q lies in
 block (src p, tgt q), so every entry lands in its column's block.  A block of
 full rank has no kernel, so none is read off; a block with no rows or no
 nonzero entry has rank 0 and every column free, so it is not row-reduced.
-The d-compose-d check on every new level recomputes the images term by term
-through pad, so it cross-checks this assembly; it also checks that each
-generator image lies in its generator's block, since a term outside it would
-be multiplied away unseen.
+The d-compose-d check on every new level from level 2 recomputes the images
+term by term through pad, so it cross-checks this assembly; it also checks
+that each generator image lies in its generator's block, since a term outside
+it would be multiplied away unseen.
 
 The top of a kernel block K_(s,t) is covered by an Echelon fed first the
 arrow multiples of the neighbouring kernel blocks (arrows out of s times
@@ -34,7 +38,8 @@ same order, so the generators and their images do not change.
 
 Nothing is assumed about minimality when taking cohomology: the Hom-complex
 differentials are computed honestly, and d-compose-d = 0 plus image = kernel
-are verified at every step.
+are verified at every step computed, exactness at P_0 (rank d_1 = dim P_0 -
+dim A) on the first.
 
 Recurrence: for n >= 1 the step from level n to level n + 1 reads only the
 state S_n = (gens[n-1], gens[n], images[n]) -- the generators of the target
@@ -49,19 +54,19 @@ hh_dims resolves an algebra once, over its own field, and one resolution
 over QQ serves every characteristic.  The algebra's multiplication table is
 integral, and HH is the cohomology of Hom(P, A) for any projective bimodule
 resolution P (Happel, LNM 1404, 1989).
-Suppose that, for a prime p, every image coefficient of levels 0..n + 1 is
-p-integral and every block of d_0..d_{n+1} (d_0 the augmentation) keeps its
-rank mod p.  Then the levels reduce mod p to a complex of projective
-bimodules over GF(p) in which d o d = 0 still holds, and its ranks, equal to
-those over QQ, still add up to exactness at levels 0..n; so its Hom complex
-gives HH^0..HH^n over GF(p).  A block keeps its rank when the minor on the
-rows and columns its elimination picked is a unit mod p, and that minor is
-+- the product of the pivots rref_frac meets, so the certificate costs no
-extra elimination.  extend_to(n + 1) row-reduces only d_0..d_n; unless level
-n + 1 repeats an earlier one, d_{n+1} is row-reduced once more, kernel step
-only.  When p divides a denominator or a minor, the certificate fails (it
-does not prove the ranks drop) and that field is resolved on its own, with a
-RuntimeWarning.
+Suppose that, for a prime p, every image coefficient of levels 1..n + 1 is
+p-integral and every block of d_1..d_{n+1} keeps its rank mod p.  Then the
+levels reduce mod p to a complex of projective bimodules over GF(p) in which
+d o d = 0 still holds, the augmentation is still onto, and the ranks, equal
+to those over QQ, still add up to exactness at levels 0..n; so its Hom
+complex gives HH^0..HH^n over GF(p).  A block keeps its rank when the minor
+on the rows and columns its elimination picked is a unit mod p, and that
+minor is +- the product of the pivots rref_frac meets, so the certificate
+costs no extra elimination.  extend_to(n + 1) row-reduces only d_1..d_n;
+unless level n + 1 repeats an earlier one, d_{n+1} is row-reduced once more,
+kernel step only.  When p divides a denominator or a minor, the certificate
+fails (it does not prove the ranks drop) and that field is resolved on its
+own, with a RuntimeWarning.
 
 The HH^0/HH^1 cross-checks solve small systems in the same bigrading: Z(A) lies
 in the sum of the e_v A e_v, and up to an inner derivation a derivation vanishes
@@ -83,42 +88,12 @@ from .linalg import Echelon, kernel_from_rref, rref, rref_frac, rref_mod
 DEFAULT_BUDGET = 50000
 
 
-class _AlgebraAsBimodule:
-    """Target of the augmentation P_0 -> A, with A's own block structure."""
-
-    def __init__(self, a: BoundAlgebra):
-        self.blocks = {}
-        for i in range(a.dimension):
-            self.blocks.setdefault((a.src[i], a.tgt[i]), []).append(i)
-        self.offset = {}
-        for key, coords in self.blocks.items():
-            for off, c in enumerate(coords):
-                self.offset[c] = (key, off)
-
-    def pad(self, a: BoundAlgebra, coord, p, q, coeff, acc):
-        """Accumulate p * coord * q into acc (dict coord -> coefficient)."""
-        mult = a.mult
-        for k, c1 in mult.get((p, coord), ()):
-            for m, c2 in mult.get((k, q), ()):
-                acc[m] = acc.get(m, 0) + coeff * c1 * c2
-
-    @staticmethod
-    def left(mult, p, vec):
-        """p * vec, for vec a dict coord -> coefficient."""
-        out = {}
-        for coord, coeff in vec.items():
-            for k, c1 in mult.get((p, coord), ()):
-                out[k] = out.get(k, 0) + coeff * c1
-        return out
-
-    @staticmethod
-    def right(mult, vec, q):
-        """vec * q, for vec a dict coord -> coefficient."""
-        out = {}
-        for k, v in vec.items():
-            for m, c2 in mult.get((k, q), ()):
-                out[m] = out.get(m, 0) + v * c2
-        return out
+def _parallel_paths(a: BoundAlgebra):
+    """(source, target) -> the basis paths from source to target."""
+    out = {}
+    for i in range(a.dimension):
+        out.setdefault((a.src[i], a.tgt[i]), []).append(i)
+    return out
 
 
 class _Level:
@@ -126,7 +101,7 @@ class _Level:
 
     def __init__(self, a: BoundAlgebra, gens, images, paths_to, paths_from):
         self.gens = list(gens)       # list of (a_vertex, b_vertex)
-        self.images = list(images)   # per generator: dict coord -> coeff in the previous target
+        self.images = list(images)   # per generator: dict coord -> coeff in level - 1; none at 0
         self.blocks = {}
         for g, (av, bv) in enumerate(self.gens):
             for p in paths_to.get(av, ()):
@@ -190,16 +165,32 @@ class BimoduleResolution:
         for idx in a.arrow_indices():
             self.arrows_out.setdefault(a.src[idx], []).append(idx)
             self.arrows_in.setdefault(a.tgt[idx], []).append(idx)
-        gens = [(v, v) for v in range(1, a.vertex_count + 1)]
-        # the basis lists the trivial paths first, the one at v at index v - 1
-        images = [{v - 1: 1} for v in range(1, a.vertex_count + 1)]
-        self.base = _AlgebraAsBimodule(a)
+        self.parallel = _parallel_paths(a)
         self.levels = []
-        self._append(_Level(a, gens, images, self.paths_to, self.paths_from))
         self.kernel_dims = []    # per level: total kernel dimension
         self.minors = {}         # level n -> +- the product of d_n's pivot minors (1 over GF(p))
         self.period = None
         self._states = {}        # (gens[n-1], gens[n]) -> levels n with that pair
+        # the augmentation P_0 -> A, e_v (x) e_v -> e_v, is onto: each path p
+        # is the image of e_{s(p)} (x) p
+        level0 = _Level(a, [(v, v) for v in range(1, a.vertex_count + 1)], (),
+                        self.paths_to, self.paths_from)
+        self._append(level0)
+        self.kernel_dims.append(level0.dim - a.dimension)
+        # level 1 (module docstring), with the sign and term order the top of
+        # the augmentation's kernel has: the lower vertex's term first, with +1;
+        # the basis lists the trivial path at v at index v - 1
+        minus_one = self.field.element(-1)
+        gens, images = [], []
+        for alpha in a.arrow_indices():
+            s, t = a.src[alpha], a.tgt[alpha]
+            # e_s (x) alpha and alpha (x) e_t
+            left, right = (s - 1, s - 1, alpha), (t - 1, alpha, t - 1)
+            lower, upper = (left, right) if s < t else (right, left)
+            gens.append((s, t))
+            images.append({lower: 1, upper: minus_one})
+        self._append(_Level(a, gens, images, self.paths_to, self.paths_from))
+        self._find_period(1)
 
     def _append(self, lvl):
         """Append a level built here; the budget counts built levels only, so a
@@ -208,9 +199,6 @@ class BimoduleResolution:
         if self.total_dim > DEFAULT_BUDGET:
             raise ResolutionBudgetError(self.total_dim, DEFAULT_BUDGET)
         self.levels.append(lvl)
-
-    def _target(self, i):
-        return self.base if i == 0 else self.levels[i - 1]
 
     def extend_once(self):
         """Kernel of the topmost differential, then cover it minimally."""
@@ -226,11 +214,9 @@ class BimoduleResolution:
         self._check_square_zero(len(self.levels) - 1)
 
     def _check_exact(self, i, rank):
-        """The image of d_i, the differential out of level i, must fill A
-        (i = 0) or the kernel of d_{i-1}."""
-        if i == 0 and rank != self.a.dimension:
-            raise InvariantError("augmentation is not surjective")
-        if i > 0 and rank != self.kernel_dims[i - 1]:
+        """The image of d_i, the differential out of level i >= 1, must fill
+        the kernel of d_{i-1}."""
+        if rank != self.kernel_dims[i - 1]:
             raise InvariantError(f"resolution not exact at step {i}: image {rank}, "
                                  f"kernel {self.kernel_dims[i - 1]}")
 
@@ -263,7 +249,7 @@ class BimoduleResolution:
         are the target block's coordinates, columns the level block's."""
         mult = self.a.mult
         lvl = self.levels[i]
-        target = self._target(i)
+        target = self.levels[i - 1]
         offset = target.offset
         mod = self.field.characteristic
         mats = {key: [[0] * len(cols) for _ in target.blocks.get(key, ())]
@@ -344,11 +330,9 @@ class BimoduleResolution:
 
     def _check_square_zero(self, i):
         """Each generator image of level i lies in its generator's block of
-        level i - 1, and d_{i-1} after d_i vanishes on it."""
-        if i < 1:
-            return
+        level i - 1, and d_{i-1} after d_i vanishes on it (i >= 2)."""
         prev = self.levels[i - 1]
-        target = self._target(i - 1)
+        target = self.levels[i - 2]
         mod = self.field.characteristic
         for key, img in zip(self.levels[i].gens, self.levels[i].images):
             acc = {}
@@ -398,18 +382,18 @@ class BimoduleResolution:
 
     def hom_basis(self, i):
         """Basis of Hom(P_i, A): one (g, w) per path w in e_a A e_b."""
-        blocks = self.base.blocks
-        return [(g, w) for g, key in enumerate(self.levels[i].gens) for w in blocks.get(key, ())]
+        parallel = self.parallel
+        return [(g, w) for g, key in enumerate(self.levels[i].gens) for w in parallel.get(key, ())]
 
     def obstruction(self, length):
         """An integer N such that, for every prime p not dividing N, levels
         0..length over QQ reduce mod p to the start of a projective bimodule
         resolution over GF(p) (module docstring).  N is the product of the
         denominators of the image coefficients and the numerators of the pivot
-        minors of d_0..d_length; after extend_to(length), d_length is row-reduced
+        minors of d_1..d_length; after extend_to(length), d_length is row-reduced
         here unless its level repeats an earlier one."""
         out = 1
-        for n in {self.distinct_index(n) for n in range(length + 1)}:
+        for n in {self.distinct_index(n) for n in range(1, length + 1)}:
             if n not in self.minors:
                 self._check_exact(n, self._kernels(n)[1])
             out *= self.minors[n].numerator
@@ -472,7 +456,7 @@ def derivation_space_dim(a: BoundAlgebra) -> int:
     D(arrow g) on the basis paths parallel to g; Leibniz for g and a non-trivial
     basis path m defines D(g m) when g m is a basis path, else is an equation."""
     d, mult = a.dimension, a.mult
-    parallel = _AlgebraAsBimodule(a).blocks  # (source, target) -> basis paths
+    parallel = _parallel_paths(a)
     index = {p: i for i, p in enumerate(a.basis)}
     der = {}  # basis path -> D(path) as {(unknown, coordinate): coefficient}
 
@@ -523,7 +507,10 @@ def hh_dims(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
     A GF(p) field of an algebra over QQ takes the Hom complex reduced mod p;
     when p divides the resolution's obstruction, a.over(fs) is resolved on its
     own instead, with a RuntimeWarning.  Each field's HH^0 and HH^1 are checked
-    against the center and Der/Inn of a.over(fs)."""
+    against the center and Der/Inn of a.over(fs).  With level 1 written down,
+    HH^0 and dim Z(A) solve the same system (x alpha = alpha x on the paths
+    from a vertex to itself) through separate code, so the HH^0 check
+    cross-checks that code."""
     algebras = [a.over(fs) for fs in fieldspecs]  # a wrong field fails before any level
     res = BimoduleResolution(a)
     res.extend_to(max_i + 1)

@@ -477,14 +477,44 @@ class FullSpanResolution(BimoduleResolution):
         return new_gens, new_images
 
 
-def _column_image(res, level_index, coord):
+class AlgebraAsBimodule:
+    """A as the target of the augmentation P_0 -> A, with A's own block
+    structure: the (source, target) blocks of its basis paths."""
+
+    def __init__(self, a):
+        self.blocks = {}
+        for i in range(a.dimension):
+            self.blocks.setdefault((a.src[i], a.tgt[i]), []).append(i)
+        self.offset = {}
+        for key, coords in self.blocks.items():
+            for off, c in enumerate(coords):
+                self.offset[c] = (key, off)
+
+    def pad(self, a, coord, p, q, coeff, acc):
+        """Accumulate p * coord * q into acc (dict coord -> coefficient)."""
+        mult = a.mult
+        for k, c1 in mult.get((p, coord), ()):
+            for m, c2 in mult.get((k, q), ()):
+                acc[m] = acc.get(m, 0) + coeff * c1 * c2
+
+
+def differential_target(res, i):
+    """Target of the differential out of level i: A for the augmentation."""
+    return AlgebraAsBimodule(res.a) if i == 0 else res.levels[i - 1]
+
+
+def _images(res, i):
+    """Generator images of level i; the augmentation sends e_v (x) e_v to
+    e_v, the basis path at index v - 1, and the engine does not store it."""
+    return [{v - 1: 1} for v, _ in res.levels[0].gens] if i == 0 else res.levels[i].images
+
+
+def _column_image(res, level_index, coord, target):
     """Image under the differential of one basis element (g, p, q) of a level,
-    term by term through the target's pad."""
-    lvl = res.levels[level_index]
-    target = res.base if level_index == 0 else res.levels[level_index - 1]
+    term by term through the pad of its target (differential_target)."""
     g, p, q = coord
     acc = {}
-    for tcoord, coeff in lvl.images[g].items():
+    for tcoord, coeff in _images(res, level_index)[g].items():
         target.pad(res.a, tcoord, p, q, coeff, acc)
     mod = res.field.characteristic
     if mod:
@@ -496,12 +526,12 @@ def column_image_blocks(res, i):
     """Dense matrix of each block of the differential out of level i, one
     _column_image per column."""
     lvl = res.levels[i]
-    target = res.base if i == 0 else res.levels[i - 1]
+    target = differential_target(res, i)
     mats = {}
     for key, cols in lvl.blocks.items():
         mat = [[0] * len(cols) for _ in target.blocks.get(key, ())]
         for c, coord in enumerate(cols):
-            for tcoord, val in _column_image(res, i, coord).items():
+            for tcoord, val in _column_image(res, i, coord, target).items():
                 tkey, toff = target.offset[tcoord]
                 assert tkey == key, (coord, tcoord)
                 mat[toff][c] = val
@@ -527,6 +557,17 @@ class ColumnImageResolution(BimoduleResolution):
             if kb:
                 kernels[key] = [list(v) for v in kb]
         return kernels, rank_total
+
+
+def augmentation_level_one(a):
+    """Generators, images and kernel dimension of level 1 found from the
+    augmentation P_0 -> A: its kernel read off each block, then the top of
+    that kernel."""
+    res = ColumnImageResolution(a)
+    kernels, rank = res._kernels(0)
+    assert rank == a.dimension  # the augmentation is onto
+    gens, images = res._top(res.levels[0], kernels)
+    return gens, images, sum(len(k) for k in kernels.values())
 
 
 def matrix_rank(rows, ncols, field):

@@ -294,11 +294,26 @@ def test_cli_verify_json_report_bytes(capsys, args, sha):
     ["verify", "--seed", "A3", "--chars", "2", "--jobs", "-3"],
     ["class", "--seed", "A3", "--cap", "0"],
     ["class", "--seed", "A3", "--cap", "-1"],
+    ["hh", "{q}", "--char", "4"],
+    ["hh-oracle", "{q}", "--char", "4", "--max-i", "2"],
+    ["verify", "--seed", "D3", "--chars", "2"],
+    ["verify", "--seed", "A1", "--chars", "2"],
+    ["class", "--seed", "E9"],
+    ["class", "--seed", "E5"],
 ])
 def test_cli_out_of_range_input_exit_2(tmp_path, capsys, argv):
     path = write(tmp_path, "q.json", TRIANGLE)
     assert main([a.format(q=path) for a in argv]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hh", "hh-oracle"])
+def test_cli_char_is_checked_before_the_file_is_read(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.json")
+    assert main([command, missing, "--char", "4", "--max-i", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: characteristic must be 0 or prime, got 4\n"
 
 
 def test_cli_verify_non_numeric_sample_exit_2(capsys):

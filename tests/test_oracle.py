@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import cthh.oracle
-from conftest import (ColumnImageResolution, FullSpanResolution, cached_algebra,
-                      column_image_blocks, matrix_rank, mutation_class, relabel)
+from conftest import (ColumnImageResolution, FullSpanResolution, augmentation_level_one,
+                      cached_algebra, column_image_blocks, matrix_rank, mutation_class, relabel)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
 from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
@@ -259,9 +259,26 @@ def test_kernel_step_matches_column_image_reference(name, q, char):
     ref = ColumnImageResolution(a)
     ref.extend_to(12)
     assert _resolution_state(res) == _resolution_state(ref)
-    for i in range(len(res.levels) - 1):
+    for i in range(1, len(res.levels) - 1):  # the augmentation d_0 is not formed
         if res.distinct_index(i) == i:
             assert res._differential_blocks(i) == column_image_blocks(res, i), i
+
+
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))],
+                         ids=["A2-A6", "D4-D6", "E6"])
+def test_level_one_from_the_arrows_is_the_augmentation_kernel_top(family, ranks):
+    # level 1 is written down from the arrows; the reference finds it as the
+    # top of the augmentation's kernel, down to the order of each image's terms
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            for char in (2, 3, 5, 0):
+                a = cached_algebra(q, char)
+                res = BimoduleResolution(a)
+                gens, images, kernel_dim = augmentation_level_one(a)
+                assert res.levels[1].gens == gens, (q, char)
+                assert [list(img.items()) for img in res.levels[1].images] == \
+                    [list(img.items()) for img in images], (q, char)
+                assert res.kernel_dims == [kernel_dim], (q, char)
 
 
 def _times_path(a, vec, path):

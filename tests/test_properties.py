@@ -7,7 +7,8 @@ Every instance enumerated by a suite must pass; there is no tolerance.
 
 import random
 
-from conftest import _column_image, cached_algebra, matrix_rank, multiply, mutation_class, relabel
+from conftest import (_column_image, cached_algebra, differential_target, matrix_rank, multiply,
+                      mutation_class, relabel)
 from cthh.algebra import cartan
 from cthh.fields import GF2
 from cthh.oracle import BimoduleResolution, hh_dims
@@ -61,13 +62,13 @@ def check_resolution_exactness(algebra, length):
 
     def full_matrix(i):
         lvl = res.levels[i]
-        target = res.base if i == 0 else res.levels[i - 1]
+        target = differential_target(res, i)
         tcoords = [c for key in sorted(target.blocks) for c in target.blocks[key]]
         ccoords = [c for key in sorted(lvl.blocks) for c in lvl.blocks[key]]
         tpos = {c: r for r, c in enumerate(tcoords)}
         mat = [[0] * len(ccoords) for _ in tcoords]
         for col, coord in enumerate(ccoords):
-            for tcoord, val in _column_image(res, i, coord).items():
+            for tcoord, val in _column_image(res, i, coord, target).items():
                 mat[tpos[tcoord]][col] = val
         return mat
 
