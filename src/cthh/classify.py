@@ -4,10 +4,11 @@ Type A reads the answer straight off the oriented 3-cycle count.  Type D
 reads it off Vatne's four types (Comm. Algebra 38, 2010) by one formula:
 t f_3 for a fork, else f_{m+a} plus f_3 terms from the central m-cycle and
 its triangle spikes (`classify_D`); a quiver with neither a fork nor a
-central cycle raises UnclassifiedDError.  Types D and E must always agree
-with the universal route from (dim HH^1, det C), and any disagreement
-raises instead of being patched over.  Type E looks the associated
-polynomial up in the embedded 35-row table.
+central cycle raises UnclassifiedDError.  Type E looks the associated
+polynomial up in the embedded 35-row table.  `hh_closed_form` checks the
+typed series of every family against the universal route from
+(dim HH^1, det C); a disagreement raises ClosedFormMismatchError instead of
+being patched over.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from importlib import resources
 from itertools import combinations
 
 from .algebra import CartanData
-from .errors import NotInTableError, UnclassifiedDError
+from .errors import ClosedFormMismatchError, NotInTableError, UnclassifiedDError
 from .quiver import Quiver, chordless_cycles, neighbours, oriented_triangle_count
 from .series import HSeries, parse_h, series_from_invariants
 
@@ -131,31 +132,29 @@ def lookup_E(assoc_poly) -> HSeries:
 # ---------------------------------------------------------------------------
 
 def hh_closed_form(q: Quiver, family: str, hh1: int, cd: CartanData):
-    """Dispatch on the Dynkin family, given dim HH^1 and the Cartan data of
-    the algebra of q.  Types D and E are checked against the universal route
-    from (hh1, det C); type A needs neither value.
+    """The series of q's algebra, given its Dynkin family, dim HH^1 and
+    Cartan data: the typed series (3-cycle count for A, `classify_D` for D,
+    the table for E), checked against the universal route from (hh1, det C).
+    The universal series is computed first, so its error wins when both
+    routes fail.
 
     Returns (series, subtype): the subtype is the type-D quiver's Vatne type
-    (`DTypeParams.subtype`), and "" for types A and E.  A type-D quiver that
-    `classify_D` cannot place raises UnclassifiedDError, as does a typed
-    series that disagrees with the universal route.
+    (`DTypeParams.subtype`), and "" for types A and E.  A typed series that
+    disagrees with the universal one raises ClosedFormMismatchError.
     """
-    if family == "A":
-        return hh_type_A(q), ""
     universal = series_from_invariants(hh1, cd.det)
-    if family == "D":
+    subtype = ""
+    if family == "A":
+        typed = hh_type_A(q)
+    elif family == "D":
         params = classify_D(q)
-        typed = params.series()
-        if typed != universal:
-            raise UnclassifiedDError(
-                f"type-D pattern gave {typed} but the universal route gave {universal} for {q}"
-            )
-        return typed, params.subtype
-    if family == "E":
-        h = lookup_E(cd.assoc_poly)
-        if h != universal:
-            raise NotInTableError(
-                f"table row {h} disagrees with universal {universal} for {q}"
-            )
-        return h, ""
-    raise ValueError(f"unknown family {family!r}")
+        typed, subtype = params.series(), params.subtype
+    elif family == "E":
+        typed = lookup_E(cd.assoc_poly)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    if typed != universal:
+        raise ClosedFormMismatchError(
+            f"type-{family} series {typed} but the universal route gave {universal} for {q}"
+        )
+    return typed, subtype

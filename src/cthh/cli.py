@@ -3,7 +3,8 @@
 Quiver files are JSON documents {"vertices": n, "arrows": [[s, t], ...]}
 with 1-based indices and order-insensitive arrows.  Every command accepts
 --json for machine-readable output; the default is aligned text.  Exit
-codes: 0 pass, 1 verification failure, 2 usage or input error.
+codes: 0 pass, 1 verification failure, 2 input error (a bad command line,
+file or quiver).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .oracle import hh1_dim, hh_dims
 from .quiver import (DEFAULT_CLASS_CAP, Quiver, detect_dynkin, dynkin_seed, enumerate_class,
                      mutate, validate)
 from .relations import generate_relations
-from .series import hh_dim, series_from_invariants
+from .series import hh_dim
 from .verify import verify_suite
 
 
@@ -36,6 +37,8 @@ def parse_quiver(text: str) -> Quiver:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise InputSyntaxError("document is nested too deeply") from None
     if not isinstance(doc, dict) or set(doc) != {"vertices", "arrows"}:
         raise InputSyntaxError('document must have exactly the keys "vertices" and "arrows"')
     vertices = doc["vertices"]
@@ -74,15 +77,8 @@ def _parse_seed(text: str):
     return family, rank
 
 
-def _parse_char(text) -> FieldSpec:
-    try:
-        return FieldSpec(int(text))
-    except ValueError as e:
-        raise InputSyntaxError(str(e)) from None
-
-
 def _parse_chars(text: str):
-    fields = [_parse_char(c) for c in text.split(",") if c.strip() != ""]
+    fields = [FieldSpec(int(c)) for c in text.split(",") if c.strip() != ""]
     if not fields:
         raise InputSyntaxError(f"--chars names no characteristic: {text!r}")
     for i, f in enumerate(fields):
@@ -180,18 +176,14 @@ def _cmd_cartan(args):
 
 def _cmd_hh(args):
     _check_max_i(args.max_i)
-    fs = _parse_char(args.char)
+    fs = FieldSpec(args.char)
     q = _read_quiver(args.file)
     family, rank = detect_dynkin(q)
-    if args.method == "typed" and family == "A":
+    if family == "A":
         h = hh_type_A(q)
     else:
         a = build_algebra(q, generate_relations(q), QQ)
-        hh1, cd = hh1_dim(a), cartan(a)
-        if args.method == "typed":
-            h, _ = hh_closed_form(q, family, hh1, cd)
-        else:
-            h = series_from_invariants(hh1, cd.det)
+        h, _ = hh_closed_form(q, family, hh1_dim(a), cartan(a))
     dims = [hh_dim(h, i, fs) for i in range(args.max_i + 1)]
     if args.json:
         print(json.dumps({
@@ -209,7 +201,7 @@ def _cmd_hh(args):
 
 def _cmd_hh_oracle(args):
     _check_max_i(args.max_i)
-    fs = _parse_char(args.char)
+    fs = FieldSpec(args.char)
     q = _read_quiver(args.file)
     a = build_algebra(q, generate_relations(q), fs)
     dims = hh_dims(a, [fs], args.max_i)[0]
@@ -278,7 +270,6 @@ _COMMANDS = {
         (("file",), {}),
         (("--char",), dict(type=int, default=0, metavar="P")),
         (("--max-i",), dict(type=int, default=8, dest="max_i")),
-        (("--method",), dict(choices=("typed", "universal"), default="typed")),
     ]),
     "hh-oracle": ("brute-force Hochschild dimensions", _cmd_hh_oracle, [
         (("file",), {}),
@@ -338,14 +329,11 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (InputSyntaxError, FileNotFoundError) as e:
+    except (InputSyntaxError, OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except CthhError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
         return 2
 
 

@@ -93,6 +93,11 @@ class UnclassifiedDError(ClassifyError):
     pass
 
 
+class ClosedFormMismatchError(ClassifyError):
+    """The typed series of a quiver (3-cycle count, type-D formula or type-E
+    table) disagrees with the universal series from (dim HH^1, det C)."""
+
+
 # --- oracle -------------------------------------------------------------------
 
 class InvariantError(CthhError):

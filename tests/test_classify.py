@@ -18,7 +18,7 @@ from cthh.classify import (
     lookup_E,
 )
 from cthh.cli import main as cli_main
-from cthh.errors import NotInTableError, UnclassifiedDError
+from cthh.errors import ClosedFormMismatchError, NotInTableError, UnclassifiedDError
 from cthh.fields import QQ
 from cthh.oracle import hh1_dim
 from cthh.quiver import Quiver, canonical_form, detect_dynkin, dynkin_seed
@@ -196,18 +196,11 @@ def test_closed_form_unmatched_type_d_raises(monkeypatch, tmp_path, capsys):
     assert failed[0].messages[0].startswith("UnclassifiedDError:")
 
 
-def test_closed_form_type_d_pattern_against_universal_raises():
-    # the hereditary D4 pattern gives 0; (HH^1, det C) = (1, 2) gives f_3
-    q = dynkin_seed("D", 4)
+@pytest.mark.parametrize("family, rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_closed_form_against_universal_raises(family, rank):
+    # the hereditary seed's typed series is 0; (HH^1, det C) = (1, 2) gives f_3
+    q = dynkin_seed(family, rank)
     cd = cartan(cached_algebra(q, 0))
-    with pytest.raises(UnclassifiedDError,
-                       match="type-D pattern gave 0 but the universal route gave f_3"):
-        hh_closed_form(q, "D", 1, CartanData(cd.matrix, 2, cd.assoc_poly))
-
-
-def test_closed_form_type_e_row_against_universal_raises():
-    # the hereditary E6 polynomial's row is 0; (HH^1, det C) = (1, 2) gives f_3
-    q = dynkin_seed("E", 6)
-    cd = cartan(cached_algebra(q, 0))
-    with pytest.raises(NotInTableError, match="table row 0 disagrees with universal f_3"):
-        hh_closed_form(q, "E", 1, CartanData(cd.matrix, 2, cd.assoc_poly))
+    with pytest.raises(ClosedFormMismatchError,
+                       match=f"type-{family} series 0 but the universal route gave f_3"):
+        hh_closed_form(q, family, 1, CartanData(cd.matrix, 2, cd.assoc_poly))

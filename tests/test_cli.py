@@ -159,9 +159,6 @@ def test_cli_hh_typed_and_universal(tmp_path, capsys):
     typed = json.loads(capsys.readouterr().out)
     assert typed["h"] == "f_3"
     assert typed["dims"] == [1, 1, 0, 1, 1, 0, 1, 1, 0]
-    assert main(["hh", path, "--char", "2", "--max-i", "8", "--method", "universal", "--json"]) == 0
-    uni = json.loads(capsys.readouterr().out)
-    assert uni["dims"] == typed["dims"]
 
 
 # quivers of types D5 and E6 whose closed forms come from the type-D patterns
@@ -179,9 +176,8 @@ HH_TYPED_CASES = [
 @pytest.mark.parametrize("doc, char, expected", HH_TYPED_CASES)
 def test_cli_hh_typed_matches_universal_on_types_d_and_e(tmp_path, capsys, doc, char, expected):
     path = write(tmp_path, "q.json", doc)
-    for method in ("typed", "universal"):
-        assert main(["hh", path, "--char", char, "--method", method, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out) == expected, method
+    assert main(["hh", path, "--char", char, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
 
 
 # a D8 quiver (h = f_8) whose resolution over QQ repeats with period (1, 16)
@@ -300,11 +296,33 @@ def test_cli_verify_json_report_bytes(capsys, args, sha):
     ["verify", "--seed", "A1", "--chars", "2"],
     ["class", "--seed", "E9"],
     ["class", "--seed", "E5"],
+    ["mutate", "{q}", "--at", "9"],
+    ["mutate", "{q}", "--at", "0"],
+    ["verify", "--seed", "A3", "--chars", "2,x"],
 ])
 def test_cli_out_of_range_input_exit_2(tmp_path, capsys, argv):
     path = write(tmp_path, "q.json", TRIANGLE)
     assert main([a.format(q=path) for a in argv]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    b"[" * 100_000,
+    b'{"vertices": 3, "arrows": [[1, 2], [2, 3]]}\xff',
+    b'{"vertices": 3, "arrows": [[1, 2], [2, 9]]}',
+], ids=["directory", "deep-nesting", "non-utf-8", "arrow-out-of-range"])
+def test_cli_unreadable_quiver_file_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "q.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["hh", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one line, no traceback
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["hh", "hh-oracle"])
