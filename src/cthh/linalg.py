@@ -106,14 +106,6 @@ def rref_frac(rows, ncols):
     return r, pivots, minor
 
 
-def rref(rows, ncols, field: FieldSpec):
-    """In-place reduced row echelon form over field. Returns (rank, pivots)."""
-    p = field.characteristic
-    if p:
-        return rref_mod(rows, ncols, p)
-    return rref_frac(rows, ncols)[:2]
-
-
 def kernel_from_rref(rows, ncols, pivots, field: FieldSpec):
     """Right null space basis given an RREF. One vector per free column."""
     pivot_set = set(pivots)

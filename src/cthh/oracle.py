@@ -68,6 +68,13 @@ kernel step only.  When p divides a denominator or a minor, the certificate
 fails (it does not prove the ranks drop) and that field is resolved on its
 own, with a RuntimeWarning.
 
+The Hom complex reuses the certificate: each distinct Hom differential d^i is
+row-reduced once, over the resolution's field.  For a certified p its entries
+are p-integral, so its rank mod p is at most its rank r over QQ, and at least r
+when p does not divide its pivot product, +- an r x r minor; only a p that
+divides it reduces d^i mod p again.  The per-field HH^0/HH^1 cross-checks
+check this reuse.
+
 The HH^0/HH^1 cross-checks solve small systems in the same bigrading: Z(A) lies
 in the sum of the e_v A e_v, and up to an inner derivation a derivation vanishes
 on the trivial paths, so maps each e_u A e_v into itself (Happel, LNM 1404, 1989).
@@ -83,7 +90,7 @@ from collections import defaultdict
 from .algebra import BoundAlgebra
 from .errors import InvariantError, ResolutionBudgetError
 from .fields import FieldSpec
-from .linalg import Echelon, kernel_from_rref, rref, rref_frac, rref_mod
+from .linalg import Echelon, kernel_from_rref, rref_frac, rref_mod
 
 DEFAULT_BUDGET = 50000
 
@@ -403,16 +410,24 @@ class BimoduleResolution:
                         out *= c.denominator
         return out
 
-    def hom_differential_rank(self, i, field):
-        """Rank of Hom(P_{i-1}, A) -> Hom(P_i, A) over field: the resolution's
-        own, or GF(p) for a resolution over QQ, whose coefficients are then
-        reduced mod p."""
+    def hom_differential_rank(self, i, fields):
+        """Ranks of Hom(P_{i-1}, A) -> Hom(P_i, A) over each field in fields: the
+        resolution's own, or a GF(p) that a resolution over QQ is certified for
+        (obstruction).  It is row-reduced once over the resolution's field, and
+        again mod p only for a prime dividing that pivot minor (module docstring)."""
+        rank, minor = self._hom_rank(i, self.field)
+        return [rank if fs == self.field or minor.numerator % fs.characteristic
+                else self._hom_rank(i, fs)[0] for fs in fields]
+
+    def _hom_rank(self, i, field):
+        """Rank of Hom(P_{i-1}, A) -> Hom(P_i, A) over field and, over QQ, +- the
+        product of its pivots; a resolution over QQ is reduced mod p for GF(p)."""
         dom = self.hom_basis(i - 1)
         cod_pos = {gw: r for r, gw in enumerate(self.hom_basis(i))}
         mult = self.a.mult
-        # the one place a Fraction can meet GF(p): coerce each coefficient once
-        images = [{coord: field.element(c) for coord, c in img.items()}
-                  for img in self.levels[i].images]
+        images = self.levels[i].images
+        if field != self.field:  # the one place a Fraction can meet GF(p)
+            images = [{coord: field.element(c) for coord, c in img.items()} for img in images]
 
         def terms():
             for col, (gsrc, w) in enumerate(dom):
@@ -427,13 +442,17 @@ class BimoduleResolution:
         return _rank(terms(), len(dom), field)
 
 
-def _rank(terms, ncols, fld: FieldSpec) -> int:
+def _rank(terms, ncols, fld: FieldSpec):
     """Rank of the system whose (row key, column, value) terms sum into dense
-    rows; over GF(p) the sums need not be reduced, since rref_mod reduces them."""
+    rows, and +- the product of its pivots over QQ (1 over GF(p)); over GF(p)
+    the sums need not be reduced, since rref_mod reduces them."""
     rows = defaultdict(lambda: [0] * ncols)
     for key, col, val in terms:
         rows[key][col] += val
-    return rref(list(rows.values()), ncols, fld)[0]
+    if fld.characteristic:
+        return rref_mod(list(rows.values()), ncols, fld.characteristic)[0], 1
+    rank, _, minor = rref_frac(list(rows.values()), ncols)
+    return rank, minor
 
 
 def center_dim(a: BoundAlgebra) -> int:
@@ -448,7 +467,7 @@ def center_dim(a: BoundAlgebra) -> int:
                 for c, v in a.mult.get((g, b), ()):
                     yield (g, c), col, -v
 
-    return len(loops) - _rank(terms(), len(loops), a.field)
+    return len(loops) - _rank(terms(), len(loops), a.field)[0]
 
 
 def derivation_space_dim(a: BoundAlgebra) -> int:
@@ -491,7 +510,7 @@ def derivation_space_dim(a: BoundAlgebra) -> int:
                     yield (g, m, c), j, -v
 
     loops = sum(a.src[b] == a.tgt[b] for b in range(d))
-    return ncols - _rank(terms(), ncols, a.field) + d - loops
+    return ncols - _rank(terms(), ncols, a.field)[0] + d - loops
 
 
 def hh1_dim(a: BoundAlgebra) -> int:
@@ -504,9 +523,10 @@ def hh1_dim(a: BoundAlgebra) -> int:
 def hh_dims(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
     """(dim HH^0, ..., dim HH^max_i) of a.over(fs) for each fs in fieldspecs,
     in order, from one resolution of a over its own field, of length max_i + 1.
-    A GF(p) field of an algebra over QQ takes the Hom complex reduced mod p;
-    when p divides the resolution's obstruction, a.over(fs) is resolved on its
-    own instead, with a RuntimeWarning.  Each field's HH^0 and HH^1 are checked
+    The fields the resolution is certified for share one pass over the
+    distinct levels (hom_differential_rank); when p divides the resolution's
+    obstruction, a.over(fs) is resolved on its own instead, with a
+    RuntimeWarning.  Each field's HH^0 and HH^1 are checked
     against the center and Der/Inn of a.over(fs).  With level 1 written down,
     HH^0 and dim Z(A) solve the same system (x alpha = alpha x on the paths
     from a vertex to itself) through separate code, so the HH^0 check
@@ -514,23 +534,23 @@ def hh_dims(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
     algebras = [a.over(fs) for fs in fieldspecs]  # a wrong field fails before any level
     res = BimoduleResolution(a)
     res.extend_to(max_i + 1)
-    obstruction = None
+    obstruction = res.obstruction(max_i + 1) if set(fieldspecs) - {a.field} else 1
+    certified = [fs for fs in dict.fromkeys(fieldspecs)
+                 if fs == a.field or obstruction % fs.characteristic]
+    ranks = [[0] * len(certified)]  # per level i, the rank of d^i over each certified field
+    for i in range(1, max_i + 2) if certified else ():
+        m = res.distinct_index(i)  # the rank reads the same state as the level
+        ranks.append(ranks[m] if m < i else res.hom_differential_rank(i, certified))
     out = []
     for fs, alg in zip(fieldspecs, algebras):
-        if fs != a.field:
-            p = fs.characteristic
-            if obstruction is None:
-                obstruction = res.obstruction(max_i + 1)
-            if obstruction % p == 0:
-                warnings.warn(f"{a.quiver}: the resolution over {a.field} is not certified "
-                              f"mod {p}; resolving over {fs}", RuntimeWarning, stacklevel=2)
-                out += hh_dims(alg, [fs], max_i)
-                continue
-        ranks = [0] * (max_i + 2)
-        for i in range(1, max_i + 2):
-            m = res.distinct_index(i)  # the rank reads the same state as the level
-            ranks[i] = ranks[m] if m < i else res.hom_differential_rank(i, fs)
-        dims = tuple(len(res.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(max_i + 1))
+        if fs not in certified:
+            warnings.warn(f"{a.quiver}: the resolution over {a.field} is not certified "
+                          f"mod {fs.characteristic}; resolving over {fs}",
+                          RuntimeWarning, stacklevel=2)
+            out += hh_dims(alg, [fs], max_i)
+            continue
+        k = certified.index(fs)
+        dims = tuple(len(res.hom_basis(i)) - ranks[i][k] - ranks[i + 1][k] for i in range(max_i + 1))
         if dims[0] != center_dim(alg):
             raise InvariantError("HH^0 disagrees with the center")
         # dim HH^1 = dim Der - dim Inn, and dim Inn = dim A - dim Z(A) = dim A - dims[0]

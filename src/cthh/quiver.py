@@ -333,17 +333,7 @@ def _chordless_cycles(q: Quiver):
     """
     adj = neighbours(q)
     found = []
-
-    def extend(path, blocked):
-        # path = [a, u, b, ...] is an induced path; blocked holds the neighbours
-        # of its interior path[1:-1], so with v > u no path vertex comes back
-        for v in adj[path[-1]]:
-            if v > path[1] and v not in blocked:
-                if v in adj[path[0]]:
-                    found.append(path + [v])
-                else:
-                    extend(path + [v], blocked | adj[path[-1]])
-
+    paths = []  # an explicit stack: an induced path can be as long as the quiver
     for u in adj:
         up = sorted(w for w in adj[u] if w > u)
         for i, a in enumerate(up):
@@ -351,7 +341,17 @@ def _chordless_cycles(q: Quiver):
                 if b in adj[a]:
                     found.append([a, u, b])
                 else:
-                    extend([a, u, b], adj[u])
+                    paths.append(([a, u, b], adj[u]))
+    while paths:
+        # path = [a, u, b, ...] is an induced path; blocked holds the neighbours
+        # of its interior path[1:-1], so with v > u no path vertex comes back
+        path, blocked = paths.pop()
+        for v in adj[path[-1]]:
+            if v > path[1] and v not in blocked:
+                if v in adj[path[0]]:
+                    found.append(path + [v])
+                else:
+                    paths.append((path + [v], blocked | adj[path[-1]]))
 
     arrow_set = q.arrow_set
     cycles = []
@@ -364,6 +364,7 @@ def _chordless_cycles(q: Quiver):
         if oriented_bwd:
             walk = [walk[0]] + walk[1:][::-1]
         cycles.append(Cycle(tuple(walk), oriented_fwd or oriented_bwd))
+    # an induced cycle is fixed by its vertex set: this order does not depend on the search
     cycles.sort(key=lambda c: (c.length, sorted(c.vertices)))
     return tuple(cycles)
 

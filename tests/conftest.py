@@ -10,7 +10,7 @@ from cthh.algebra import _complete, _reduce, build_algebra
 from cthh.classify import _E_TABLE
 from cthh.errors import MultipleArrowError, NotDynkinError, UnclassifiedDError
 from cthh.fields import FieldSpec
-from cthh.linalg import Echelon, det_int, kernel_from_rref, rref, rref_mod
+from cthh.linalg import Echelon, det_int, kernel_from_rref, rref_frac, rref_mod
 from cthh.oracle import BimoduleResolution
 from cthh.quiver import (Cycle, Quiver, _encode, chordless_cycles, dynkin_seed, enumerate_class, mutate,
                          neighbours, validate)
@@ -570,9 +570,35 @@ def augmentation_level_one(a):
     return gens, images, sum(len(k) for k in kernels.values())
 
 
+def rref(rows, ncols, field: FieldSpec):
+    """In-place reduced row echelon form over field. Returns (rank, pivots)."""
+    p = field.characteristic
+    if p:
+        return rref_mod(rows, ncols, p)
+    return rref_frac(rows, ncols)[:2]
+
+
 def matrix_rank(rows, ncols, field):
     """Rank over field of a matrix given as rows; the rows are not modified."""
     return rref([list(r) for r in rows], ncols, field)[0]
+
+
+def hom_differential_reference(res, i):
+    """Dense matrix of Hom(P_{i-1}, A) -> Hom(P_i, A), f -> f o d_i, over the
+    resolution's field: rows res.hom_basis(i), columns res.hom_basis(i - 1).
+    The column of (g', w) holds, in row (g, m), the coefficient of m in the sum
+    of c * p w q over the terms c (g', p, q) of g's image."""
+    a = res.a
+    dom = res.hom_basis(i - 1)
+    row_of = {gw: r for r, gw in enumerate(res.hom_basis(i))}
+    mat = [[0] * len(dom) for _ in row_of]
+    for col, (src, w) in enumerate(dom):
+        for g, img in enumerate(res.levels[i].images):
+            for (gg, p, q), c in img.items():
+                if gg == src:
+                    for m, v in multiply(a, multiply(a, ((p, c),), ((w, 1),)), ((q, 1),)):
+                        mat[row_of[(g, m)]][col] += v
+    return mat
 
 
 def quiver_from_canonical(text: str) -> Quiver:

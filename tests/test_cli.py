@@ -145,6 +145,18 @@ def test_cli_relations(tmp_path, capsys):
     assert all(r["kind"] == "zero" for r in doc["relations"])
 
 
+def test_cli_relations_on_a_long_oriented_cycle(tmp_path, capsys):
+    # the chordless-cycle search keeps its induced paths on a stack, not on
+    # the call stack, so a cycle longer than the recursion limit is fine
+    n = 1200
+    arrows = [[i, i % n + 1] for i in range(1, n + 1)]
+    path = write(tmp_path, "q.json", json.dumps({"vertices": n, "arrows": arrows}))
+    assert main(["relations", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["relations"]) == n
+    assert all(r["kind"] == "zero" for r in doc["relations"])
+
+
 def test_cli_cartan(tmp_path, capsys):
     path = write(tmp_path, "q.json", TRIANGLE)
     assert main(["cartan", path, "--json"]) == 0

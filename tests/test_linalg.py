@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import cthh.linalg
-from conftest import det_cofactor
+from conftest import det_cofactor, rref
 from cthh.errors import InvariantError
 from cthh.fields import QQ, GF2, GF3, GF5, GF7, FieldSpec
 from cthh.linalg import (
@@ -18,7 +18,6 @@ from cthh.linalg import (
     kernel_from_rref,
     leading_minors,
     pencil_det,
-    rref,
     rref_frac,
 )
 from cthh.quiver import Quiver

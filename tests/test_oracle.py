@@ -12,11 +12,12 @@ import pytest
 
 import cthh.oracle
 from conftest import (ColumnImageResolution, FullSpanResolution, augmentation_level_one,
-                      cached_algebra, column_image_blocks, matrix_rank, mutation_class, relabel)
+                      cached_algebra, column_image_blocks, hom_differential_reference, matrix_rank,
+                      mutation_class, relabel, rref)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
 from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
-from cthh.linalg import kernel_from_rref, rref
+from cthh.linalg import kernel_from_rref
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class
 from cthh.relations import Path as QuiverPath, Relation
@@ -225,7 +226,7 @@ def test_periodic_resolution_matches_plain_steps(name, q, char):
     assert 1 <= j and 1 <= d and j + d <= length
     for n in range(j, length + 1):
         assert res.levels[n] is res.levels[j + (n - j) % d]
-    ranks = [0] + [plain.hom_differential_rank(i, a.field) for i in range(1, length + 1)]
+    ranks = [0] + [plain.hom_differential_rank(i, [a.field])[0] for i in range(1, length + 1)]
     dims = tuple(len(plain.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(length))
     assert hh_dims(a, [a.field], max_i=length - 1)[0] == dims
 
@@ -558,6 +559,37 @@ def test_hh_dims_rejects_another_field_of_an_algebra_over_gfp(monkeypatch):
         hh_dims(cached_algebra(oriented_cycle(3), 2), [GF2, QQ], max_i=2)
 
 
+def test_hom_ranks_mod_p_match_the_reduced_differential(monkeypatch):
+    # each distinct Hom differential of a resolution over QQ is row-reduced
+    # once over QQ, and GF(p) takes that rank unless p divides its pivot minor;
+    # either way it must be the rank of the differential reduced mod p
+    fallbacks = Counter()
+    real = BimoduleResolution._hom_rank
+
+    def counting(self, i, field):
+        if field != self.field:
+            fallbacks[field.characteristic] += 1
+        return real(self, i, field)
+
+    monkeypatch.setattr(BimoduleResolution, "_hom_rank", counting)
+    for family, ranks in (("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))):
+        for q in (q for rank in ranks for q in mutation_class(family, rank)):
+            res = BimoduleResolution(cached_algebra(q, 0))
+            res.extend_to(9)
+            for i in sorted({res.distinct_index(i) for i in range(1, 10)}):
+                mat = hom_differential_reference(res, i)
+                want = [matrix_rank([[fs.element(x) for x in row] for row in mat],
+                                    len(res.hom_basis(i - 1)), fs) for fs in ALL_FIELDS]
+                assert res.hom_differential_rank(i, ALL_FIELDS) == want, (q, i)
+    # the fallback runs for every prime, e.g. on the minors +-2 and +-3 at level 4
+    # of the oriented 3- and 4-cycle and +-5 on a D6 quiver
+    assert sorted(fallbacks) == [2, 3, 5]
+    for q, i, p in ((oriented_cycle(3), 4, 2), (oriented_cycle(4), 4, 3)):
+        res = BimoduleResolution(cached_algebra(q, 0))
+        res.extend_to(i)
+        assert abs(res._hom_rank(i, QQ)[1]) == p
+
+
 class _TimesThree(BimoduleResolution):
     """Multiplies the recorded pivot minor of d_n by 3 for n = PLANTED_LEVEL,
     so the certificate fails for p = 3 alone."""
@@ -620,11 +652,11 @@ def test_non_integral_image_falls_back_without_crashing(monkeypatch):
 
 def test_non_integral_image_is_reduced_in_the_hom_complex(monkeypatch):
     # at max_i 3 the halved level carries a nonzero Hom differential, so the
-    # 1/2 enters the GF(3) and GF(5) rank systems and must be reduced there
+    # 1/2 enters the Hom differential over QQ whose rank GF(3) and GF(5) take
     q, max_i = oriented_cycle(3), 3
     res = _HalvedTop(cached_algebra(q, 0))
     res.extend_to(max_i + 1)
-    assert res.hom_differential_rank(max_i + 1, QQ) > 0
+    assert res.hom_differential_rank(max_i + 1, [QQ]) != [0]
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _HalvedTop)
     with pytest.warns(RuntimeWarning, match="not certified mod 2") as record:
         got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)

@@ -5,6 +5,7 @@ import pathlib
 import re
 import sys
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 import cthh
 from cthh.cli import main
 from cthh.errors import InvariantError
-from cthh.fields import GF2, QQ
+from cthh.fields import GF2, GF5, QQ
+from cthh.oracle import BimoduleResolution
 from cthh.quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
 from cthh.series import HSeries
 from cthh.verify import check_quiver, verify_suite
@@ -50,7 +52,15 @@ def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
     names = ["build_algebra", "cartan", "hh1_dim", "center_dim", "classify_D",
              "series.series_from_invariants"]
     counts = count_calls(monkeypatch, names)
-    fields = [GF2, QQ]
+    eliminations = Counter()
+    real = BimoduleResolution._hom_rank
+
+    def hom_rank(self, i, field):
+        eliminations[field.characteristic] += 1
+        return real(self, i, field)
+
+    monkeypatch.setattr(BimoduleResolution, "_hom_rank", hom_rank)
+    fields = [GF2, GF5, QQ]
     record = check_quiver(q, family, 6, fields, max_i=4)
     assert record.passed, record.messages
     # one build over QQ, moved to each other field; hh1_dim once, for the
@@ -61,6 +71,10 @@ def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
     assert counts == {"build_algebra": 1, "cartan": 1, "hh1_dim": 1,
                       "center_dim": 1 + len(fields), "classify_D": int(family == "D"),
                       "series.series_from_invariants": 1}
+    # one Hom-differential elimination over QQ per distinct level 1..5, and one
+    # mod p per (p, level) whose pivot minor p divides: the oriented 6-cycle
+    # repeats no level by 5, and its level-4 minor is -5; E6 repeats from 3 on
+    assert eliminations == ({0: 5, 5: 1} if family == "D" else {0: 3})
 
 
 def test_typed_error_in_one_quiver_gives_one_fail_record(monkeypatch, capsys):
