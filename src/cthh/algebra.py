@@ -46,9 +46,9 @@ def _poly(terms):
     return {x: c for x, c in f.items() if c}
 
 
-def _reduce(f, rules):
-    """Normal form of f {path: int} under rules {tip: {path: int}}, largest term first."""
-    lengths = {len(t) for t in rules}
+def _reduce(f, rules, lengths):
+    """Normal form of f {path: int} under rules {tip: {path: int}}, largest term
+    first; lengths is the set of the rules' tip lengths."""
     out = {}
     while f:
         w = max(f, key=_path_key)
@@ -90,7 +90,7 @@ def _complete(rels, limit: int):
 
     push(*(_poly((p.vertices, c) for c, p in rel.terms) for _, rel in rels))
     while pending:
-        f = _reduce(heapq.heappop(pending)[2], rules)
+        f = _reduce(heapq.heappop(pending)[2], rules, {len(t) for t in rules})
         if not f:
             continue
         tip = max(f, key=_path_key)
@@ -106,7 +106,8 @@ def _complete(rels, limit: int):
             push(*_overlaps(tip, t, rules))
             if t != tip:
                 push(*_overlaps(t, tip, rules))
-    return {t: _reduce(dict(tail), rules) for t, tail in rules.items()}
+    lengths = {len(t) for t in rules}
+    return {t: _reduce(dict(tail), rules, lengths) for t, tail in rules.items()}
 
 
 @dataclass(frozen=True)
@@ -179,17 +180,19 @@ def build_algebra(q: Quiver, rels, fieldspec: FieldSpec = QQ) -> BoundAlgebra:
 
     basis = tuple(sorted((w for layer in layers for w in layer), key=_path_key))
     index = {p: i for i, p in enumerate(basis)}
+    starting = {v: [] for v in range(1, n + 1)}  # the basis indices of the words from v, ascending
+    for j, r in enumerate(basis):
+        starting[r[0]].append(j)
     mult = {}  # over the integers; zero coefficients never reach a normal form
     for i, p in enumerate(basis):
-        for j, r in enumerate(basis):
-            if p[-1] == r[0]:
-                word = p + r[1:]
-                if word in index:  # a normal word is its own normal form
-                    mult[(i, j)] = ((index[word], 1),)
-                    continue
-                nf = _reduce({word: 1}, rules)
-                if nf:
-                    mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
+        for j in starting[p[-1]]:
+            word = p + basis[j][1:]
+            if word in index:  # a normal word is its own normal form
+                mult[(i, j)] = ((index[word], 1),)
+                continue
+            nf = _reduce({word: 1}, rules, lengths)
+            if nf:
+                mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
     src = tuple(p[0] for p in basis)
     tgt = tuple(p[-1] for p in basis)
     return BoundAlgebra(q, QQ, basis, mult, src, tgt).over(fieldspec)

@@ -7,8 +7,9 @@ permutations compatible with an iteratively refined degree partition, in
 the manner of individualization-refinement (McKay-Piperno 2014): a discrete
 partition is the labelling, and otherwise a search places one vertex of
 least border at a time, each vertex's border to the placed ones carried as
-an int with 2 bits per placed vertex.  Class enumeration never mutates a new
-member at the vertex it was reached by, since mutation is an involution.
+an int with 2 bits per placed vertex.  Class enumeration labels each edge of
+the exchange graph once: mutation is an involution, so a member is never
+mutated at a vertex whose mutant is already known from the other end.
 
 Chordless cycles are found by extending induced paths from each cycle's
 least vertex (Dias-Castonguay-Longo-Jradi 2013), so the search stays cheap
@@ -282,18 +283,25 @@ def enumerate_class(seed: Quiver, cap: int = DEFAULT_CLASS_CAP):
     """All quivers in the mutation class of seed, one canonical representative
     per isomorphism class, sorted by canonical form.
 
-    A new member is never mutated at the vertex it was reached by: mutation
-    is an involution, so that gives back its parent, already found."""
+    Each edge of the exchange graph is labelled once.  Mutation commutes with
+    relabelling and is an involution, so when mutating rep at k labels to a
+    member m by pos, mutating m at pos[k - 1] + 1 gives back rep up to
+    isomorphism.  Each member not yet mutated keeps the set of such vertices,
+    its reverse edges, and is not mutated there; the vertex a new member was
+    reached by is the first of them."""
     validate(seed)
     n = seed.vertex_count
     start = canonical_representative(seed)
     found = {_encode(start): start}
-    frontier = [(start, 0)]
+    known = {_encode(start): set()}  # only for members not yet mutated
+    frontier = [start]
     while frontier:
         nxt = []
-        for rep, back in frontier:
+        for rep in frontier:
+            here = _encode(rep)
+            skip = known[here]
             for k in range(1, n + 1):
-                if k == back:
+                if k in skip:
                     continue
                 arrows, pos = _canonical_data(n, mutate(rep, k).arrows)  # mutate sorts the arrows
                 m = Quiver(n, arrows)
@@ -302,7 +310,11 @@ def enumerate_class(seed: Quiver, cap: int = DEFAULT_CLASS_CAP):
                     if len(found) >= cap:
                         raise CapExceededError(cap)
                     found[key] = m
-                    nxt.append((m, pos[k - 1] + 1))
+                    known[key] = set()
+                    nxt.append(m)
+                if key in known:
+                    known[key].add(pos[k - 1] + 1)
+            del known[here]
         frontier = nxt
     return [found[k] for k in sorted(found)]
 

@@ -22,7 +22,7 @@ from .classify import hh_closed_form
 from .errors import CthhError
 from .fields import QQ
 from .oracle import hh1_dim, hh_dims
-from .quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
+from .quiver import Quiver, _encode, canonical_form, dynkin_seed, enumerate_class
 from .relations import generate_relations
 from .series import hh_dim
 
@@ -112,15 +112,6 @@ def check_quiver(q: Quiver, family: str, rank: int, fieldspecs, max_i: int) -> Q
     )
 
 
-def sample_by_canonical(quivers, size):
-    """Deterministic pseudo-random sample: order by the SHA-256 digest of the
-    canonical form and take a prefix."""
-    if size is None or size >= len(quivers):
-        return list(quivers)
-    keyed = sorted(quivers, key=lambda q: hashlib.sha256(canonical_form(q)).hexdigest())
-    return keyed[:size]
-
-
 def _worker(args):
     q, family, rank = args[:3]
     try:
@@ -135,7 +126,11 @@ def verify_suite(family: str, rank: int, fieldspecs, max_i: int,
                  sample: int | None = None, jobs: int | None = None) -> VerifyReport:
     seed = dynkin_seed(family, rank)
     quivers = enumerate_class(seed)
-    quivers = sample_by_canonical(quivers, sample)
+    if sample is not None:
+        # deterministic pseudo-random sample: a prefix in the order of the
+        # SHA-256 digests of the canonical forms, which for the members of
+        # enumerate_class are their own encodings
+        quivers = sorted(quivers, key=lambda q: hashlib.sha256(_encode(q)).digest())[:sample]
     if jobs is None:
         jobs = min(os.cpu_count() or 1, 8)
     fieldspecs = tuple(fieldspecs)

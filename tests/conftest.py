@@ -1,5 +1,6 @@
 """Shared fixtures: mutation classes and cached algebra builds."""
 
+import hashlib
 import itertools
 from collections import Counter
 from functools import lru_cache
@@ -12,8 +13,8 @@ from cthh.errors import MultipleArrowError, NotDynkinError, UnclassifiedDError
 from cthh.fields import FieldSpec
 from cthh.linalg import Echelon, det_int, kernel_from_rref, rref_frac, rref_mod
 from cthh.oracle import BimoduleResolution
-from cthh.quiver import (Cycle, Quiver, _encode, chordless_cycles, dynkin_seed, enumerate_class, mutate,
-                         neighbours, validate)
+from cthh.quiver import (Cycle, Quiver, _encode, canonical_form, chordless_cycles, dynkin_seed, enumerate_class,
+                         mutate, neighbours, validate)
 from cthh.relations import generate_relations
 from cthh.series import HSeries
 
@@ -21,6 +22,15 @@ from cthh.series import HSeries
 @lru_cache(maxsize=None)
 def mutation_class(family, rank):
     return tuple(enumerate_class(dynkin_seed(family, rank)))
+
+
+def sample_by_canonical(quivers, size):
+    """Deterministic pseudo-random sample of any quivers: order by the SHA-256
+    digest of the canonical form and take a prefix.  verify_suite's sample of
+    a class is the one this picks."""
+    if size is None or size >= len(quivers):
+        return list(quivers)
+    return sorted(quivers, key=lambda q: hashlib.sha256(canonical_form(q)).hexdigest())[:size]
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +97,7 @@ def reduced_products(a, rels):
     for i, p in enumerate(a.basis):
         for j, r in enumerate(a.basis):
             if p[-1] == r[0]:
-                nf = _reduce({p + r[1:]: 1}, rules)
+                nf = _reduce({p + r[1:]: 1}, rules, {len(t) for t in rules})
                 entries = ((index[w], a.field.element(c)) for w, c in nf.items())
                 entries = tuple(sorted(e for e in entries if e[1]))
                 if entries:

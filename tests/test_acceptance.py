@@ -8,14 +8,14 @@ complete; the heavy sweeps run on `verify_suite`'s default worker pool.
 import time
 
 from conftest import (E_TABLE_ROWS, cached_algebra, mutation_class, quiver_from_canonical,
-                      universal_params)
+                      sample_by_canonical, universal_params)
 from cthh.algebra import cartan
 from cthh.classify import classify_D, hh_closed_form
 from cthh.fields import QQ, GF2, GF3, GF5, GF7, FieldSpec
 from cthh.oracle import hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class, oriented_triangle_count
 from cthh.series import HSeries, f_coeff, hh_dim
-from cthh.verify import sample_by_canonical, verify_suite
+from cthh.verify import verify_suite
 
 
 def announce(num, passed, detail):

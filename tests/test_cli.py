@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +288,17 @@ VERIFY_REPORT_SHA256 = [
 @pytest.mark.parametrize("args, sha", VERIFY_REPORT_SHA256)
 def test_cli_verify_json_report_bytes(capsys, args, sha):
     assert main(["verify", *args.split(), "--jobs", "1", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
+CLASS_SHA256 = [line.split() for line in (Path(__file__).parent / "class_sha256.txt").read_text().splitlines()
+                if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("seed, sha", CLASS_SHA256, ids=[seed for seed, _ in CLASS_SHA256])
+def test_cli_class_json_bytes(capsys, seed, sha):
+    assert main(["class", "--seed", seed, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 

@@ -13,7 +13,7 @@ import pytest
 import cthh.oracle
 from conftest import (ColumnImageResolution, FullSpanResolution, augmentation_level_one,
                       cached_algebra, column_image_blocks, hom_differential_reference, matrix_rank,
-                      mutation_class, relabel, rref)
+                      mutation_class, relabel, rref, sample_by_canonical)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
 from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
@@ -21,7 +21,6 @@ from cthh.linalg import kernel_from_rref
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class
 from cthh.relations import Path as QuiverPath, Relation
-from cthh.verify import sample_by_canonical
 from test_algebra import D8_MIXED
 
 def oriented_cycle(n):

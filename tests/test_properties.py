@@ -8,12 +8,11 @@ Every instance enumerated by a suite must pass; there is no tolerance.
 import random
 
 from conftest import (_column_image, cached_algebra, differential_target, matrix_rank, multiply,
-                      mutation_class, relabel)
+                      mutation_class, relabel, sample_by_canonical)
 from cthh.algebra import cartan
 from cthh.fields import GF2
 from cthh.oracle import BimoduleResolution, hh_dims
 from cthh.quiver import Quiver, canonical_form, mutate, validate
-from cthh.verify import sample_by_canonical
 
 FULL_SCOPE = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
 SAMPLED_SCOPE = [("A", 6), ("A", 7), ("D", 6), ("E", 6)]

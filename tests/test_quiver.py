@@ -21,6 +21,7 @@ from cthh.errors import (
 from cthh.quiver import (
     Quiver,
     _canonical_data,
+    _encode,
     canonical_form,
     canonical_representative,
     chordless_cycles,
@@ -194,23 +195,48 @@ def test_enumerate_seed_independence(classes):
         assert again == forms, (fam, rank)
 
 
+# canonical labellings by enumerate_class, the seed's included: one per edge of
+# the exchange graph.  Mutating every member at every vertex but the one it was
+# reached by would take 1 + rank * |class| - (|class| - 1).
+LABELLINGS = {
+    ("A", 2): 2, ("A", 3): 9, ("A", 4): 13, ("A", 5): 54, ("A", 6): 152, ("A", 7): 547,
+    ("D", 4): 17, ("D", 5): 75, ("D", 6): 271, ("E", 6): 217,
+}
+
+
 def test_enumerate_labels_each_mutant_once(classes, monkeypatch):
     # one labelling search per seed and per mutant: the key of a new member
-    # is read off its canonical arrows, not searched for again, and no
-    # member but the seed is mutated at the vertex it was reached by
+    # is read off its canonical arrows, not searched for again, and no member
+    # is mutated at a vertex whose mutant is known from the reverse edge
     calls = []
+    mutated = []
 
     def counted(n, arrows):
         calls.append(arrows)
         return _canonical_data(n, arrows)
 
+    def recorded(q, k):
+        mutated.append((q, k))
+        return mutate(q, k)
+
     monkeypatch.setattr(cthh.quiver, "_canonical_data", counted)
+    monkeypatch.setattr(cthh.quiver, "mutate", recorded)
+    assert set(classes) == set(LABELLINGS)
     for (fam, rank), cls in classes.items():
-        if len(cls) > 100:
-            continue
         calls.clear()
+        mutated.clear()
         again = enumerate_class(dynkin_seed(fam, rank))
-        assert len(calls) == 1 + rank * len(cls) - (len(cls) - 1), (fam, rank)
+        assert len(calls) == LABELLINGS[fam, rank], (fam, rank)
+        if len(cls) > 2:
+            assert len(calls) < 1 + rank * len(cls) - (len(cls) - 1), (fam, rank)
+        assert len(mutated) == len(calls) - 1
+        reverse = set()  # (member, vertex) pairs whose mutant a labelled mutation gave
+        for q, k in mutated:
+            assert (q, k) not in reverse, (fam, rank, q, k)
+            arrows, pos = _canonical_data(rank, mutate(q, k).arrows)
+            reverse.add((Quiver(rank, arrows), pos[k - 1] + 1))
+        every = {(q, k) for q in again for k in range(1, rank + 1)}
+        assert every <= set(mutated) | reverse, (fam, rank)
         forms = [canonical_form(q) for q in again]
         assert forms == sorted(set(forms)) and len(again) == len(cls)
         assert all(canonical_representative(q) == q for q in again)
@@ -268,6 +294,13 @@ KNOWN_CLASS_SIZES = {
 def test_known_class_sizes():
     sizes = {key: len(mutation_class(*key)) for key in KNOWN_CLASS_SIZES}
     assert sizes == KNOWN_CLASS_SIZES
+
+
+def test_members_encode_to_their_canonical_form():
+    # verify_suite orders its sample by the members' own encodings
+    for key in KNOWN_CLASS_SIZES:
+        for q in mutation_class(*key):
+            assert _encode(q) == canonical_form(q), q
 
 
 def torkildsen_count(n):

@@ -11,13 +11,14 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import cthh
+from conftest import mutation_class, sample_by_canonical
 from cthh.cli import main
 from cthh.errors import InvariantError
 from cthh.fields import GF2, GF5, QQ
 from cthh.oracle import BimoduleResolution
 from cthh.quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
 from cthh.series import HSeries
-from cthh.verify import check_quiver, verify_suite
+from cthh.verify import QuiverRecord, check_quiver, verify_suite
 
 
 def count_calls(monkeypatch, names):
@@ -75,6 +76,18 @@ def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
     # mod p per (p, level) whose pivot minor p divides: the oriented 6-cycle
     # repeats no level by 5, and its level-4 minor is -5; E6 repeats from 3 on
     assert eliminations == ({0: 5, 5: 1} if family == "D" else {0: 3})
+
+
+@pytest.mark.parametrize("family, rank, sample", [("A", 5, 7), ("D", 7, 40), ("E", 7, 50), ("D", 6, 80)])
+def test_verify_sample_is_the_canonical_digest_prefix(monkeypatch, family, rank, sample):
+    # the sample ordered by the members' own encodings is the one ordered by
+    # canonical_form; check_quiver is stubbed, only the choice is compared
+    monkeypatch.setattr(cthh.verify, "check_quiver",
+                        lambda q, family, rank, *_: QuiverRecord(canonical_form(q).decode("ascii"), family, rank))
+    report = verify_suite(family, rank, [GF2], max_i=2, sample=sample, jobs=1)
+    want = sample_by_canonical(mutation_class(family, rank), sample)
+    assert len(want) == min(sample, len(mutation_class(family, rank)))
+    assert [r.canonical for r in report.records] == sorted(canonical_form(q).decode("ascii") for q in want)
 
 
 def test_typed_error_in_one_quiver_gives_one_fail_record(monkeypatch, capsys):
