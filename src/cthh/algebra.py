@@ -15,9 +15,9 @@ multiplication table holds the normal forms of products.
 The rules are computed once over the integers, and every tip must have
 leading coefficient +-1 (else AlgebraError).  Each reduction over Z then maps
 term by term to one mod p, so the same rules are a Groebner basis over every
-field: the basis is the same, and the multiplication table over GF(p) is the
-integer one reduced mod p (`BoundAlgebra.over`).  Every algebra is built over
-the integers and then moved to its field.  A tip or
+field: the basis is the same, and so is the integer table, built once; the
+algebra over GF(p) is a view of it (`BoundAlgebra.over`), and each consumer
+reduces its sums mod p where it eliminates.  A tip or
 a normal word longer than 2n + 1 arrows (n vertices) raises
 NotFiniteDimensionalError, which bounds the tips and so ends completion.
 """
@@ -25,7 +25,7 @@ NotFiniteDimensionalError, which bounds the tips and so ends completion.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from itertools import count
 
 from .errors import InvalidRelationsError, NotFiniteDimensionalError, AlgebraError
@@ -110,21 +110,38 @@ def _complete(rels, limit: int):
     return {t: _reduce(dict(tail), rules, lengths) for t, tail in rules.items()}
 
 
+_INDEXES = ("index", "paths_from", "paths_to", "parallel", "arrows")
+
+
 @dataclass(frozen=True)
 class BoundAlgebra:
     """Quotient of a path algebra with a fixed deterministic basis.
 
     basis paths are vertex tuples ((v,) is the trivial path at v), sorted by
     (length, vertex sequence); mult maps a basis index pair to a tuple of
-    (basis index, coefficient) with zero products simply absent.
+    (basis index, integer coefficient) with zero products absent, over every
+    field: a consumer over GF(p) reduces what it computes from it.  The basis
+    indexes are computed on construction and shared by every view (over):
+    index maps a path to its basis index, paths_from[v] and paths_to[v] list
+    the paths out of and into v, parallel[(s, t)] those from s to t, and
+    arrows the arrows, each list in ascending basis order.
     """
 
     quiver: Quiver
     field: FieldSpec
     basis: tuple
     mult: dict
-    src: tuple = dc_field(repr=False)
-    tgt: tuple = dc_field(repr=False)
+
+    def __post_init__(self):
+        paths_from, paths_to, parallel = {}, {}, {}
+        for i, p in enumerate(self.basis):  # the trivial paths come first, in vertex order
+            paths_from.setdefault(p[0], []).append(i)
+            paths_to.setdefault(p[-1], []).append(i)
+            parallel.setdefault((p[0], p[-1]), []).append(i)
+        values = ({p: i for i, p in enumerate(self.basis)}, paths_from, paths_to, parallel,
+                  [i for i, p in enumerate(self.basis) if len(p) == 2])
+        for name, value in zip(_INDEXES, values):
+            object.__setattr__(self, name, value)  # frozen: set once, and shared by every view
 
     @property
     def dimension(self):
@@ -134,23 +151,20 @@ class BoundAlgebra:
     def vertex_count(self):
         return self.quiver.vertex_count
 
-    def arrow_indices(self):
-        return [i for i, p in enumerate(self.basis) if len(p) == 2]
-
     def over(self, fieldspec: FieldSpec) -> "BoundAlgebra":
-        """This algebra over fieldspec.  The integer multiplication table of an
-        algebra over QQ is reduced mod p, and the entries that vanish are
-        dropped; the module docstring says why that is the algebra over GF(p)."""
+        """This algebra over fieldspec: a view that shares the integer table
+        and the basis indexes (the module docstring says why the table serves
+        every field)."""
         if fieldspec == self.field:
             return self
         if self.field != QQ:
             raise ValueError(f"cannot move an algebra over {self.field} to {fieldspec}")
-        mult = {}
-        for key, entries in self.mult.items():
-            reduced = tuple((k, r) for k, c in entries if (r := fieldspec.element(c)))
-            if reduced:
-                mult[key] = reduced
-        return replace(self, field=fieldspec, mult=mult)
+        # set attribute by attribute: copy() would read __dict__, and that
+        # makes every later attribute read on both algebras slower
+        view = object.__new__(BoundAlgebra)
+        for name in ("quiver", "field", "basis", "mult", *_INDEXES):
+            object.__setattr__(view, name, fieldspec if name == "field" else getattr(self, name))
+        return view
 
 
 def _check_relations(q: Quiver, rels):
@@ -179,13 +193,10 @@ def build_algebra(q: Quiver, rels, fieldspec: FieldSpec = QQ) -> BoundAlgebra:
             raise NotFiniteDimensionalError(f"normal words longer than {limit} arrows")
 
     basis = tuple(sorted((w for layer in layers for w in layer), key=_path_key))
-    index = {p: i for i, p in enumerate(basis)}
-    starting = {v: [] for v in range(1, n + 1)}  # the basis indices of the words from v, ascending
-    for j, r in enumerate(basis):
-        starting[r[0]].append(j)
-    mult = {}  # over the integers; zero coefficients never reach a normal form
+    a = BoundAlgebra(q, QQ, basis, {})  # indexed here; its table is filled in below
+    mult, index = a.mult, a.index  # over the integers; zero coefficients never reach a normal form
     for i, p in enumerate(basis):
-        for j in starting[p[-1]]:
+        for j in a.paths_from[p[-1]]:
             word = p + basis[j][1:]
             if word in index:  # a normal word is its own normal form
                 mult[(i, j)] = ((index[word], 1),)
@@ -193,9 +204,7 @@ def build_algebra(q: Quiver, rels, fieldspec: FieldSpec = QQ) -> BoundAlgebra:
             nf = _reduce({word: 1}, rules, lengths)
             if nf:
                 mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
-    src = tuple(p[0] for p in basis)
-    tgt = tuple(p[-1] for p in basis)
-    return BoundAlgebra(q, QQ, basis, mult, src, tgt).over(fieldspec)
+    return a.over(fieldspec)
 
 
 @dataclass(frozen=True)
@@ -207,9 +216,7 @@ class CartanData:
 
 def cartan(a: BoundAlgebra) -> CartanData:
     n = a.vertex_count
-    c = [[0] * n for _ in range(n)]
-    for p in a.basis:
-        c[p[0] - 1][p[-1] - 1] += 1
+    c = [[len(a.parallel.get((s, t), ())) for t in range(1, n + 1)] for s in range(1, n + 1)]
     neg_ct = [[-c[j][i] for j in range(n)] for i in range(n)]
     poly = pencil_det(c, neg_ct)
     # det C is the leading coefficient of det(xC - C^T)

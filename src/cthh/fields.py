@@ -2,9 +2,9 @@
 
 Field elements are plain Python values.  A rational is an `int`, or a
 `fractions.Fraction` only after an inexact division; GF(p) elements are
-`int` in the range [0, p).  All arithmetic is exact; GF(p) is restricted
-to machine-word primes (products must not overflow an int64 in optimized
-back ends, so p < 2**31).
+`int` in the range [0, p).  All arithmetic is exact, on Python integers, and
+GF(p) takes primes below 2**31 only.  An algebra's multiplication table holds
+integers over every field, and its readers reduce mod p (`cthh.algebra`).
 """
 
 from __future__ import annotations

@@ -95,25 +95,19 @@ from .linalg import Echelon, kernel_from_rref, rref_frac, rref_mod
 DEFAULT_BUDGET = 50000
 
 
-def _parallel_paths(a: BoundAlgebra):
-    """(source, target) -> the basis paths from source to target."""
-    out = {}
-    for i in range(a.dimension):
-        out.setdefault((a.src[i], a.tgt[i]), []).append(i)
-    return out
-
-
 class _Level:
     """One projective P = sum of A e_a (x) e_b A over generators (a, b)."""
 
-    def __init__(self, a: BoundAlgebra, gens, images, paths_to, paths_from):
+    def __init__(self, a: BoundAlgebra, gens, images):
         self.gens = list(gens)       # list of (a_vertex, b_vertex)
         self.images = list(images)   # per generator: dict coord -> coeff in level - 1; none at 0
         self.blocks = {}
+        basis = a.basis
         for g, (av, bv) in enumerate(self.gens):
-            for p in paths_to.get(av, ()):
-                for q in paths_from.get(bv, ()):
-                    self.blocks.setdefault((a.src[p], a.tgt[q]), []).append((g, p, q))
+            for p in a.paths_to[av]:
+                s = basis[p][0]
+                for q in a.paths_from[bv]:
+                    self.blocks.setdefault((s, basis[q][-1]), []).append((g, p, q))
         self.offset = {}
         for key, coords in self.blocks.items():
             for off, c in enumerate(coords):
@@ -162,17 +156,12 @@ class BimoduleResolution:
         self.a = a
         self.field = a.field
         self.total_dim = 0
-        self.paths_to = {}
-        self.paths_from = {}
-        for i in range(a.dimension):
-            self.paths_to.setdefault(a.tgt[i], []).append(i)
-            self.paths_from.setdefault(a.src[i], []).append(i)
         self.arrows_out = {}
         self.arrows_in = {}
-        for idx in a.arrow_indices():
-            self.arrows_out.setdefault(a.src[idx], []).append(idx)
-            self.arrows_in.setdefault(a.tgt[idx], []).append(idx)
-        self.parallel = _parallel_paths(a)
+        for idx in a.arrows:
+            s, t = a.basis[idx]
+            self.arrows_out.setdefault(s, []).append(idx)
+            self.arrows_in.setdefault(t, []).append(idx)
         self.levels = []
         self.kernel_dims = []    # per level: total kernel dimension
         self.minors = {}         # level n -> +- the product of d_n's pivot minors (1 over GF(p))
@@ -180,8 +169,7 @@ class BimoduleResolution:
         self._states = {}        # (gens[n-1], gens[n]) -> levels n with that pair
         # the augmentation P_0 -> A, e_v (x) e_v -> e_v, is onto: each path p
         # is the image of e_{s(p)} (x) p
-        level0 = _Level(a, [(v, v) for v in range(1, a.vertex_count + 1)], (),
-                        self.paths_to, self.paths_from)
+        level0 = _Level(a, [(v, v) for v in range(1, a.vertex_count + 1)], ())
         self._append(level0)
         self.kernel_dims.append(level0.dim - a.dimension)
         # level 1 (module docstring), with the sign and term order the top of
@@ -189,14 +177,14 @@ class BimoduleResolution:
         # the basis lists the trivial path at v at index v - 1
         minus_one = self.field.element(-1)
         gens, images = [], []
-        for alpha in a.arrow_indices():
-            s, t = a.src[alpha], a.tgt[alpha]
+        for alpha in a.arrows:
+            s, t = a.basis[alpha]
             # e_s (x) alpha and alpha (x) e_t
             left, right = (s - 1, s - 1, alpha), (t - 1, alpha, t - 1)
             lower, upper = (left, right) if s < t else (right, left)
             gens.append((s, t))
             images.append({lower: 1, upper: minus_one})
-        self._append(_Level(a, gens, images, self.paths_to, self.paths_from))
+        self._append(_Level(a, gens, images))
         self._find_period(1)
 
     def _append(self, lvl):
@@ -217,7 +205,7 @@ class BimoduleResolution:
         self.kernel_dims.append(sum(len(v) for v in kernels.values()))
 
         new_gens, new_images = self._top(lvl, kernels)
-        self._append(_Level(a, new_gens, new_images, self.paths_to, self.paths_from))
+        self._append(_Level(a, new_gens, new_images))
         self._check_square_zero(len(self.levels) - 1)
 
     def _check_exact(self, i, rank):
@@ -254,7 +242,7 @@ class BimoduleResolution:
     def _differential_blocks(self, i):
         """Dense matrix of each block of the differential out of level i: rows
         are the target block's coordinates, columns the level block's."""
-        mult = self.a.mult
+        a, mult = self.a, self.a.mult
         lvl = self.levels[i]
         target = self.levels[i - 1]
         offset = target.offset
@@ -263,8 +251,8 @@ class BimoduleResolution:
                 for key, cols in lvl.blocks.items()}
         for g, (av, bv) in enumerate(lvl.gens):
             image = lvl.images[g]
-            rights = self.paths_from.get(bv, ())
-            for p in self.paths_to.get(av, ()):
+            rights = a.paths_from[bv]
+            for p in a.paths_to[av]:
                 left = target.left(mult, p, image)
                 for q in rights:
                     key, c = lvl.offset[(g, p, q)]
@@ -311,11 +299,11 @@ class BimoduleResolution:
         a = self.a
         s, t = key
         for alpha in self.arrows_out.get(s, ()):
-            src_key = (a.tgt[alpha], t)
+            src_key = (a.basis[alpha][1], t)
             for vec in kernels.get(src_key, ()):
                 yield self._arrow_mul(lvl, src_key, vec, alpha, True, block_pos)
         for beta in self.arrows_in.get(t, ()):
-            src_key = (s, a.src[beta])
+            src_key = (s, a.basis[beta][0])
             for vec in kernels.get(src_key, ()):
                 yield self._arrow_mul(lvl, src_key, vec, beta, False, block_pos)
 
@@ -389,7 +377,7 @@ class BimoduleResolution:
 
     def hom_basis(self, i):
         """Basis of Hom(P_i, A): one (g, w) per path w in e_a A e_b."""
-        parallel = self.parallel
+        parallel = self.a.parallel
         return [(g, w) for g, key in enumerate(self.levels[i].gens) for w in parallel.get(key, ())]
 
     def obstruction(self, length):
@@ -457,10 +445,10 @@ def _rank(terms, ncols, fld: FieldSpec):
 
 def center_dim(a: BoundAlgebra) -> int:
     """dim Z(A): unknowns on the paths from a vertex to itself, x g = g x per arrow g."""
-    loops = [b for b in range(a.dimension) if a.src[b] == a.tgt[b]]
+    loops = [b for v in range(1, a.vertex_count + 1) for b in a.parallel[(v, v)]]
 
     def terms():
-        for g in a.arrow_indices():
+        for g in a.arrows:
             for col, b in enumerate(loops):
                 for c, v in a.mult.get((b, g), ()):
                     yield (g, c), col, v
@@ -474,9 +462,7 @@ def derivation_space_dim(a: BoundAlgebra) -> int:
     """dim Der_0 + dim A - l.  The unknowns of Der_0 are the coordinates of each
     D(arrow g) on the basis paths parallel to g; Leibniz for g and a non-trivial
     basis path m defines D(g m) when g m is a basis path, else is an equation."""
-    d, mult = a.dimension, a.mult
-    parallel = _parallel_paths(a)
-    index = {p: i for i, p in enumerate(a.basis)}
+    d, mult, basis, index = a.dimension, a.mult, a.basis, a.index
     der = {}  # basis path -> D(path) as {(unknown, coordinate): coefficient}
 
     def leibniz(g, m):
@@ -491,17 +477,17 @@ def derivation_space_dim(a: BoundAlgebra) -> int:
 
     ncols = 0
     for b in range(a.vertex_count, d):  # the basis lists shorter paths first
-        p = a.basis[b]
+        p = basis[b]
         if len(p) == 2:  # an arrow: its path is its (source, target) key
-            der[b] = {(ncols + j, c): 1 for j, c in enumerate(parallel[p])}
+            der[b] = {(ncols + j, c): 1 for j, c in enumerate(a.parallel[p])}
             ncols += len(der[b])
         else:
             der[b] = leibniz(index[p[:2]], index[p[1:]])
 
     def terms():
-        for g in a.arrow_indices():
-            for m in range(a.vertex_count, d):
-                if a.src[m] != a.tgt[g] or a.basis[g] + a.basis[m][1:] in index:
+        for g in a.arrows:
+            for m in a.paths_from[basis[g][1]][1:]:  # the trivial path comes first
+                if basis[g] + basis[m][1:] in index:
                     continue
                 for k, mu in mult.get((g, m), ()):
                     for (j, c), v in der[k].items():
@@ -509,7 +495,7 @@ def derivation_space_dim(a: BoundAlgebra) -> int:
                 for (j, c), v in leibniz(g, m).items():
                     yield (g, m, c), j, -v
 
-    loops = sum(a.src[b] == a.tgt[b] for b in range(d))
+    loops = sum(len(a.parallel[(v, v)]) for v in range(1, a.vertex_count + 1))
     return ncols - _rank(terms(), ncols, a.field)[0] + d - loops
 
 
@@ -523,6 +509,8 @@ def hh1_dim(a: BoundAlgebra) -> int:
 def hh_dims(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
     """(dim HH^0, ..., dim HH^max_i) of a.over(fs) for each fs in fieldspecs,
     in order, from one resolution of a over its own field, of length max_i + 1.
+    Each a.over(fs) is a view that shares a's integer table, which the
+    resolution and the cross-checks reduce mod p where they eliminate.
     The fields the resolution is certified for share one pass over the
     distinct levels (hom_differential_rank); when p divides the resolution's
     obstruction, a.over(fs) is resolved on its own instead, with a

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from cthh.algebra import _complete, _reduce, build_algebra
+from cthh.algebra import BoundAlgebra, _complete, _reduce, build_algebra
 from cthh.classify import _E_TABLE
 from cthh.errors import MultipleArrowError, NotDynkinError, UnclassifiedDError
 from cthh.fields import FieldSpec
@@ -89,8 +89,9 @@ def multiply(a, xs, ys):
 
 
 def reduced_products(a, rels):
-    """Reference for a.mult: every composable product of basis words is reduced
-    by the rewriting rules, normal words included."""
+    """Reference for a.mult over any field: every composable product of basis
+    words is reduced over the integers by the rewriting rules, normal words
+    included."""
     rules = _complete(rels, 2 * a.vertex_count + 1)
     index = {p: i for i, p in enumerate(a.basis)}
     mult = {}
@@ -98,11 +99,20 @@ def reduced_products(a, rels):
         for j, r in enumerate(a.basis):
             if p[-1] == r[0]:
                 nf = _reduce({p + r[1:]: 1}, rules, {len(t) for t in rules})
-                entries = ((index[w], a.field.element(c)) for w, c in nf.items())
-                entries = tuple(sorted(e for e in entries if e[1]))
-                if entries:
-                    mult[(i, j)] = entries
+                if nf:
+                    mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
     return mult
+
+
+def reduced_over(a, fieldspec):
+    """Reference for a.over(fieldspec): a separate algebra whose table is a's
+    integer table reduced mod p, the entries that vanish dropped."""
+    mult = {}
+    for key, entries in a.mult.items():
+        reduced = tuple((k, r) for k, c in entries if (r := fieldspec.element(c)))
+        if reduced:
+            mult[key] = reduced
+    return BoundAlgebra(a.quiver, fieldspec, a.basis, mult)
 
 
 def mutate_by_exchange_matrix(q: Quiver, k: int) -> Quiver:
@@ -471,11 +481,11 @@ class FullSpanResolution(BimoduleResolution):
             block_pos = {c: off for off, c in enumerate(block_coords)}
             ech = Echelon(self.field)
             for alpha in self.arrows_out.get(s, ()):
-                src_key = (a.tgt[alpha], t)
+                src_key = (a.basis[alpha][1], t)
                 for vec in kernels.get(src_key, ()):
                     ech.add(self._arrow_mul(lvl, src_key, vec, alpha, True, block_pos))
             for beta in self.arrows_in.get(t, ()):
-                src_key = (s, a.src[beta])
+                src_key = (s, a.basis[beta][0])
                 for vec in kernels.get(src_key, ()):
                     ech.add(self._arrow_mul(lvl, src_key, vec, beta, False, block_pos))
             for vec in kernels.get(key, ()):
@@ -493,8 +503,8 @@ class AlgebraAsBimodule:
 
     def __init__(self, a):
         self.blocks = {}
-        for i in range(a.dimension):
-            self.blocks.setdefault((a.src[i], a.tgt[i]), []).append(i)
+        for i, p in enumerate(a.basis):
+            self.blocks.setdefault((p[0], p[-1]), []).append(i)
         self.offset = {}
         for key, coords in self.blocks.items():
             for off, c in enumerate(coords):

@@ -2,13 +2,13 @@
 
 import pytest
 
-from conftest import cached_algebra, degree_dims, multiply, mutation_class, reduced_products
+from conftest import cached_algebra, degree_dims, multiply, mutation_class, reduced_over, reduced_products
 from cthh.algebra import BoundAlgebra, build_algebra, cartan
 from cthh.classify import classify_D, lookup_E
 from cthh.errors import AlgebraError, InvalidRelationsError, NotFiniteDimensionalError
 from cthh.fields import FieldSpec, QQ, GF2, GF3, GF5, GF7
 from cthh.linalg import det_int
-from cthh.oracle import hh1_dim, hh_dims
+from cthh.oracle import center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed
 from cthh.relations import Path, Relation, generate_relations
 from cthh.series import HSeries, hh_dim, series_from_invariants
@@ -132,7 +132,8 @@ def test_mult_respects_endpoints():
 @pytest.mark.parametrize("family,ranks", [("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))],
                          ids=["A2-A6", "D4-D6", "E6"])
 def test_mult_table_matches_reducing_every_product(family, ranks):
-    # build_algebra stores a product that is a normal word without reducing it
+    # build_algebra stores a product that is a normal word without reducing
+    # it, and every field reads the one integer table
     for rank in ranks:
         for q in mutation_class(family, rank):
             for char in (2, 3, 0):
@@ -207,22 +208,34 @@ def test_build_over_all_default_fields():
         assert a.dimension == 20
 
 
-def test_over_reduces_the_rational_table():
-    # an algebra over QQ moves to GF(p) with its basis and its integer table
-    # reduced mod p; the vanishing entries are dropped
+def test_over_is_a_view_of_the_integer_table():
+    # an algebra over QQ moves to GF(p) as a view: its table and its basis
+    # indexes are the algebra's own, and the table holds the integer normal forms
     q = oriented_cycle(5)
     a = cached_algebra(q, 0)
     assert a.over(QQ) is a
+    assert (a.paths_from[1], a.paths_to[1], a.parallel[(1, 3)]) == ([0, 5, 10, 15], [0, 9, 13, 17], [10])
+    assert [a.basis[i] for i in a.arrows] == [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
+    assert all(a.basis[a.index[p]] == p for p in a.basis)
     for fs in (GF2, GF3, GF5):
         b = a.over(fs)
-        assert (b.field, b.basis, degree_dims(b), b.src, b.tgt) == \
-            (fs, a.basis, degree_dims(a), a.src, a.tgt)
+        assert b.field == fs and degree_dims(b) == degree_dims(a)
+        assert all(getattr(b, name) is getattr(a, name)
+                   for name in ("basis", "mult", "index", "paths_from", "paths_to", "parallel", "arrows"))
         assert b.mult == reduced_products(b, generate_relations(q))
         with pytest.raises(ValueError, match="cannot move"):
             b.over(GF7)
-    hand = BoundAlgebra(q, QQ, a.basis, {(0, 0): ((0, 6), (1, 4))}, a.src, a.tgt)
-    assert hand.over(GF2).mult == {}
-    assert hand.over(GF3).mult == {(0, 0): ((1, 1),)}
+    # entries 6 and 4, which vanish mod 2, and 6, which vanishes mod 3: every
+    # view keeps them, and the consumers read them as the reduced table
+    hand = BoundAlgebra(q, QQ, a.basis, {(0, 0): ((0, 6), (1, 4)), **{
+        key: tuple((k, c * (6 if key[0] in a.arrows else 4)) for k, c in entries)
+        for key, entries in a.mult.items() if key != (0, 0)}})
+    assert hand.over(GF2).mult is hand.mult
+    assert reduced_over(hand, GF2).mult == {}
+    assert reduced_over(hand, GF3).mult[(0, 0)] == ((1, 1),)
+    for fs in (GF2, GF3):
+        view, ref = hand.over(fs), reduced_over(hand, fs)
+        assert (center_dim(view), derivation_space_dim(view)) == (center_dim(ref), derivation_space_dim(ref))
 
 
 def test_d8_class_builds_and_matches_universal_route():

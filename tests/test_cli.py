@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import mutation_class
 from cthh.cli import build_parser, main, parse_quiver, serialize_quiver
 from cthh.errors import InputSyntaxError
 from cthh.fields import GF2, QQ
@@ -301,6 +302,21 @@ def test_cli_class_json_bytes(capsys, seed, sha):
     assert main(["class", "--seed", seed, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
+CARTAN_SHA256 = [line.split() for line in (Path(__file__).parent / "cartan_sha256.txt").read_text().splitlines()
+                 if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("seed, sha", CARTAN_SHA256, ids=[seed for seed, _ in CARTAN_SHA256])
+def test_cli_cartan_json_bytes(tmp_path, capsys, seed, sha):
+    path = tmp_path / "q.json"
+    digest = hashlib.sha256()
+    for q in mutation_class(seed[0], int(seed[1:])):
+        path.write_text(serialize_quiver(q), encoding="utf-8")
+        assert main(["cartan", str(path), "--json"]) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == sha
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,7 @@ import pytest
 import cthh.oracle
 from conftest import (ColumnImageResolution, FullSpanResolution, augmentation_level_one,
                       cached_algebra, column_image_blocks, hom_differential_reference, matrix_rank,
-                      mutation_class, relabel, rref, sample_by_canonical)
+                      mutation_class, reduced_over, relabel, rref, sample_by_canonical)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
 from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
@@ -303,15 +303,15 @@ def simple_ext_dims(a, vertex, top):
     """
     fld = a.field
     paths_from = {}
-    for i in range(a.dimension):
-        paths_from.setdefault(a.src[i], []).append(i)
     arrows_into = {}
-    for g in a.arrow_indices():
-        arrows_into.setdefault(a.tgt[g], []).append(g)
+    for i, p in enumerate(a.basis):
+        paths_from.setdefault(p[0], []).append(i)
+        if len(p) == 2:
+            arrows_into.setdefault(p[1], []).append(i)
 
     def block(gens, b):
         """Basis of (sum of the e_v A, v in gens) e_b: (generator, path ending at b)."""
-        return [(g, q) for g, v in enumerate(gens) for q in paths_from[v] if a.tgt[q] == b]
+        return [(g, q) for g, v in enumerate(gens) for q in paths_from[v] if a.basis[q][-1] == b]
 
     def dense(vec, basis):
         pos = {c: j for j, c in enumerate(basis)}
@@ -324,7 +324,7 @@ def simple_ext_dims(a, vertex, top):
     kernel = {}  # the kernel of P_vertex -> S_vertex is the radical, by right vertex
     for i in paths_from[vertex]:
         if len(a.basis[i]) > 1:
-            kernel.setdefault(a.tgt[i], []).append({(0, i): 1})
+            kernel.setdefault(a.basis[i][-1], []).append({(0, i): 1})
     dims = [Counter({vertex: 1})]
     for _ in range(top):
         # the top of the kernel: kernel vectors at b outside (kernel * rad) e_b
@@ -332,7 +332,7 @@ def simple_ext_dims(a, vertex, top):
         for b in sorted(kernel):
             basis = block(gens, b)
             rows = [dense(_times_path(a, v, c), basis)
-                    for c in arrows_into.get(b, ()) for v in kernel.get(a.src[c], ())]
+                    for c in arrows_into.get(b, ()) for v in kernel.get(a.basis[c][0], ())]
             rank = matrix_rank(rows, len(basis), fld)
             for v in kernel[b]:
                 rows.append(dense(v, basis))
@@ -345,7 +345,7 @@ def simple_ext_dims(a, vertex, top):
         # the next syzygy: the kernel of the sum of the P_b onto those generators
         new_gens = [b for b, _ in tops]
         kernel = {}
-        for b in sorted({a.tgt[q] for v in new_gens for q in paths_from[v]}):
+        for b in sorted({a.basis[q][-1] for v in new_gens for q in paths_from[v]}):
             cols = block(new_gens, b)
             basis = block(gens, b)
             mat = [list(row) for row in zip(*(dense(_times_path(a, tops[g][1], q), basis)
@@ -546,6 +546,24 @@ def test_hh_dims_over_qq_matches_per_field_hh_dims(family, ranks):
             for q in mutation_class(family, rank):
                 got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=8)
                 assert got == _per_field(q, 8), q
+
+
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))],
+                         ids=["A2-A6", "D4-D6", "E6"])
+def test_view_over_gfp_matches_the_reduced_table(family, ranks):
+    # a view over GF(p) keeps the integer entries that vanish mod p; every
+    # consumer reduces what it computes, so it gives what the reduced table gives
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            for fs in (GF2, GF3, GF5):
+                got = []
+                for alg in (cached_algebra(q, 0).over(fs), reduced_over(cached_algebra(q, 0), fs)):
+                    res = BimoduleResolution(alg)
+                    res.extend_to(6)
+                    got.append((_resolution_state(res), res.total_dim,
+                                [res.hom_differential_rank(i, [fs]) for i in range(1, 7)],
+                                hh_dims(alg, [fs], max_i=6), center_dim(alg), derivation_space_dim(alg)))
+                assert got[0] == got[1], (q, fs)
 
 
 def test_hh_dims_rejects_another_field_of_an_algebra_over_gfp(monkeypatch):

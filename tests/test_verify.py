@@ -61,9 +61,29 @@ def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
         return real(self, i, field)
 
     monkeypatch.setattr(BimoduleResolution, "_hom_rank", hom_rank)
+    seen = []  # (function, algebra) for each algebra that reaches it
+
+    def recording(name, orig, pos=0):
+        def wrapper(*args):
+            seen.append((name, args[pos]))
+            return orig(*args)
+        return wrapper
+
+    monkeypatch.setattr(cthh.verify, "cartan", recording("cartan", cthh.verify.cartan))
+    for name in ("center_dim", "derivation_space_dim"):
+        monkeypatch.setattr(cthh.oracle, name, recording(name, getattr(cthh.oracle, name)))
+    monkeypatch.setattr(BimoduleResolution, "__init__",
+                        recording("BimoduleResolution", BimoduleResolution.__init__, pos=1))
     fields = [GF2, GF5, QQ]
     record = check_quiver(q, family, 6, fields, max_i=4)
     assert record.passed, record.messages
+    # one table per record: the algebra over QQ that cartan reads, and its
+    # views over GF(2) and GF(5), share it
+    base = next(a for name, a in seen if name == "cartan")
+    assert {(name, a.field.characteristic) for name, a in seen} == {
+        ("cartan", 0), ("BimoduleResolution", 0),
+        *((name, c) for name in ("center_dim", "derivation_space_dim") for c in (2, 5, 0))}
+    assert all(a.mult is base.mult for _, a in seen)
     # one build over QQ, moved to each other field; hh1_dim once, for the
     # closed forms; the center once inside it and once per field as the
     # oracle's HH^0 cross-check, whose value the HH^1 cross-check reuses;
