@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
-from .errors import InvalidRelationsError, NotFiniteDimensionalError, AlgebraError
+from .errors import InvalidRelationsError, InvariantError, NotFiniteDimensionalError, AlgebraError
 from .fields import FieldSpec, QQ
-from .linalg import pencil_det
+from .linalg import det_int, pencil_det
 from .quiver import Quiver, validate
 
 
@@ -196,28 +197,54 @@ def build_algebra(q: Quiver, rels, fieldspec: FieldSpec = QQ) -> BoundAlgebra:
     a = BoundAlgebra(q, QQ, basis, {})  # indexed here; its table is filled in below
     mult, index = a.mult, a.index  # over the integers; zero coefficients never reach a normal form
     for i, p in enumerate(basis):
+        # p and r are normal, so a tip of p + r[1:] holds an arrow on each side
+        # of the junction vertex len(p) - 1: the tip's slice [s, s + k) of the
+        # word has s < len(p) - 1 < s + k - 1 (a slice cut short by the word's
+        # end is still a subpath of it, so rewriting there is still sound)
+        spans = [(s, s + k) for k in lengths for s in range(max(0, len(p) + 1 - k), len(p) - 1)]
         for j in a.paths_from[p[-1]]:
             word = p + basis[j][1:]
             if word in index:  # a normal word is its own normal form
                 mult[(i, j)] = ((index[word], 1),)
                 continue
-            nf = _reduce({word: 1}, rules, lengths)
-            if nf:
-                mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
+            for s, e in spans:  # rewrite the first tip found across the junction
+                tail = rules.get(word[s:e])
+                if tail is not None:
+                    break
+            else:
+                raise AlgebraError(f"{word} is not normal but holds no tip across its junction")
+            if tail:  # else a monomial rule: the product is 0
+                nf = _reduce({word[:s] + t + word[e:]: c for t, c in tail.items()}, rules, lengths)
+                if nf:
+                    mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
     return a.over(fieldspec)
 
 
 @dataclass(frozen=True)
 class CartanData:
-    matrix: tuple  # tuple of row tuples, C[i][j] = dim e_i A e_j
+    """The Cartan matrix C of an algebra, C[i][j] = dim e_i A e_j (a tuple
+    of row tuples), and det C, from one fraction-free elimination.
+
+    assoc_poly, the integer coefficients of det(x C - C^T) in ascending
+    powers, is computed when first read (only type E and the reports read
+    it) and then kept on this instance; that read checks that its leading
+    coefficient is det C and raises InvariantError if not.
+    """
+
+    matrix: tuple
     det: int
-    assoc_poly: tuple  # integer coefficients, ascending powers
+
+    @cached_property
+    def assoc_poly(self) -> tuple:
+        c = self.matrix
+        poly = pencil_det(c, [[-r[i] for r in c] for i in range(len(c))])
+        if poly[-1] != self.det:
+            raise InvariantError(f"det(xC - C^T) has leading coefficient {poly[-1]}, "
+                                 f"but det C = {self.det}")
+        return poly
 
 
 def cartan(a: BoundAlgebra) -> CartanData:
     n = a.vertex_count
-    c = [[len(a.parallel.get((s, t), ())) for t in range(1, n + 1)] for s in range(1, n + 1)]
-    neg_ct = [[-c[j][i] for j in range(n)] for i in range(n)]
-    poly = pencil_det(c, neg_ct)
-    # det C is the leading coefficient of det(xC - C^T)
-    return CartanData(tuple(tuple(r) for r in c), poly[-1], poly)
+    c = tuple(tuple(len(a.parallel.get((s, t), ())) for t in range(1, n + 1)) for s in range(1, n + 1))
+    return CartanData(c, det_int(c))

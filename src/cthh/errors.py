@@ -101,7 +101,7 @@ class ClosedFormMismatchError(ClassifyError):
 # --- oracle -------------------------------------------------------------------
 
 class InvariantError(CthhError):
-    """A self-check of the resolution or the cohomology failed."""
+    """A self-check of the resolution, the cohomology or the Cartan data failed."""
 
 
 class ResolutionBudgetError(CthhError):

@@ -4,17 +4,17 @@ Everything here is exact: no floating point anywhere.  Matrices are small
 (at most a few thousand rows in this project), so the representation is
 dense lists of rows.  Over the rationals entries stay `int` until a division
 is inexact (`qdiv`), which alone makes a `Fraction`.  Integer determinants
-use fraction-free Bareiss elimination with arbitrary-precision ints; matrix
-pencils det(x*A + B) are recovered from point evaluations by interpolation
-in the integers.
+use fraction-free Bareiss elimination with arbitrary-precision ints; the
+coefficients of a matrix pencil det(x*A + B) come from O(n^3) work modulo
+each of a few primes near 2^61 (a characteristic polynomial by Hessenberg
+reduction), joined by the Chinese remainder theorem under the Hadamard bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import isqrt
 
-from .errors import InvariantError
 from .fields import FieldSpec
 
 
@@ -242,9 +242,11 @@ def leading_minors(rows):
 def pencil_det(a, b):
     """Integer coefficients of det(x*a + b), ascending by power of x.
 
-    Evaluated at the nodes x = 0..n and interpolated in Newton's forward form
-    p(x) = sum_k D^k p(0) * x(x-1)...(x-k+1) / k!, with integer differences
-    D^k p(0); the sum is scaled by n! and divided exactly once at the end.
+    Computed modulo 2^61 - 1 and, while their product is at most twice the
+    Hadamard bound prod_i (|a_i| + |b_i|) of every coefficient (rows a_i,
+    b_i), the next primes below it; the residues are joined by the Chinese
+    remainder theorem and read as symmetric residues.  Mod each prime p
+    (`_pencil_mod`) the cost is O(n^3).
     """
     n = len(a)
     for r in a:
@@ -252,27 +254,143 @@ def pencil_det(a, b):
             raise NonSquareError("first matrix not square")
     if len(b) != n or any(len(r) != n for r in b):
         raise NonSquareError("matrices must be square of equal size")
-    ys = [det_int([[x * a[i][j] + b[i][j] for j in range(n)] for i in range(n)])
-          for x in range(n + 1)]
-    scale = factorial(n)
-    scaled = [0] * (n + 1)  # n! * p, ascending
-    falling = [1]           # x(x-1)...(x-k+1), ascending
-    weight = scale          # n! / k!
-    for k in range(n + 1):
-        d = ys[0]
-        if d:
-            for i, c in enumerate(falling):
-                scaled[i] += weight * d * c
-        ys = [u - v for u, v in zip(ys[1:], ys)]
-        falling = [u - k * v for u, v in zip([0] + falling, falling + [0])]
-        weight //= k + 1
-    out = []
-    for c in scaled:
-        q, r = divmod(c, scale)
-        if r:
-            raise InvariantError(f"pencil interpolation left a remainder: {c}/{scale}")
-        out.append(q)
-    return tuple(out)
+    # (|a_i| + |b_i|)^2 = |a_i|^2 + |b_i|^2 + 2 sqrt(|a_i|^2 |b_i|^2), rounded up
+    bound_sq = 1
+    for ra, rb in zip(a, b):
+        sa, sb = sum(x * x for x in ra), sum(x * x for x in rb)
+        root = isqrt(sa * sb)
+        bound_sq *= sa + sb + 2 * (root + (root * root < sa * sb))
+    coeffs, modulus = [0] * (n + 1), 1
+    for p in _primes():
+        inv = pow(modulus, -1, p)
+        for k, r in enumerate(_pencil_mod(a, b, p)):
+            coeffs[k] += modulus * ((r - coeffs[k]) * inv % p)
+        modulus *= p
+        if modulus * modulus > 4 * bound_sq:  # modulus > 2 * the Hadamard bound
+            break
+    return tuple(x - modulus if 2 * x > modulus else x for x in coeffs)
+
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(m) -> bool:
+    """Miller-Rabin with the prime bases up to 37, exact for 1 < m < 3.1 * 10^23:
+    the least composite that passes them all is 318665857834031151167461."""
+    for q in _MILLER_RABIN_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in _MILLER_RABIN_BASES:
+        x = pow(q, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """2^61 - 1 (a Mersenne prime), then the primes below it in descending
+    order, found as needed."""
+    m = (1 << 61) - 1
+    yield m
+    while True:
+        m -= 2
+        if _is_prime(m):
+            yield m
+
+
+def _pencil_mod(a, b, p):
+    """det(x*a + b) mod p, ascending, for a prime p > n.
+
+    Takes the least c in 0..n with D = c*a + b invertible mod p (if there is
+    none, the pencil has n + 1 roots and so is 0 mod p), M = D^-1 a by
+    Gauss-Jordan, and the characteristic polynomial chi of M: then
+    det(y*a + D) = det D * det(I + y*M) = det D * sum_k (-1)^k chi_{n-k} y^k,
+    and x = y + c shifts it back.
+    """
+    n = len(a)
+    for c in range(n + 1):
+        rows = [[(c * x + y) % p for x, y in zip(ra, rb)] + [x % p for x in ra]
+                for ra, rb in zip(a, b)]
+        det = 1
+        for k in range(n):
+            pr = next((i for i in range(k, n) if rows[i][k]), -1)
+            if pr < 0:
+                break
+            if pr != k:
+                rows[k], rows[pr] = rows[pr], rows[k]
+                det = -det
+            row = rows[k]
+            det = det * row[k] % p
+            inv = pow(row[k], -1, p)
+            tail = [x * inv % p for x in row[k:]]
+            row[k:] = tail
+            for i in range(n):
+                f = rows[i][k]
+                if f and i != k:
+                    ri = rows[i]
+                    ri[k:] = [(x - f * y) % p for x, y in zip(ri[k:], tail)]
+        else:
+            chi = _charpoly_mod([r[n:] for r in rows], p)
+            out = [(det if k % 2 == 0 else -det) * chi[n - k] % p for k in range(n + 1)]
+            if c:  # Taylor shift: the coefficients of out(x - c)
+                for i in range(n):
+                    for j in range(n - 1, i - 1, -1):
+                        out[j] = (out[j] - c * out[j + 1]) % p
+            return out
+    return [0] * (n + 1)
+
+
+def _charpoly_mod(h, p):
+    """det(t*I - h) mod p, ascending, monic of degree n; h is overwritten.
+
+    Reduces h to upper Hessenberg form by similarity transformations, then
+    expands the determinant along the last column of each leading block
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    """
+    n = len(h)
+    for m in range(1, n - 1):
+        pr = next((i for i in range(m, n) if h[i][m - 1]), -1)
+        if pr < 0:
+            continue
+        if pr != m:
+            h[pr], h[m] = h[m], h[pr]
+            for r in h:
+                r[pr], r[m] = r[m], r[pr]
+        hm = h[m]
+        inv = pow(hm[m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:  # row i -= u * row m, then column m += u * column i
+                hi = h[i]
+                hi[m - 1:] = [(x - u * y) % p for x, y in zip(hi[m - 1:], hm[m - 1:])]
+                for r in h:
+                    r[m] = (r[m] + u * r[i]) % p
+    polys = [[1]]  # polys[m] = det(t*I - h) of the leading m x m block
+    for m in range(1, n + 1):
+        d = h[m - 1][m - 1]
+        prev = polys[-1]
+        cur = [(u - d * x) % p for u, x in zip([0] + prev, prev + [0])]
+        t = 1
+        for i in range(1, m):
+            t = t * h[m - i][m - i - 1] % p
+            if not t:
+                break
+            f = t * h[m - i - 1][m - 1] % p
+            if f:
+                low = polys[m - i - 1]
+                cur[:len(low)] = [(u - f * x) % p for u, x in zip(cur, low)]
+        polys.append(cur)
+    return polys[n]
 
 
 def format_poly(coeffs) -> str:

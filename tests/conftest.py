@@ -4,12 +4,13 @@ import hashlib
 import itertools
 from collections import Counter
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
 from cthh.algebra import BoundAlgebra, _complete, _reduce, build_algebra
 from cthh.classify import _E_TABLE
-from cthh.errors import MultipleArrowError, NotDynkinError, UnclassifiedDError
+from cthh.errors import InvariantError, MultipleArrowError, NotDynkinError, UnclassifiedDError
 from cthh.fields import FieldSpec
 from cthh.linalg import Echelon, det_int, kernel_from_rref, rref_frac, rref_mod
 from cthh.oracle import BimoduleResolution
@@ -270,6 +271,36 @@ def detect_dynkin_reference(q: Quiver):
     if (n, det) in ((6, 3), (7, 2), (8, 1)):
         return ("E", n)
     raise NotDynkinError(f"{q}: no Dynkin diagram of rank {n} has Cartan determinant {det}")
+
+
+def pencil_det_interpolated(a, b):
+    """Reference for linalg.pencil_det: det(x*a + b) from the n + 1 values
+    det_int(x*a + b), x = 0..n, interpolated in Newton's forward form
+    p(x) = sum_k D^k p(0) * x(x-1)...(x-k+1) / k!, with integer differences
+    D^k p(0); the sum is scaled by n! and divided exactly once at the end,
+    and a remainder raises InvariantError."""
+    n = len(a)
+    ys = [det_int([[x * a[i][j] + b[i][j] for j in range(n)] for i in range(n)])
+          for x in range(n + 1)]
+    scale = factorial(n)
+    scaled = [0] * (n + 1)  # n! * p, ascending
+    falling = [1]           # x(x-1)...(x-k+1), ascending
+    weight = scale          # n! / k!
+    for k in range(n + 1):
+        d = ys[0]
+        if d:
+            for i, c in enumerate(falling):
+                scaled[i] += weight * d * c
+        ys = [u - v for u, v in zip(ys[1:], ys)]
+        falling = [u - k * v for u, v in zip([0] + falling, falling + [0])]
+        weight //= k + 1
+    out = []
+    for c in scaled:
+        q, r = divmod(c, scale)
+        if r:
+            raise InvariantError(f"pencil interpolation left a remainder: {c}/{scale}")
+        out.append(q)
+    return tuple(out)
 
 
 def det_cofactor(rows) -> int:

@@ -3,9 +3,9 @@
 import pytest
 
 from conftest import cached_algebra, degree_dims, multiply, mutation_class, reduced_over, reduced_products
-from cthh.algebra import BoundAlgebra, build_algebra, cartan
+from cthh.algebra import BoundAlgebra, CartanData, build_algebra, cartan
 from cthh.classify import classify_D, lookup_E
-from cthh.errors import AlgebraError, InvalidRelationsError, NotFiniteDimensionalError
+from cthh.errors import AlgebraError, InvalidRelationsError, InvariantError, NotFiniteDimensionalError
 from cthh.fields import FieldSpec, QQ, GF2, GF3, GF5, GF7
 from cthh.linalg import det_int
 from cthh.oracle import center_dim, derivation_space_dim, hh1_dim, hh_dims
@@ -105,6 +105,17 @@ def test_assoc_poly_reciprocity_and_constant_term(classes):
             rev = tuple(reversed(coeffs))
             expect = coeffs if n % 2 == 0 else tuple(-c for c in coeffs)
             assert rev == expect, (q, coeffs)
+
+
+def test_assoc_poly_is_computed_once_and_checked_against_det():
+    # the oriented 3-cycle: C = [[1,1,0],[0,1,1],[1,0,1]], det C = 2,
+    # det(xC - C^T) = 2x^3 - 2
+    cd = cartan(cached_algebra(oriented_cycle(3), 0))
+    assert "assoc_poly" not in vars(cd)
+    assert cd.assoc_poly == (-2, 0, 0, 2) and cd.assoc_poly is vars(cd)["assoc_poly"]
+    wrong = CartanData(cd.matrix, 3)
+    with pytest.raises(InvariantError, match="leading coefficient 2, but det C = 3"):
+        wrong.assoc_poly
 
 
 def test_det_one_exactly_for_trees(classes):

@@ -198,9 +198,21 @@ def test_closed_form_unmatched_type_d_raises(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("family, rank", [("A", 3), ("D", 4), ("E", 6)])
 def test_closed_form_against_universal_raises(family, rank):
-    # the hereditary seed's typed series is 0; (HH^1, det C) = (1, 2) gives f_3
-    q = dynkin_seed(family, rank)
-    cd = cartan(cached_algebra(q, 0))
+    if family != "E":
+        # the hereditary seed's typed series is 0; (HH^1, det C) = (1, 2) gives f_3
+        q = dynkin_seed(family, rank)
+        cd = cartan(cached_algebra(q, 0))
+        with pytest.raises(ClosedFormMismatchError,
+                           match=f"type-{family} series 0 but the universal route gave f_3"):
+            hh_closed_form(q, family, 1, CartanData(cd.matrix, 2))
+        return
+    # a faked det C would fail the associated polynomial's own check first, so
+    # fake dim HH^1: the f_5 row of E6 has det C = 4 and HH^1 = 1, and
+    # (HH^1, det C) = (2, 4) gives 2 f_3
+    q = next(q for q in mutation_class(family, rank)
+             if cartan(cached_algebra(q, 0)).assoc_poly == (4, 0, 4, 0, 4, 0, 4))
+    a = cached_algebra(q, 0)
+    assert (hh1_dim(a), cartan(a).det) == (1, 4)
     with pytest.raises(ClosedFormMismatchError,
-                       match=f"type-{family} series 0 but the universal route gave f_3"):
-        hh_closed_form(q, family, 1, CartanData(cd.matrix, 2, cd.assoc_poly))
+                       match="type-E series f_5 but the universal route gave 2 f_3"):
+        hh_closed_form(q, family, 2, cartan(a))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import cthh.algebra
 from conftest import mutation_class
 from cthh.cli import build_parser, main, parse_quiver, serialize_quiver
 from cthh.errors import InputSyntaxError
@@ -192,6 +193,20 @@ def test_cli_hh_typed_matches_universal_on_types_d_and_e(tmp_path, capsys, doc, 
     path = write(tmp_path, "q.json", doc)
     assert main(["hh", path, "--char", char, "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("argv, doc, reads", [
+    (["hh"], HH_TYPED_CASES[0].values[0], 0),  # type D reads det C alone
+    (["hh"], HH_TYPED_CASES[1].values[0], 1),  # type E looks its polynomial up
+    (["cartan", "--json"], TRIANGLE, 1),
+], ids=["hh-D5", "hh-E6", "cartan"])
+def test_cli_computes_the_associated_polynomial_only_where_read(monkeypatch, tmp_path, capsys,
+                                                               argv, doc, reads):
+    calls = []
+    real = cthh.algebra.pencil_det
+    monkeypatch.setattr(cthh.algebra, "pencil_det", lambda a, b: calls.append(a) or real(a, b))
+    assert main([argv[0], write(tmp_path, "q.json", doc), *argv[1:]]) == 0
+    assert len(calls) == reads
 
 
 # a D8 quiver (h = f_8) whose resolution over QQ repeats with period (1, 16)

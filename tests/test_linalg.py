@@ -3,11 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 import cthh.linalg
-from conftest import det_cofactor, rref
+import conftest
+from conftest import det_cofactor, pencil_det_interpolated, rref
+from cthh.algebra import build_algebra, cartan
 from cthh.errors import InvariantError
 from cthh.fields import QQ, GF2, GF3, GF5, GF7, FieldSpec
 from cthh.linalg import (
@@ -21,6 +24,7 @@ from cthh.linalg import (
     rref_frac,
 )
 from cthh.quiver import Quiver
+from cthh.relations import generate_relations
 from cthh.verify import check_quiver
 
 
@@ -200,9 +204,9 @@ def test_pencil_det_size_mismatch():
         pencil_det([[1]], [[1, 0], [0, 1]])
 
 
-def test_pencil_det_agrees_with_cofactor_polynomial():
-    # independent route: expand det(x a + b) symbolically via cofactor over
-    # polynomial entries represented as coefficient lists
+def det_poly(mat):
+    """Cofactor expansion of a determinant whose entries are integer
+    polynomials (ascending coefficient lists)."""
     def poly_add(p, q):
         out = [0] * max(len(p), len(q))
         for i, x in enumerate(p):
@@ -211,46 +215,140 @@ def test_pencil_det_agrees_with_cofactor_polynomial():
             out[i] += x
         return out
 
-    def poly_scale_mul(p, q):
+    def poly_mul(p, q):
         out = [0] * (len(p) + len(q) - 1)
         for i, x in enumerate(p):
             for j, y in enumerate(q):
                 out[i + j] += x * y
         return out
 
-    def det_poly(mat):
-        n = len(mat)
-        if n == 0:
-            return [1]
-        if n == 1:
-            return mat[0][0]
-        acc = [0]
-        for j in range(n):
-            minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            term = poly_scale_mul(mat[0][j], det_poly(minor))
-            if j % 2:
-                term = [-x for x in term]
-            acc = poly_add(acc, term)
-        return acc
+    n = len(mat)
+    if n == 0:
+        return [1]
+    if n == 1:
+        return mat[0][0]
+    acc = [0]
+    for j in range(n):
+        minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = poly_mul(mat[0][j], det_poly(minor))
+        if j % 2:
+            term = [-x for x in term]
+        acc = poly_add(acc, term)
+    return acc
 
-    # n = 0..7 covers the Cartan sizes of A2-E8 and the n!-scaled differences
+
+def pencil_by_cofactors(a, b):
+    n = len(a)
+    sym = det_poly([[[b[i][j], a[i][j]] for j in range(n)] for i in range(n)])
+    return tuple((sym + [0] * (n + 1))[: n + 1])
+
+
+def test_pencil_det_agrees_with_cofactor_polynomial():
+    # n = 0..7 covers the Cartan sizes of A2-E8
     rng = random.Random(17)
     for n in range(8):
         for _ in range(3):
             a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            sym = det_poly([[[b[i][j], a[i][j]] for j in range(n)] for i in range(n)])
+            assert pencil_det(a, b) == pencil_by_cofactors(a, b)
+
+
+def test_pencil_det_matches_the_interpolating_reference():
+    # random pencils, n = 0..12, with a singular a, a = 0, a singular b and
+    # a singular b with a = 0 (a constant pencil that is 0), against the
+    # interpolating reference and, up to n = 7, the cofactor expansion
+    def singular(m):  # the last row a multiple of the first (0 when n = 1)
+        m[-1] = [(-2 if len(m) > 1 else 0) * x for x in m[0]]
+
+    rng = random.Random(23)
+    for n in range(13):
+        for shape in ("plain", "a singular", "a zero", "b singular", "both"):
+            a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n and shape == "a singular":
+                singular(a)
+            if shape in ("a zero", "both"):
+                a = [[0] * n for _ in range(n)]
+            if n and shape in ("b singular", "both"):
+                singular(b)
             got = pencil_det(a, b)
-            sym = sym + [0] * (n + 1 - len(sym))
-            assert tuple(sym[: n + 1]) == got
+            assert got == pencil_det_interpolated(a, b), (a, b)
+            if n <= 7:
+                assert got == pencil_by_cofactors(a, b), (a, b)
+            if n and shape == "both":
+                assert got == (0,) * (n + 1)
+
+
+def test_pencil_det_joins_several_primes(monkeypatch):
+    # entries near 10^6 at n = 6: the coefficients' Hadamard bound exceeds
+    # (2^61 - 1)^2 / 2, so two primes cannot fix them and the result rests
+    # on the Chinese remainder step over at least three
+    rng = random.Random(29)
+    n = 6
+    a = [[rng.randint(10**6 - 50, 10**6 + 50) * rng.choice((1, -1)) for _ in range(n)] for _ in range(n)]
+    b = [[rng.randint(10**6 - 50, 10**6 + 50) * rng.choice((1, -1)) for _ in range(n)] for _ in range(n)]
+    hadamard = 1
+    for ra, rb in zip(a, b):
+        hadamard *= isqrt(sum(x * x for x in ra)) + isqrt(sum(x * x for x in rb))
+    assert 2 * hadamard > ((1 << 61) - 1) ** 2
+    primes = []
+    real = cthh.linalg._pencil_mod
+
+    def recording(a, b, p):
+        primes.append(p)
+        return real(a, b, p)
+
+    monkeypatch.setattr(cthh.linalg, "_pencil_mod", recording)
+    got = pencil_det(a, b)
+    assert len(primes) >= 3 and primes[0] == (1 << 61) - 1
+    assert primes == sorted(primes, reverse=True)
+    assert got == pencil_det_interpolated(a, b) == pencil_by_cofactors(a, b)
+    assert max(abs(x) for x in got) > (1 << 122)
+
+
+def test_pencil_det_shifts_past_a_singular_constant_term():
+    # b = diag(2^61 - 1, 1, ...) is singular mod the first prime, so there
+    # the pencil is evaluated from the least c > 0 with c*a + b invertible
+    rng = random.Random(31)
+    p = (1 << 61) - 1
+    for n in range(1, 7):
+        b = [[(p if i == 0 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        got = pencil_det(a, b)
+        assert got == pencil_det_interpolated(a, b) == pencil_by_cofactors(a, b)
+        assert got[0] == p and cthh.linalg._pencil_mod(a, b, p)[0] == 0
+
+
+def test_is_prime_is_exact_below_its_bound():
+    small = [m for m in range(2, 5000) if all(m % d for d in range(2, isqrt(m) + 1))]
+    assert [m for m in range(2, 5000) if cthh.linalg._is_prime(m)] == small
+    # strong pseudoprimes to the bases up to 7 and up to 23 are caught; the
+    # least one to every base up to 37 is where the test stops being exact
+    for m in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert cthh.linalg._is_prime(m) == (m == 318665857834031151167461)
+    primes = cthh.linalg._primes()
+    assert [next(primes) for _ in range(3)] == [(1 << 61) - 1, (1 << 61) - 31, (1 << 61) - 45]
+
+
+@pytest.mark.parametrize("q", [
+    Quiver.make(40, [(i, i + 1) for i in range(1, 40)]),
+    Quiver.make(30, [(i, i % 30 + 1) for i in range(1, 31)]),
+], ids=["A40-path", "oriented-30-cycle"])
+def test_cartan_assoc_poly_matches_the_reference_on_large_quivers(q):
+    cd = cartan(build_algebra(q, generate_relations(q)))
+    c = cd.matrix
+    n = len(c)
+    assert cd.assoc_poly == pencil_det_interpolated(c, [[-c[j][i] for j in range(n)] for i in range(n)])
+    assert cd.assoc_poly[-1] == cd.det == det_int(c)
 
 
 def test_pencil_det_remainder_is_invariant_error(monkeypatch):
-    # values 0, 0, 1 at x = 0, 1, 2 interpolate to x(x-1)/2, not an integer polynomial
+    # the reference: values 0, 0, 1 at x = 0, 1, 2 interpolate to x(x-1)/2,
+    # not an integer polynomial
     values = iter([0, 0, 1])
-    monkeypatch.setattr(cthh.linalg, "det_int", lambda rows: next(values))
+    monkeypatch.setattr(conftest, "det_int", lambda rows: next(values))
     with pytest.raises(InvariantError):
-        pencil_det([[1, 0], [0, 1]], [[0, 0], [0, 0]])
+        pencil_det_interpolated([[1, 0], [0, 1]], [[0, 0], [0, 0]])
 
 
 def test_rational_elements_are_int_until_inexact():

@@ -51,7 +51,7 @@ def count_calls(monkeypatch, names):
 ])
 def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
     names = ["build_algebra", "cartan", "hh1_dim", "center_dim", "classify_D",
-             "series.series_from_invariants"]
+             "series.series_from_invariants", "linalg.pencil_det"]
     counts = count_calls(monkeypatch, names)
     eliminations = Counter()
     real = BimoduleResolution._hom_rank
@@ -88,10 +88,11 @@ def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
     # closed forms; the center once inside it and once per field as the
     # oracle's HH^0 cross-check, whose value the HH^1 cross-check reuses;
     # the type-D pattern match gives both the closed form and the record's
-    # subtype; the universal series is computed once, inside hh_closed_form
+    # subtype; the universal series is computed once, inside hh_closed_form;
+    # the associated polynomial once, for the record (and type E's table)
     assert counts == {"build_algebra": 1, "cartan": 1, "hh1_dim": 1,
                       "center_dim": 1 + len(fields), "classify_D": int(family == "D"),
-                      "series.series_from_invariants": 1}
+                      "series.series_from_invariants": 1, "linalg.pencil_det": 1}
     # one Hom-differential elimination over QQ per distinct level 1..5, and one
     # mod p per (p, level) whose pivot minor p divides: the oriented 6-cycle
     # repeats no level by 5, and its level-4 minor is -5; E6 repeats from 3 on
@@ -202,7 +203,7 @@ def test_long_tier_pins_one_report_sha_per_workflow_seed():
     seeds = re.search(r"seed: \[(.*)\]", workflow).group(1).split(", ")
     pinned = dict(line.split() for line in (root / "tests" / "long_tier_sha256.txt")
                   .read_text(encoding="utf-8").splitlines() if not line.startswith("#"))
-    assert list(pinned) == seeds == ["A8", "D8", "E7", "A9", "D9", "E8", "A10", "D10"]
+    assert list(pinned) == seeds == ["A8", "D8", "E7", "A9", "D9", "E8", "A10", "D10", "A11", "D11"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for sha in pinned.values())
     # tier1.yml runs the A8, E7 and D8 legs on every push, against the same pins
     tier1 = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
