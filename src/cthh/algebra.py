@@ -6,7 +6,8 @@ Paths are vertex tuples ordered by (length, vertex sequence); the largest
 path of an ideal element is its tip, and each rule rewrites a tip as an
 integer combination of smaller paths.  Completion resolves every overlap in
 which a proper suffix of one tip is a proper prefix of another (sharing at
-least one arrow) and re-queues a rule whose tip contains a newer tip.  It
+least one arrow), except between two monomial rules, whose ambiguities are
+0, and re-queues a rule whose tip strictly contains a newer tip.  It
 takes pending elements smallest first: taken newest first, some E8 quivers
 grow tips past the guard below before the short ones appear.  The basis is
 the set of normal words (paths with no tip as a subpath) and the
@@ -100,13 +101,15 @@ def _complete(rels, limit: int):
             raise AlgebraError(f"leading coefficient {lead} of {tip} is not +-1")
         if len(tip) - 1 > limit:
             raise NotFiniteDimensionalError(f"rule tip {tip} is longer than {limit} arrows")
-        for t in [t for t in rules if any(t[i:i + len(tip)] == tip for i in range(len(t)))]:
+        k = len(tip)  # a rule tip of length k holding tip would be tip, which is normal
+        for t in [t for t in rules if len(t) > k and any(t[i:i + k] == tip for i in range(len(t) - k + 1))]:
             push({t: 1, **{p: -c for p, c in rules.pop(t).items()}})
-        rules[tip] = {p: -lead * c for p, c in f.items()}
+        tail = rules[tip] = {p: -lead * c for p, c in f.items()}
         for t in rules:
-            push(*_overlaps(tip, t, rules))
-            if t != tip:
-                push(*_overlaps(t, tip, rules))
+            if tail or rules[t]:  # two monomial rules: both tails are empty, so every ambiguity is 0
+                push(*_overlaps(tip, t, rules))
+                if t != tip:
+                    push(*_overlaps(t, tip, rules))
     lengths = {len(t) for t in rules}
     return {t: _reduce(dict(tail), rules, lengths) for t, tail in rules.items()}
 

@@ -5,11 +5,14 @@ and connected (simply laced finite type).  Vertices are 1-based.  Canonical
 forms are computed by minimizing an adjacency encoding over all vertex
 permutations compatible with an iteratively refined degree partition, in
 the manner of individualization-refinement (McKay-Piperno 2014): a discrete
-partition is the labelling, and otherwise a search places one vertex of
-least border at a time, each vertex's border to the placed ones carried as
-an int with 2 bits per placed vertex.  Class enumeration labels each edge of
-the exchange graph once: mutation is an involution, so a member is never
-mutated at a vertex whose mutant is already known from the other end.
+partition is the labelling, and so is one whose every class of more than
+one vertex is a set of twins (the two ends of a D_n fork, say), read off
+with each class in ascending vertex order; otherwise a search places one
+vertex of least border at a time, each vertex's border to the placed ones
+carried as an int with 2 bits per placed vertex.  Class enumeration labels
+each edge of the exchange graph once: mutation is an involution, so a member
+is never mutated at a vertex whose mutant is already known from the other
+end.  Members are keyed by their canonical arrows and encoded once, to sort.
 
 Chordless cycles are found by extending induced paths from each cycle's
 least vertex (Dias-Castonguay-Longo-Jradi 2013), so the search stays cheap
@@ -189,12 +192,19 @@ def _canonical_data(n, arrows):
     """Minimal adjacency encoding over color-respecting permutations.
 
     Returns (canonical arrow tuple, pos), where pos[v] is the 0-based new
-    label of old vertex v + 1.  The code appended at depth k is the border
-    between the new vertex and the k placed ones, two bits (w -> v, v -> w)
-    per placed w in placement order, so lexicographic minimization prunes
-    branch by branch.  Each vertex carries its border as an int, with placed
-    vertex j at bits 2(n-1-j) and 2(n-1-j)+1, so borders and prefixes compare
-    as ints in the order of the bit tuples.
+    label of old vertex v + 1, as _lowest_border_order finds it.  When every
+    color class of more than one vertex is a set of twins (vertices with
+    equal out- and in-neighbours), pos is read off without the search: the
+    classes in color order, each in ascending vertex order.  That is the
+    search's own answer: twins are never adjacent, so they have equal borders
+    at every node; a permutation inside a twin class is an automorphism, so
+    every leaf ties; and the first leaf places each class in ascending order.
+
+    Comparing out-neighbour lists suffices: the refined coloring is
+    equitable, so if x -> u and v has u's color, some y of x's color has
+    y -> v, and when x and y share their out-neighbours, x -> v too.  The
+    lists come out sorted when arrows is sorted; twins whose lists are not
+    are simply searched.
     """
     out_adj = [[] for _ in range(n)]
     in_adj = [[] for _ in range(n)]
@@ -205,7 +215,13 @@ def _canonical_data(n, arrows):
     if len(set(colors)) == n:
         pos = colors  # discrete: the one color-respecting order
     else:
-        pos = _lowest_border_order(n, colors, out_adj, in_adj)
+        order = sorted(range(n), key=colors.__getitem__)  # stable: each class ascending
+        if any(colors[v] == colors[w] and out_adj[v] != out_adj[w] for v, w in zip(order, order[1:])):
+            pos = _lowest_border_order(n, colors, out_adj, in_adj)
+        else:
+            pos = [0] * n
+            for k, v in enumerate(order):
+                pos[v] = k
     return tuple(sorted((pos[s - 1] + 1, pos[t - 1] + 1) for s, t in arrows)), tuple(pos)
 
 
@@ -214,7 +230,13 @@ def _lowest_border_order(n, colors, out_adj, in_adj):
 
     Slot k takes a vertex of the k-th smallest color; at each depth only the
     candidates of least border are tried, in vertex order, and a node whose
-    prefix exceeds the best leaf's prefix at that depth is cut."""
+    prefix exceeds the best leaf's prefix at that depth is cut.  The code
+    appended at depth k is the border between the new vertex and the k
+    placed ones, two bits (w -> v, v -> w) per placed w in placement order,
+    so lexicographic minimization prunes branch by branch.  Each vertex
+    carries its border as an int, with placed vertex j at bits 2(n-1-j) and
+    2(n-1-j)+1, so borders and prefixes compare as ints in the order of the
+    bit tuples."""
     by_color = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
@@ -292,31 +314,28 @@ def enumerate_class(seed: Quiver, cap: int = DEFAULT_CLASS_CAP):
     validate(seed)
     n = seed.vertex_count
     start = canonical_representative(seed)
-    found = {_encode(start): start}
-    known = {_encode(start): set()}  # only for members not yet mutated
+    found = {start.arrows: start}  # keyed by the canonical arrows
+    known = {start.arrows: set()}  # only for members not yet mutated
     frontier = [start]
     while frontier:
         nxt = []
         for rep in frontier:
-            here = _encode(rep)
-            skip = known[here]
+            skip = known[rep.arrows]
             for k in range(1, n + 1):
                 if k in skip:
                     continue
                 arrows, pos = _canonical_data(n, mutate(rep, k).arrows)  # mutate sorts the arrows
-                m = Quiver(n, arrows)
-                key = _encode(m)  # m is canonical: its encoding is its canonical form
-                if key not in found:
+                if arrows not in found:
                     if len(found) >= cap:
                         raise CapExceededError(cap)
-                    found[key] = m
-                    known[key] = set()
+                    m = found[arrows] = Quiver(n, arrows)
+                    known[arrows] = set()
                     nxt.append(m)
-                if key in known:
-                    known[key].add(pos[k - 1] + 1)
-            del known[here]
+                if arrows in known:
+                    known[arrows].add(pos[k - 1] + 1)
+            del known[rep.arrows]
         frontier = nxt
-    return [found[k] for k in sorted(found)]
+    return sorted(found.values(), key=_encode)  # a member's encoding is its canonical form
 
 
 # ---------------------------------------------------------------------------

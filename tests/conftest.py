@@ -1,6 +1,7 @@
 """Shared fixtures: mutation classes and cached algebra builds."""
 
 import hashlib
+import heapq
 import itertools
 from collections import Counter
 from functools import lru_cache
@@ -8,9 +9,10 @@ from math import factorial
 
 import pytest
 
-from cthh.algebra import BoundAlgebra, _complete, _reduce, build_algebra
+from cthh.algebra import BoundAlgebra, _complete, _overlaps, _path_key, _poly, _reduce, build_algebra
 from cthh.classify import _E_TABLE
-from cthh.errors import InvariantError, MultipleArrowError, NotDynkinError, UnclassifiedDError
+from cthh.errors import (AlgebraError, InvariantError, MultipleArrowError, NotDynkinError,
+                         NotFiniteDimensionalError, UnclassifiedDError)
 from cthh.fields import FieldSpec
 from cthh.linalg import Echelon, det_int, kernel_from_rref, rref_frac, rref_mod
 from cthh.oracle import BimoduleResolution
@@ -103,6 +105,41 @@ def reduced_products(a, rels):
                 if nf:
                     mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
     return mult
+
+
+def complete_reference(rels, limit: int):
+    """Reference for algebra._complete: every new tip is paired with every
+    rule, both ways, monomial or not, and every rule tip is scanned for the
+    new tip as a subword."""
+    rules = {}
+    pending = []
+    arrival = itertools.count()
+
+    def push(*fs):
+        for f in fs:
+            if f:
+                heapq.heappush(pending, (_path_key(max(f, key=_path_key)), next(arrival), f))
+
+    push(*(_poly((p.vertices, c) for c, p in rel.terms) for _, rel in rels))
+    while pending:
+        f = _reduce(heapq.heappop(pending)[2], rules, {len(t) for t in rules})
+        if not f:
+            continue
+        tip = max(f, key=_path_key)
+        lead = f.pop(tip)
+        if lead not in (1, -1):
+            raise AlgebraError(f"leading coefficient {lead} of {tip} is not +-1")
+        if len(tip) - 1 > limit:
+            raise NotFiniteDimensionalError(f"rule tip {tip} is longer than {limit} arrows")
+        for t in [t for t in rules if any(t[i:i + len(tip)] == tip for i in range(len(t)))]:
+            push({t: 1, **{p: -c for p, c in rules.pop(t).items()}})
+        rules[tip] = {p: -lead * c for p, c in f.items()}
+        for t in rules:
+            push(*_overlaps(tip, t, rules))
+            if t != tip:
+                push(*_overlaps(t, tip, rules))
+    lengths = {len(t) for t in rules}
+    return {t: _reduce(dict(tail), rules, lengths) for t, tail in rules.items()}
 
 
 def reduced_over(a, fieldspec):

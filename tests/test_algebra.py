@@ -2,8 +2,10 @@
 
 import pytest
 
-from conftest import cached_algebra, degree_dims, multiply, mutation_class, reduced_over, reduced_products
-from cthh.algebra import BoundAlgebra, CartanData, build_algebra, cartan
+import cthh.algebra
+from conftest import (cached_algebra, complete_reference, degree_dims, multiply, mutation_class, reduced_over,
+                      reduced_products)
+from cthh.algebra import BoundAlgebra, CartanData, _complete, build_algebra, cartan
 from cthh.classify import classify_D, lookup_E
 from cthh.errors import AlgebraError, InvalidRelationsError, InvariantError, NotFiniteDimensionalError
 from cthh.fields import FieldSpec, QQ, GF2, GF3, GF5, GF7
@@ -150,6 +152,44 @@ def test_mult_table_matches_reducing_every_product(family, ranks):
             for char in (2, 3, 0):
                 a = cached_algebra(q, char)
                 assert a.mult == reduced_products(a, generate_relations(q)), (q, char)
+
+
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 9)), ("D", range(4, 9)), ("E", (6, 7))],
+                         ids=["A2-A8", "D4-D8", "E6-E7"])
+def test_completion_matches_the_reference(family, ranks):
+    # the reference also resolves the ambiguities of two monomial rules and
+    # scans tips no longer than the new one; the rules, in order, are the same
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            rels = generate_relations(q)
+            rules = _complete(rels, 2 * rank + 1)
+            want = complete_reference(rels, 2 * rank + 1)
+            assert list(rules.items()) == list(want.items()), q
+
+
+def test_completion_requeues_a_rule_whose_tip_holds_a_newer_tip():
+    # no class member needs this: the monomial 1->4->5->2 reduces to the
+    # arrow 1->2 only once the rule 1->4->5->2 -> 1->2 is in place, and by
+    # then the rule of tip 1->2->3, one vertex longer, holds the new tip
+    t, longer, w = Path((1, 2)), Path((1, 2, 3)), Path((1, 4, 5, 2))
+    rels = [(None, Relation(((1, longer),))), (None, Relation(((1, w), (-1, t)))), (None, Relation(((1, w),)))]
+    rules = _complete(rels, 9)
+    assert rules == {(1, 4, 5, 2): {}, (1, 2): {}}
+    assert list(rules.items()) == list(complete_reference(rels, 9).items())
+
+
+def test_completion_of_monomial_rules_resolves_no_ambiguity(monkeypatch):
+    # the oriented 80-cycle's 80 relations are paths of 79 arrows: every rule
+    # is monomial, so no pair of them is ever tested for overlaps
+    q = oriented_cycle(80)
+    rels = generate_relations(q)
+    calls = []
+    overlaps = cthh.algebra._overlaps
+    monkeypatch.setattr(cthh.algebra, "_overlaps", lambda *a: calls.append(a) or overlaps(*a))
+    rules = _complete(rels, 161)
+    assert calls == []
+    assert rules == {p.vertices: {} for _, rel in rels for _, p in rel.terms}
+    assert len(rules) == 80
 
 
 def test_trivial_paths_are_units():

@@ -278,6 +278,94 @@ def test_canonical_data_matches_reference_on_random_quivers():
         assert_canonical_data_matches_reference(q, rng)
 
 
+class LabelledBothWays:
+    """_canonical_data with its coloring recorded, and whether it searched.
+
+    check(n, arrows) labels arrows, runs _lowest_border_order itself on the
+    same non-discrete coloring and asserts the same pos and arrows, and that
+    _canonical_data searched exactly when some color class of more than one
+    vertex is not a set of twins (equal out- and in-neighbour sets).  It
+    returns True when the labelling was read off, False otherwise."""
+
+    def __init__(self, monkeypatch):
+        self.colorings, self.searches = [], []
+        refine, self.search = cthh.quiver._refined_colors, cthh.quiver._lowest_border_order
+
+        def recorded(n, out_adj, in_adj):
+            colors = refine(n, out_adj, in_adj)
+            self.colorings.append((out_adj, in_adj, colors))
+            return colors
+
+        def counted(*args):
+            self.searches.append(args)
+            return self.search(*args)
+
+        monkeypatch.setattr(cthh.quiver, "_refined_colors", recorded)
+        monkeypatch.setattr(cthh.quiver, "_lowest_border_order", counted)
+
+    def check(self, n, arrows):
+        self.colorings.clear()
+        self.searches.clear()
+        got = _canonical_data(n, arrows)
+        [(out_adj, in_adj, colors)] = self.colorings
+        if len(set(colors)) == n:
+            assert not self.searches, arrows
+            return False
+        pos = self.search(n, colors, out_adj, in_adj)
+        assert got == (tuple(sorted((pos[s - 1] + 1, pos[t - 1] + 1) for s, t in arrows)), tuple(pos)), arrows
+        twins = all(set(out_adj[v]) == set(out_adj[w]) and set(in_adj[v]) == set(in_adj[w])
+                    for v in range(n) for w in range(v) if colors[v] == colors[w])
+        assert len(self.searches) == (not twins), arrows
+        return twins
+
+
+READ_OFF_CLASSES = [*(("A", r) for r in range(2, 10)), *(("D", r) for r in range(4, 10)),
+                    ("E", 6), ("E", 7), ("E", 8)]
+# members and mutants whose coloring has a class of twins and no other class
+# of more than one vertex; in D_n the twins are the two ends of a fork
+READ_OFF_CASES = {("A", 3): 6, ("D", 4): 27, ("D", 5): 70, ("D", 6): 254, ("D", 7): 924, ("D", 8): 3437,
+                  ("D", 9): 12870}
+
+
+@pytest.mark.parametrize("family, rank", READ_OFF_CLASSES)
+def test_read_off_labelling_equals_the_search_on_members_and_mutants(family, rank, monkeypatch):
+    # same arrows and same pos: enumerate_class reads pos for the reverse edges
+    labelled = LabelledBothWays(monkeypatch)
+    read_off = 0
+    for q in mutation_class(family, rank):
+        for p in (q, *(mutate(q, k) for k in range(1, rank + 1))):
+            read_off += labelled.check(rank, p.arrows)
+    assert read_off == READ_OFF_CASES.get((family, rank), 0)
+
+
+def test_read_off_labelling_equals_the_search_on_random_quivers(monkeypatch):
+    labelled = LabelledBothWays(monkeypatch)
+    rng = random.Random(2014)
+    read_off = 0
+    for q in random_quivers(random.Random(1309), 250):
+        for p in (q, shuffled(q, rng)):
+            read_off += labelled.check(p.vertex_count, p.arrows)
+    assert read_off == 74
+
+
+# (labellings, of which searched) by enumerate_class; the rest are discrete
+# or read off twin classes.  The labelling counts depend on pos through the
+# reverse-edge rule.
+SEARCHED_LABELLINGS = {("A", 7): (547, 49), ("D", 7): (931, 1), ("D", 8): (3478, 33), ("E", 7): (1457, 0)}
+
+
+def test_enumerate_class_searches_only_without_twin_classes(monkeypatch):
+    labellings, searches = [], []
+    label, search = cthh.quiver._canonical_data, cthh.quiver._lowest_border_order
+    monkeypatch.setattr(cthh.quiver, "_canonical_data", lambda *a: labellings.append(a) or label(*a))
+    monkeypatch.setattr(cthh.quiver, "_lowest_border_order", lambda *a: searches.append(a) or search(*a))
+    for (fam, rank), want in SEARCHED_LABELLINGS.items():
+        labellings.clear()
+        searches.clear()
+        assert len(enumerate_class(dynkin_seed(fam, rank))) == len(mutation_class(fam, rank))
+        assert (len(labellings), len(searches)) == want, (fam, rank)
+
+
 @pytest.mark.parametrize("family, rank", REFERENCE_CLASSES)
 def test_enumerate_class_matches_reference(family, rank):
     assert list(mutation_class(family, rank)) == enumerate_class_reference(dynkin_seed(family, rank))
