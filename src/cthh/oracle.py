@@ -26,15 +26,23 @@ term by term through pad, so it cross-checks this assembly; it also checks
 that each generator image lies in its generator's block, since a term outside
 it would be multiplied away unseen.
 
-The top of a kernel block K_(s,t) is covered by an Echelon fed first the
-arrow multiples of the neighbouring kernel blocks (arrows out of s times
-K_(t(a),t), then K_(s,s(b)) times arrows into t), which span the block of
-rad K + K rad, and then the block's own kernel vectors, whose residues are the
-generators.  Since rad K + K rad lies in K, a block without kernel is skipped,
-and once the echelon's rank reaches dim K_(s,t) it spans that block of K: the
-remaining adds would all return None, so they and the kernel-vector pass are
-skipped.  Every block that stays below full rank sees the same adds in the
-same order, so the generators and their images do not change.
+The top of a kernel block K_(s,t) is counted before it is covered.  The
+resolution splits as a sequence of right modules, since A is right projective,
+so K = ker d_n is right projective and K (x)_A S_t embeds in P_n (x)_A S_t,
+whose part at s has the block's columns (g, p, e_t) as basis: those whose right
+path is trivial (_Level.slices).  The block's top is the top at s of the left
+module K (x)_A S_t, so its dimension c is the rank of the kernel vectors of
+K_(s,t) on those columns less the rank of alpha times those of K_(t(alpha),t),
+over the arrows alpha out of s.  A block counted 0 has no new generator and is
+skipped.  Otherwise an Echelon is fed first the arrow multiples of the
+neighbouring kernel blocks (arrows out of s times K_(t(a),t), then K_(s,s(b))
+times arrows into t), which span the block of rad K + K rad, of dimension dim
+K_(s,t) - c, until its rank reaches that; then the block's own kernel vectors,
+whose residues are the generators, until c of them are found.  A residue is the
+one vector of its coset that vanishes on the echelon's pivot columns, and the
+pivot set depends only on the span, not on which vectors spanned it or in what
+order; so the generators and their images are those of covering every block
+with every vector.
 
 Nothing is assumed about minimality when taking cohomology: the Hom-complex
 differentials are computed honestly, and d-compose-d = 0 plus image = kernel
@@ -101,13 +109,18 @@ class _Level:
     def __init__(self, a: BoundAlgebra, gens, images):
         self.gens = list(gens)       # list of (a_vertex, b_vertex)
         self.images = list(images)   # per generator: dict coord -> coeff in level - 1; none at 0
-        self.blocks = {}
+        blocks = self.blocks = {}
+        slices = self.slices = {}    # per block (s, t): offsets of its columns (g, p, e_t)
         basis = a.basis
         for g, (av, bv) in enumerate(self.gens):
+            rights = a.paths_from[bv][1:]  # after the trivial path, at index bv - 1
             for p in a.paths_to[av]:
                 s = basis[p][0]
-                for q in a.paths_from[bv]:
-                    self.blocks.setdefault((s, basis[q][-1]), []).append((g, p, q))
+                coords = blocks.setdefault((s, bv), [])
+                slices.setdefault((s, bv), []).append(len(coords))
+                coords.append((g, p, bv - 1))
+                for q in rights:
+                    blocks.setdefault((s, basis[q][-1]), []).append((g, p, q))
         self.offset = {}
         for key, coords in self.blocks.items():
             for off, c in enumerate(coords):
@@ -266,34 +279,93 @@ class BimoduleResolution:
 
     def _top(self, lvl, kernels):
         """Generators (block keys) and images lifting the kernel top modulo
-        rad*K + K*rad, block by block; the stopping rule is in the module
-        docstring."""
+        rad*K + K*rad, block by block; the count and the stopping rules are in
+        the module docstring."""
         fld = self.field
         new_gens = []
         new_images = []
+        counts = self._top_counts(lvl, kernels)
         for key in sorted(kernels):
+            count = counts[key]
+            if not count:
+                continue
             kernel = kernels[key]
             block_coords = lvl.blocks[key]
-            block_pos = {c: off for off, c in enumerate(block_coords)}
             ech = Echelon(fld)
-            for vec in self._radical_multiples(lvl, kernels, key, block_pos):
-                ech.add(vec)
-                if ech.rank == len(kernel):
-                    break
-            else:
-                # below full rank: the residues of the kernel vectors lift the top
-                for vec in kernel:
-                    residue = ech.add(vec)
-                    if residue is not None:
-                        new_gens.append(key)
-                        new_images.append({
-                            block_coords[off]: val
-                            for off, val in enumerate(residue)
-                            if val
-                        })
+            goal = len(kernel) - count  # dim of the block of rad*K + K*rad
+            if goal:
+                for vec in self._radical_multiples(lvl, kernels, key):
+                    ech.add(vec)
+                    if ech.rank == goal:
+                        break
+            # the residues of the kernel vectors lift the top
+            for vec in kernel:
+                residue = ech.add(vec)
+                if residue is not None:
+                    new_gens.append(key)
+                    new_images.append({
+                        block_coords[off]: val
+                        for off, val in enumerate(residue)
+                        if val
+                    })
+                    count -= 1
+                    if not count:
+                        break
         return new_gens, new_images
 
-    def _radical_multiples(self, lvl, kernels, key, block_pos):
+    def _top_counts(self, lvl, kernels):
+        """Per kernel block (s, t), the dimension of its block of K/(rad*K + K*rad),
+        read on its columns (g, p, e_t): the rank of its kernel vectors there, less
+        that of the arrows out of s times those of the blocks they reach (module
+        docstring)."""
+        fld = self.field
+        restricted = {}  # block -> Echelon of its kernel vectors on its columns (g, p, e_t)
+        for key, kernel in kernels.items():
+            cols = lvl.slices.get(key)  # none when no generator ends at t
+            if not cols:
+                continue
+            ech = Echelon(fld)
+            for vec in kernel:
+                row = [vec[off] for off in cols]
+                if any(row):
+                    ech.add(row)
+                    if ech.rank == len(cols):
+                        break
+            if ech.rank:
+                restricted[key] = ech
+        counts = dict.fromkeys(kernels, 0)
+        for key, ech in restricted.items():
+            rad = Echelon(fld)
+            for vec in self._slice_multiples(lvl, restricted, key):
+                rad.add(vec)
+                if rad.rank == ech.rank:
+                    break
+            counts[key] = ech.rank - rad.rank
+        return counts
+
+    def _slice_multiples(self, lvl, restricted, key):
+        """Arrows a out of s times the basis of each restricted[(t(a), t)], on the
+        columns (g, p, e_t) of block key = (s, t) (dense)."""
+        a = self.a
+        mult = a.mult
+        char = self.field.characteristic
+        s, t = key
+        coords = lvl.blocks[key]
+        pos = {coords[off]: j for j, off in enumerate(lvl.slices[key])}
+        for alpha in self.arrows_out.get(s, ()):
+            src_key = (a.basis[alpha][1], t)
+            if src_key not in restricted:
+                continue
+            src_coords = [lvl.blocks[src_key][off] for off in lvl.slices[src_key]]
+            for row in restricted[src_key].pivot_rows.values():
+                out = [0] * len(pos)
+                for (g, p, q), val in zip(src_coords, row):
+                    if val:
+                        for k, c in mult.get((alpha, p), ()):
+                            out[pos[(g, k, q)]] += val * c
+                yield [x % char for x in out] if char else out
+
+    def _radical_multiples(self, lvl, kernels, key):
         """Spanning vectors of rad*K + K*rad in block key: arrows out of s times
         the kernel blocks they reach, then the kernel blocks into t times arrows."""
         a = self.a
@@ -301,25 +373,27 @@ class BimoduleResolution:
         for alpha in self.arrows_out.get(s, ()):
             src_key = (a.basis[alpha][1], t)
             for vec in kernels.get(src_key, ()):
-                yield self._arrow_mul(lvl, src_key, vec, alpha, True, block_pos)
+                yield self._arrow_mul(lvl, src_key, key, vec, alpha, True)
         for beta in self.arrows_in.get(t, ()):
             src_key = (s, a.basis[beta][0])
             for vec in kernels.get(src_key, ()):
-                yield self._arrow_mul(lvl, src_key, vec, beta, False, block_pos)
+                yield self._arrow_mul(lvl, src_key, key, vec, beta, False)
 
-    def _arrow_mul(self, lvl, src_key, vec, arrow, left, dst_pos):
-        """arrow * vec if left, else vec * arrow: a block of lvl into the block of dst_pos (dense)."""
-        out = [0] * len(dst_pos)
+    def _arrow_mul(self, lvl, src_key, dst_key, vec, arrow, left):
+        """arrow * vec if left, else vec * arrow: block src_key of lvl into block
+        dst_key (dense)."""
+        out = [0] * len(lvl.blocks[dst_key])
         mult = self.a.mult
+        offset = lvl.offset
         for (g, p, q), val in zip(lvl.blocks[src_key], vec):
             if not val:
                 continue
             if left:
                 for k, c in mult.get((arrow, p), ()):
-                    out[dst_pos[(g, k, q)]] += val * c
+                    out[offset[(g, k, q)][1]] += val * c
             else:
                 for k, c in mult.get((q, arrow), ()):
-                    out[dst_pos[(g, p, k)]] += val * c
+                    out[offset[(g, p, k)][1]] += val * c
         p = self.field.characteristic
         return [x % p for x in out] if p else out
 

@@ -546,16 +546,15 @@ class FullSpanResolution(BimoduleResolution):
         for key in sorted(lvl.blocks):
             s, t = key
             block_coords = lvl.blocks[key]
-            block_pos = {c: off for off, c in enumerate(block_coords)}
             ech = Echelon(self.field)
             for alpha in self.arrows_out.get(s, ()):
                 src_key = (a.basis[alpha][1], t)
                 for vec in kernels.get(src_key, ()):
-                    ech.add(self._arrow_mul(lvl, src_key, vec, alpha, True, block_pos))
+                    ech.add(self._arrow_mul(lvl, src_key, key, vec, alpha, True))
             for beta in self.arrows_in.get(t, ()):
                 src_key = (s, a.basis[beta][0])
                 for vec in kernels.get(src_key, ()):
-                    ech.add(self._arrow_mul(lvl, src_key, vec, beta, False, block_pos))
+                    ech.add(self._arrow_mul(lvl, src_key, key, vec, beta, False))
             for vec in kernels.get(key, ()):
                 residue = ech.add(vec)
                 if residue is not None:

@@ -21,6 +21,7 @@ from cthh.linalg import kernel_from_rref
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed, enumerate_class
 from cthh.relations import Path as QuiverPath, Relation
+from cthh.series import HSeries, hh_dim
 from test_algebra import D8_MIXED
 
 def oriented_cycle(n):
@@ -173,6 +174,16 @@ def test_dims_rational_vs_good_prime():
     assert d0 == d7
 
 
+def test_oriented_8_cycle_over_gf7_is_f8_in_characteristic_7():
+    # 7 divides 8 - 1, so f_8 over GF(7) differs from f_8 over QQ in degrees 3 and 4
+    q = oriented_cycle(8)
+    want = [hh_dim(HSeries.of(8), i, GF7) for i in range(13)]
+    assert want == [1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1]
+    assert list(hh_dims(cached_algebra(q, 7), [GF7], max_i=12)[0]) == want
+    rational = hh_dims(cached_algebra(q, 0), [QQ], max_i=12)[0]
+    assert [i for i in range(13) if rational[i] != want[i]] == [3, 4]
+
+
 def test_resolution_exactness_and_minimality_bookkeeping():
     a = cached_algebra(oriented_cycle(4), 2)
     res = BimoduleResolution(a)
@@ -236,16 +247,52 @@ def _resolution_state(res):
             res.kernel_dims, res.period)
 
 
-@pytest.mark.parametrize("name,q,char", PERIOD_SAMPLE, ids=[c[0] for c in PERIOD_SAMPLE])
+TOP_SAMPLE = PERIOD_SAMPLE + [(f"{name[:-2]}-5", q, 5) for name, q, char in PERIOD_SAMPLE if char == 2]
+
+
+@pytest.mark.parametrize("name,q,char", TOP_SAMPLE, ids=[c[0] for c in TOP_SAMPLE])
 def test_top_step_matches_full_span_reference(name, q, char):
-    # the top stops covering a block once rad*K + K*rad fills its kernel and
-    # skips blocks without kernel; the reference adds every vector of every block
+    # the top counts each kernel block's new generators first: a block counted
+    # 0 is skipped, and a block counted c stops covering rad*K + K*rad at
+    # rank dim K - c and stops after c residues; the reference adds every
+    # vector of every block
     a = cached_algebra(q, char)
     res = BimoduleResolution(a)
     res.extend_to(12)
     ref = FullSpanResolution(a)
     ref.extend_to(12)
     assert _resolution_state(res) == _resolution_state(ref)
+
+
+class _CountedFullSpan(FullSpanResolution):
+    """The reference top step, recording per step the count of each kernel
+    block next to the generators the reference finds in each block."""
+
+    def __init__(self, a):
+        self.steps = []
+        super().__init__(a)
+
+    def _top(self, lvl, kernels):
+        gens, images = super()._top(lvl, kernels)
+        self.steps.append((self._top_counts(lvl, kernels), Counter(gens)))
+        return gens, images
+
+
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 6)), ("D", (4, 5))], ids=["A2-A5", "D4-D5"])
+def test_top_count_is_the_reference_generator_count(family, ranks):
+    # the count reads the top on the columns (g, p, e_t) alone; the reference
+    # covers the whole block and keeps every residue
+    seen = Counter()
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            for fs in (GF2, GF3, GF5, QQ):
+                res = _CountedFullSpan(cached_algebra(q, fs.characteristic))
+                res.extend_to(8)
+                for n, (counts, found) in enumerate(res.steps, 2):
+                    assert set(found) <= set(counts), (q, fs, n)  # only kernel blocks
+                    assert counts == {key: found[key] for key in counts}, (q, fs, n)
+                    seen.update(c > 0 for c in counts.values())
+    assert seen[True] and seen[False]
 
 
 @pytest.mark.parametrize("name,q,char", PERIOD_SAMPLE, ids=[c[0] for c in PERIOD_SAMPLE])
@@ -460,6 +507,51 @@ def test_planted_fault_raises_invariant_error(corrupt, message):
     with pytest.raises(InvariantError, match=message):
         while len(res.levels) < 6:
             res.extend_once()
+
+
+class PlantedCount(BimoduleResolution):
+    """Adds delta to the count of one kernel block, the first in sorted order
+    whose count stays between 0 and its kernel dimension, as the extend_once
+    step builds level `level`."""
+
+    def __init__(self, a, level, delta):
+        super().__init__(a)
+        self.planted = (level, delta)
+        self.planted_key = None
+
+    def _top_counts(self, lvl, kernels):
+        counts = super()._top_counts(lvl, kernels)
+        level, delta = self.planted
+        if len(self.levels) == level:
+            self.planted_key = next(key for key in sorted(counts)
+                                    if 0 <= counts[key] + delta <= len(kernels[key]))
+            counts[self.planted_key] += delta
+        return counts
+
+
+def test_count_one_too_low_is_not_exact():
+    # the block then lifts one generator too few, so the image of d_3 falls
+    # short of the kernel of d_2 at the next step
+    a = cached_algebra(D5_TRIANGLES, 3)
+    res = PlantedCount(a, 3, -1)
+    with pytest.raises(InvariantError, match="resolution not exact at step 3"):
+        while len(res.levels) < 6:
+            res.extend_once()
+    assert res.planted_key is not None
+
+
+def test_count_one_too_high_fails_minimality_alone():
+    # the covering stops one vector short of rad*K + K*rad, so a residue in it
+    # becomes a redundant generator: exactness and d o d = 0 still hold, but
+    # level 3 no longer holds dim Ext^3(S_a, S_b) generators in block (a, b)
+    a = cached_algebra(D5_TRIANGLES, 3)
+    res = PlantedCount(a, 3, 1)
+    while len(res.levels) < 6:
+        res.extend_once()
+    want = Counter({(v, b): m for v in range(1, a.vertex_count + 1)
+                    for b, m in simple_ext_dims(a, v, 3)[3].items()})
+    got = Counter(res.levels[3].gens)
+    assert got - want == Counter({res.planted_key: 1}) and not want - got
 
 
 @pytest.mark.parametrize("name, message", [
