@@ -126,7 +126,9 @@ def kernel_from_rref(rows, ncols, pivots, field: FieldSpec):
 class Echelon:
     """Incrementally built row echelon over a field, for span membership
     and reduction.  Rows are kept with normalized leading 1 and are only
-    forward-reduced (enough for reduce/add)."""
+    forward-reduced (enough for reduce/add).  Over GF(p) a vector may hold
+    any integers, negative or not below p; reduce and add read them mod p
+    and return every entry in 0..p - 1."""
 
     __slots__ = ("field", "p", "pivot_rows", "rank")
 
@@ -144,11 +146,10 @@ class Echelon:
         if p:
             for j in range(len(v)):
                 x = v[j] % p
-                if x:
-                    row = piv.get(j)
-                    if row is None:
-                        v[j] = x
-                        continue
+                row = piv.get(j) if x else None
+                if row is None:
+                    v[j] = x
+                else:
                     v = [(a - x * b) % p for a, b in zip(v, row)]
         else:
             for j in range(len(v)):

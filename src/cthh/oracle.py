@@ -13,41 +13,46 @@ and those generators index the next projective.  Applying Hom(-, A) turns
 the resolution into a cochain complex of small exact matrices whose
 cohomology dimensions are the answer.
 
-The kernel of a block is read off a dense matrix, one column per coordinate
-(g, p, q) of the block (src p, tgt q), holding p * image(g) * q.  The left
-product p * image(g) is formed once per generator g and left path p, then
-multiplied by each right path q out of g's right vertex; entries are reduced
-modulo the characteristic as they are written.  A nonzero p * x * q lies in
-block (src p, tgt q), so every entry lands in its column's block.  A block of
-full rank has no kernel, so none is read off; a block with no rows or no
-nonzero entry has rank 0 and every column free, so it is not row-reduced.
-The d-compose-d check on every new level from level 2 recomputes the images
-term by term through pad, so it cross-checks this assembly; it also checks
-that each generator image lies in its generator's block, since a term outside
-it would be multiplied away unseen.
+The step from level n runs two passes over d_n, both on dense matrices: a
+column per coordinate (g, p, q) holding p * image(g) * q, a row per target
+coordinate it reaches (_assemble).  The left product p * image(g) is formed
+once per generator g and left path p, then multiplied by each right path q;
+entries are reduced modulo the characteristic as they are written.
 
-The top of a kernel block K_(s,t) is counted before it is covered.  The
-resolution splits as a sequence of right modules, since A is right projective,
-so K = ker d_n is right projective and K (x)_A S_t embeds in P_n (x)_A S_t,
-whose part at s has the block's columns (g, p, e_t) as basis: those whose right
-path is trivial (_Level.slices).  The block's top is the top at s of the left
-module K (x)_A S_t, so its dimension c is the rank of the kernel vectors of
-K_(s,t) on those columns less the rank of alpha times those of K_(t(alpha),t),
-over the arrows alpha out of s.  A block counted 0 has no new generator and is
-skipped.  Otherwise an Echelon is fed first the arrow multiples of the
-neighbouring kernel blocks (arrows out of s times K_(t(a),t), then K_(s,s(b))
-times arrows into t), which span the block of rad K + K rad, of dimension dim
-K_(s,t) - c, until its rank reaches that; then the block's own kernel vectors,
-whose residues are the generators, until c of them are found.  A residue is the
-one vector of its coset that vanishes on the echelon's pivot columns, and the
-pivot set depends only on the span, not on which vectors spanned it or in what
-order; so the generators and their images are those of covering every block
-with every vector.
+The slice pass runs on every block (s, t).  The resolution splits as a sequence
+of right modules, since A is right projective, so each kernel K_n = ker d_n is
+right projective, and P (x)_A S_t is a complex whose part at s has the block's
+columns (g, p, e_t) as basis: those whose right path is trivial
+(_Level.slices).  d_n (x) S_t keeps only the image terms with a trivial right
+path.  Its rank must be r_{n-1}(s, t), the kernel dimension of d_{n-1} (x) S_t
+at s, with r_0(s, t) = dim e_s A e_t - delta_st: that is exactness.  It is
+enough.  Let H be the lowest homology of P -> A -> 0; below it the complex
+splits, so H (x) S_t is the homology of P (x) S_t there, which is 0 for every t,
+and H = H rad is 0 by Nakayama.  K_n (x) S_t embeds in P_n (x) S_t as the slice
+kernel, so dim e_s K_n e_t = sum_u r_n(s, u) dim e_u A e_t.
+
+The top of K_n at (s, t) is the top at s of the left module K_n (x) S_t, so its
+dimension c is r_n(s, t) less the rank of alpha times the slice kernel of
+(t(alpha), t), over the arrows alpha out of s (_top_counts).  Only a block
+counted c > 0 and its neighbours, (t(a), t) for a out of s and (s, s(b)) for b
+into t, are row-reduced whole, in the full pass; each one's rank must be
+sum_u r_{n-1}(s, u) dim e_u A e_t.  A block with no rows is not row-reduced.
+An Echelon is fed first the arrow multiples of the neighbouring kernel blocks
+(arrows out of s times K_(t(a),t), then K_(s,s(b)) times arrows into t), which
+span the block of rad K + K rad, of dimension dim K_(s,t) - c, until its rank
+reaches that; then the block's own kernel vectors, whose residues are the
+generators, until c of them are found.  A residue is the one vector of its
+coset that vanishes on the echelon's pivot columns, and the pivot set depends
+only on the span, not on which vectors spanned it or in what order; so the
+generators and their images are those of covering every block with every
+vector.  The d-compose-d check on every new level from level 2 recomputes the
+images term by term through pad, so it cross-checks the assembly; it also
+checks that each generator image lies in its generator's block, since a term
+outside it would be multiplied away unseen.
 
 Nothing is assumed about minimality when taking cohomology: the Hom-complex
 differentials are computed honestly, and d-compose-d = 0 plus image = kernel
-are verified at every step computed, exactness at P_0 (rank d_1 = dim P_0 -
-dim A) on the first.
+are verified at every step computed, exactness at P_0 on the first.
 
 Recurrence: for n >= 1 the step from level n to level n + 1 reads only the
 state S_n = (gens[n-1], gens[n], images[n]) -- the generators of the target
@@ -56,25 +61,26 @@ generators are Echelon residues taken in sorted block order -- and the rank of
 Hom(P_{n-1}, A) -> Hom(P_n, A) reads the same state.  So once S_n = S_j for
 some j < n, level m >= j equals level j + (m - j) % (n - j), and each distinct
 level and Hom rank is computed once.  The exactness check at level n also
-reads the kernel dimension of level n - 1; it runs on every level computed.
+reads the slice kernel dimensions of level n - 1; it runs on every level
+computed.
 
 hh_dims resolves an algebra once, over its own field, and one resolution
 over QQ serves every characteristic.  The algebra's multiplication table is
 integral, and HH is the cohomology of Hom(P, A) for any projective bimodule
 resolution P (Happel, LNM 1404, 1989).
 Suppose that, for a prime p, every image coefficient of levels 1..n + 1 is
-p-integral and every block of d_1..d_{n+1} keeps its rank mod p.  Then the
-levels reduce mod p to a complex of projective bimodules over GF(p) in which
-d o d = 0 still holds, the augmentation is still onto, and the ranks, equal
-to those over QQ, still add up to exactness at levels 0..n; so its Hom
-complex gives HH^0..HH^n over GF(p).  A block keeps its rank when the minor
-on the rows and columns its elimination picked is a unit mod p, and that
-minor is +- the product of the pivots rref_frac meets, so the certificate
-costs no extra elimination.  extend_to(n + 1) row-reduces only d_1..d_n;
-unless level n + 1 repeats an earlier one, d_{n+1} is row-reduced once more,
-kernel step only.  When p divides a denominator or a minor, the certificate
-fails (it does not prove the ranks drop) and that field is resolved on its
-own, with a RuntimeWarning.
+p-integral and every slice block of d_1..d_{n+1} keeps its rank mod p.  Then
+the levels reduce mod p to a complex of projective bimodules over GF(p) in
+which d o d = 0 still holds, the augmentation is still onto, and the slice
+ranks, equal to those over QQ, still prove exactness at levels 0..n by the
+same argument over GF(p); so its Hom complex gives HH^0..HH^n over GF(p).  A
+slice block keeps its rank when the minor on the rows and columns its
+elimination picked is a unit mod p, and that minor is +- the product of the
+pivots rref_frac meets, so the certificate costs no extra elimination.
+extend_to(n + 1) runs the slice pass of d_1..d_n only; unless level n + 1
+repeats an earlier one, that of d_{n+1} runs once more.  When p divides a
+denominator or a minor, the certificate fails (it does not prove the ranks
+drop) and that field is resolved on its own, with a RuntimeWarning.
 
 The Hom complex reuses the certificate: each distinct Hom differential d^i is
 row-reduced once, over the resolution's field.  For a certified p its entries
@@ -104,33 +110,45 @@ DEFAULT_BUDGET = 50000
 
 
 class _Level:
-    """One projective P = sum of A e_a (x) e_b A over generators (a, b)."""
+    """One projective P = sum of A e_a (x) e_b A over generators (a, b).
+
+    Block (s, t) is e_s P e_t, with basis (g, p, q) for the generators g = (a, b),
+    the paths p from s to a and q from b to t, in that order; block(key) lists
+    it on first read.  slices[(s, t)] lists the basis (g, p, e_t) of P (x) S_t at s."""
 
     def __init__(self, a: BoundAlgebra, gens, images):
         self.gens = list(gens)       # list of (a_vertex, b_vertex)
         self.images = list(images)   # per generator: dict coord -> coeff in level - 1; none at 0
-        blocks = self.blocks = {}
-        slices = self.slices = {}    # per block (s, t): offsets of its columns (g, p, e_t)
+        self.parallel = a.parallel
+        self._blocks = {}            # (s, t) -> (its coordinates, coordinate -> offset)
+        lefts = self._lefts = {}     # s -> (g, p, b) per generator g = (a, b), path p from s to a
+        slices = self.slices = {}
         basis = a.basis
+        dim = 0
         for g, (av, bv) in enumerate(self.gens):
-            rights = a.paths_from[bv][1:]  # after the trivial path, at index bv - 1
-            for p in a.paths_to[av]:
+            paths = a.paths_to[av]
+            dim += len(paths) * len(a.paths_from[bv])
+            for p in paths:
                 s = basis[p][0]
-                coords = blocks.setdefault((s, bv), [])
-                slices.setdefault((s, bv), []).append(len(coords))
-                coords.append((g, p, bv - 1))
-                for q in rights:
-                    blocks.setdefault((s, basis[q][-1]), []).append((g, p, q))
-        self.offset = {}
-        for key, coords in self.blocks.items():
-            for off, c in enumerate(coords):
-                self.offset[c] = (key, off)
-        self.dim = sum(len(v) for v in self.blocks.values())
+                lefts.setdefault(s, []).append((g, p, bv))
+                slices.setdefault((s, bv), []).append((g, p, bv - 1))
+        self.dim = dim
 
-    def pad(self, a: BoundAlgebra, coord, p, q, coeff, acc):
+    def block(self, key):
+        """The coordinates of block key, in order, and the offset of each."""
+        got = self._blocks.get(key)
+        if got is None:
+            s, t = key
+            parallel = self.parallel
+            coords = [(g, p, q) for g, p, bv in self._lefts.get(s, ())
+                      for q in parallel.get((bv, t), ())]
+            got = self._blocks[key] = coords, {c: off for off, c in enumerate(coords)}
+        return got
+
+    @staticmethod
+    def pad(mult, coord, p, q, coeff, acc):
         """Accumulate p * (g, p', q') * q into acc."""
         g, pp, qq = coord
-        mult = a.mult
         for k, c1 in mult.get((p, pp), ()):
             for m, c2 in mult.get((qq, q), ()):
                 key = (g, k, m)
@@ -177,14 +195,18 @@ class BimoduleResolution:
             self.arrows_in.setdefault(t, []).append(idx)
         self.levels = []
         self.kernel_dims = []    # per level: total kernel dimension
-        self.minors = {}         # level n -> +- the product of d_n's pivot minors (1 over GF(p))
+        # level n -> {(s, t): dim of the kernel of d_n (x) S_t at s, when nonzero}
+        self.slice_dims = {}
+        self.minors = {}         # level n -> +- the product of d_n's slice minors; 1 over GF(p)
         self.period = None
         self._states = {}        # (gens[n-1], gens[n]) -> levels n with that pair
         # the augmentation P_0 -> A, e_v (x) e_v -> e_v, is onto: each path p
-        # is the image of e_{s(p)} (x) p
+        # is the image of e_{s(p)} (x) p, and P_0 (x) S_t -> S_t is onto
         level0 = _Level(a, [(v, v) for v in range(1, a.vertex_count + 1)], ())
         self._append(level0)
         self.kernel_dims.append(level0.dim - a.dimension)
+        self.slice_dims[0] = {key: d for key, paths in a.parallel.items()
+                              if (d := len(paths) - (key[0] == key[1]))}
         # level 1 (module docstring), with the sign and term order the top of
         # the augmentation's kernel has: the lower vertex's term first, with +1;
         # the basis lists the trivial path at v at index v - 1
@@ -209,88 +231,133 @@ class BimoduleResolution:
         self.levels.append(lvl)
 
     def extend_once(self):
-        """Kernel of the topmost differential, then cover it minimally."""
+        """Kernel of the topmost differential, then cover it minimally: the
+        slice pass on every block, the full pass on the blocks the top reads
+        (module docstring)."""
         a = self.a
         i = len(self.levels) - 1
         lvl = self.levels[i]
-        kernels, rank_total = self._kernels(i)
-        self._check_exact(i, rank_total)
-        self.kernel_dims.append(sum(len(v) for v in kernels.values()))
-
-        new_gens, new_images = self._top(lvl, kernels)
-        self._append(_Level(a, new_gens, new_images))
+        counts = self._top_counts(lvl, self._slice_kernels(i))
+        # dim e_s K e_t = sum_u r(s, u) dim e_u A e_t, summed over t
+        self.kernel_dims.append(sum(r * len(a.paths_from[u])
+                                    for (_, u), r in self.slice_dims[i].items()))
+        basis = a.basis
+        read = set()
+        for (s, t), count in counts.items():
+            if count:
+                read.add((s, t))
+                read.update((basis[alpha][1], t) for alpha in self.arrows_out.get(s, ()))
+                read.update((s, basis[beta][0]) for beta in self.arrows_in.get(t, ()))
+        kernels = self._kernels(i, read)
+        self._append(_Level(a, *self._top(lvl, counts, kernels)))
         self._check_square_zero(len(self.levels) - 1)
 
-    def _check_exact(self, i, rank):
-        """The image of d_i, the differential out of level i >= 1, must fill
-        the kernel of d_{i-1}."""
-        if rank != self.kernel_dims[i - 1]:
-            raise InvariantError(f"resolution not exact at step {i}: image {rank}, "
-                                 f"kernel {self.kernel_dims[i - 1]}")
-
-    def _kernels(self, i):
-        """Kernel bases of the differential out of level i, by block, and its
-        rank; over QQ the product of its blocks' pivot minors goes to minors[i]."""
-        fld = self.field
-        p = fld.characteristic
-        blocks = self.levels[i].blocks
-        kernels = {}
-        rank_total = 0
-        minor = 1
-        for key, mat in sorted(self._differential_blocks(i).items()):
-            ncols = len(blocks[key])
-            if not any(map(any, mat)):  # no rows, or all zero: every column is free
-                pivots = []
-            elif p:
-                pivots = rref_mod(mat, ncols, p)[1]
-            else:
-                _, pivots, block_minor = rref_frac(mat, ncols)
-                minor *= block_minor
-            rank_total += len(pivots)
-            if len(pivots) < ncols:
-                kernels[key] = kernel_from_rref(mat, ncols, pivots, fld)
-        self.minors[i] = minor
-        return kernels, rank_total
-
-    def _differential_blocks(self, i):
-        """Dense matrix of each block of the differential out of level i: rows
-        are the target block's coordinates, columns the level block's."""
-        a, mult = self.a, self.a.mult
+    def _slice_kernels(self, i):
+        """Kernel bases of d_i (x) S_t at s, on the columns (g, p, e_t) of each
+        block (s, t) of level i (i >= 1).  Its rank must be the kernel dimension
+        of d_{i-1} (x) S_t at s (exactness at level i - 1); the kernel
+        dimensions go to slice_dims[i], and over QQ the product of the pivot
+        minors to minors[i]."""
         lvl = self.levels[i]
-        target = self.levels[i - 1]
-        offset = target.offset
+        n = self.a.vertex_count  # the trivial paths are the basis paths below n
+        # the image terms with a trivial right path, the only ones d (x) S_t keeps
+        heads = [{c: v for c, v in img.items() if c[2] < n} for img in lvl.images]
+        kernels, ranks, dims = {}, {}, {}
+        minor = 1
+        for key, rows in self._assemble(lvl.slices, heads).items():
+            ncols = len(lvl.slices[key])
+            rank, block_minor, kernel = self._eliminate(rows, ncols)
+            minor *= block_minor
+            if rank:
+                ranks[key] = rank
+            if kernel:
+                kernels[key] = kernel
+                dims[key] = len(kernel)
+        prev = self.slice_dims[self.distinct_index(i - 1)]
+        if ranks != prev:
+            key = min(k for k in ranks.keys() | prev.keys() if ranks.get(k) != prev.get(k))
+            raise InvariantError(f"resolution not exact at step {i}: image {ranks.get(key, 0)}, "
+                                 f"kernel {prev.get(key, 0)} in the slice of block {key}")
+        self.slice_dims[i] = dims
+        self.minors[i] = minor
+        return kernels
+
+    def _kernels(self, i, keys):
+        """Kernel bases of d_i on the blocks keys of level i.  The rank of block
+        (s, t) must be dim e_s K e_t = sum_u r(s, u) dim e_u A e_t, r the slice
+        kernel dimensions of d_{i-1}: K = ker d_{i-1} is right projective."""
+        lvl = self.levels[i]
+        parallel = self.a.parallel
+        prev = {}  # s -> (u, r(s, u))
+        for (s, u), r in self.slice_dims[self.distinct_index(i - 1)].items():
+            prev.setdefault(s, []).append((u, r))
+        kernels = {}
+        columns = {key: lvl.block(key)[0] for key in keys}
+        for (s, t), rows in self._assemble(columns, lvl.images).items():
+            rank, _, kernel = self._eliminate(rows, len(columns[(s, t)]))
+            want = sum(r * len(parallel.get((u, t), ())) for u, r in prev.get(s, ()))
+            if rank != want:
+                raise InvariantError(f"resolution not exact at step {i}: image {rank}, "
+                                     f"kernel {want} in block {(s, t)}")
+            if kernel:
+                kernels[(s, t)] = kernel
+        return kernels
+
+    def _assemble(self, columns, images):
+        """Per block key of columns, the differential on the columns (g, p, q) of
+        columns[key], p * images[g] * q: a dense row per target coordinate met,
+        in order of appearance (a row order does not change the RREF).  The left
+        product p * images[g] is formed once per generator g and left path p; a
+        trivial q leaves it as it is, since images[g] lies in g's block."""
+        mult = self.a.mult
+        n = self.a.vertex_count
         mod = self.field.characteristic
-        mats = {key: [[0] * len(cols) for _ in target.blocks.get(key, ())]
-                for key, cols in lvl.blocks.items()}
-        for g, (av, bv) in enumerate(lvl.gens):
-            image = lvl.images[g]
-            rights = a.paths_from[bv]
-            for p in a.paths_to[av]:
-                left = target.left(mult, p, image)
-                for q in rights:
-                    key, c = lvl.offset[(g, p, q)]
-                    mat = mats[key]
-                    for tcoord, v in target.right(mult, left, q).items():
-                        if mod:
-                            v %= mod
-                        if v:
-                            mat[offset[tcoord][1]][c] = v
+        lefts = {}
+        mats = {}
+        for key, cols in columns.items():
+            rows = mats[key] = {}
+            for c, (g, p, q) in enumerate(cols):
+                left = lefts.get((g, p))
+                if left is None:
+                    left = lefts[(g, p)] = _Level.left(mult, p, images[g])
+                for tcoord, v in (_Level.right(mult, left, q) if q >= n else left).items():
+                    if mod:
+                        v %= mod
+                    if v:
+                        row = rows.get(tcoord)
+                        if row is None:
+                            row = rows[tcoord] = [0] * len(cols)
+                        row[c] = v
         return mats
 
-    def _top(self, lvl, kernels):
+    def _eliminate(self, rows, ncols):
+        """Rank, +- the product of the pivot minors over QQ (1 over GF(p)) and a
+        kernel basis of the dense rows (a dict, target coordinate -> row)."""
+        fld = self.field
+        mat = list(rows.values())
+        minor = 1
+        if not mat:  # every column is free
+            pivots = []
+        elif fld.characteristic:
+            pivots = rref_mod(mat, ncols, fld.characteristic)[1]
+        else:
+            _, pivots, minor = rref_frac(mat, ncols)
+        kernel = kernel_from_rref(mat, ncols, pivots, fld) if len(pivots) < ncols else []
+        return len(pivots), minor, kernel
+
+    def _top(self, lvl, counts, kernels):
         """Generators (block keys) and images lifting the kernel top modulo
         rad*K + K*rad, block by block; the count and the stopping rules are in
         the module docstring."""
         fld = self.field
         new_gens = []
         new_images = []
-        counts = self._top_counts(lvl, kernels)
-        for key in sorted(kernels):
+        for key in sorted(counts):
             count = counts[key]
             if not count:
                 continue
             kernel = kernels[key]
-            block_coords = lvl.blocks[key]
+            block_coords = lvl.block(key)[0]
             ech = Echelon(fld)
             goal = len(kernel) - count  # dim of the block of rad*K + K*rad
             if goal:
@@ -313,104 +380,79 @@ class BimoduleResolution:
                         break
         return new_gens, new_images
 
-    def _top_counts(self, lvl, kernels):
-        """Per kernel block (s, t), the dimension of its block of K/(rad*K + K*rad),
-        read on its columns (g, p, e_t): the rank of its kernel vectors there, less
-        that of the arrows out of s times those of the blocks they reach (module
-        docstring)."""
+    def _top_counts(self, lvl, slice_kernels):
+        """Per block (s, t) with a slice kernel, the dimension of its block of
+        K/(rad*K + K*rad): the dimension of that slice kernel, less the rank of
+        the arrows out of s times the slice kernels of the blocks they reach
+        (module docstring)."""
         fld = self.field
-        restricted = {}  # block -> Echelon of its kernel vectors on its columns (g, p, e_t)
-        for key, kernel in kernels.items():
-            cols = lvl.slices.get(key)  # none when no generator ends at t
-            if not cols:
-                continue
-            ech = Echelon(fld)
-            for vec in kernel:
-                row = [vec[off] for off in cols]
-                if any(row):
-                    ech.add(row)
-                    if ech.rank == len(cols):
-                        break
-            if ech.rank:
-                restricted[key] = ech
-        counts = dict.fromkeys(kernels, 0)
-        for key, ech in restricted.items():
+        counts = {}
+        for key, kernel in slice_kernels.items():
             rad = Echelon(fld)
-            for vec in self._slice_multiples(lvl, restricted, key):
+            for vec in self._slice_multiples(lvl, slice_kernels, key):
                 rad.add(vec)
-                if rad.rank == ech.rank:
+                if rad.rank == len(kernel):
                     break
-            counts[key] = ech.rank - rad.rank
+            counts[key] = len(kernel) - rad.rank
         return counts
 
-    def _slice_multiples(self, lvl, restricted, key):
-        """Arrows a out of s times the basis of each restricted[(t(a), t)], on the
-        columns (g, p, e_t) of block key = (s, t) (dense)."""
-        a = self.a
-        mult = a.mult
-        char = self.field.characteristic
+    def _slice_multiples(self, lvl, slice_kernels, key):
+        """Arrows a out of s times the basis of each slice_kernels[(t(a), t)], on
+        the columns (g, p, e_t) of block key = (s, t)."""
         s, t = key
-        coords = lvl.blocks[key]
-        pos = {coords[off]: j for j, off in enumerate(lvl.slices[key])}
+        pos = {c: j for j, c in enumerate(lvl.slices[key])}
         for alpha in self.arrows_out.get(s, ()):
-            src_key = (a.basis[alpha][1], t)
-            if src_key not in restricted:
-                continue
-            src_coords = [lvl.blocks[src_key][off] for off in lvl.slices[src_key]]
-            for row in restricted[src_key].pivot_rows.values():
-                out = [0] * len(pos)
-                for (g, p, q), val in zip(src_coords, row):
-                    if val:
-                        for k, c in mult.get((alpha, p), ()):
-                            out[pos[(g, k, q)]] += val * c
-                yield [x % char for x in out] if char else out
+            src_key = (self.a.basis[alpha][1], t)
+            for vec in slice_kernels.get(src_key, ()):
+                yield self._arrow_mul(lvl.slices[src_key], pos, vec, alpha, True)
 
     def _radical_multiples(self, lvl, kernels, key):
         """Spanning vectors of rad*K + K*rad in block key: arrows out of s times
         the kernel blocks they reach, then the kernel blocks into t times arrows."""
         a = self.a
         s, t = key
+        offset = lvl.block(key)[1]
         for alpha in self.arrows_out.get(s, ()):
             src_key = (a.basis[alpha][1], t)
             for vec in kernels.get(src_key, ()):
-                yield self._arrow_mul(lvl, src_key, key, vec, alpha, True)
+                yield self._arrow_mul(lvl.block(src_key)[0], offset, vec, alpha, True)
         for beta in self.arrows_in.get(t, ()):
             src_key = (s, a.basis[beta][0])
             for vec in kernels.get(src_key, ()):
-                yield self._arrow_mul(lvl, src_key, key, vec, beta, False)
+                yield self._arrow_mul(lvl.block(src_key)[0], offset, vec, beta, False)
 
-    def _arrow_mul(self, lvl, src_key, dst_key, vec, arrow, left):
-        """arrow * vec if left, else vec * arrow: block src_key of lvl into block
-        dst_key (dense)."""
-        out = [0] * len(lvl.blocks[dst_key])
+    def _arrow_mul(self, coords, offset, vec, arrow, left):
+        """arrow * vec if left, else vec * arrow, for vec on the coordinates
+        coords: dense on the coordinates of offset, unreduced mod p (Echelon
+        reduces it)."""
+        out = [0] * len(offset)
         mult = self.a.mult
-        offset = lvl.offset
-        for (g, p, q), val in zip(lvl.blocks[src_key], vec):
+        for (g, p, q), val in zip(coords, vec):
             if not val:
                 continue
             if left:
                 for k, c in mult.get((arrow, p), ()):
-                    out[offset[(g, k, q)][1]] += val * c
+                    out[offset[(g, k, q)]] += val * c
             else:
                 for k, c in mult.get((q, arrow), ()):
-                    out[offset[(g, p, k)][1]] += val * c
-        p = self.field.characteristic
-        return [x % p for x in out] if p else out
+                    out[offset[(g, p, k)]] += val * c
+        return out
 
     def _check_square_zero(self, i):
         """Each generator image of level i lies in its generator's block of
         level i - 1, and d_{i-1} after d_i vanishes on it (i >= 2)."""
         prev = self.levels[i - 1]
-        target = self.levels[i - 2]
+        mult = self.a.mult
         mod = self.field.characteristic
         for key, img in zip(self.levels[i].gens, self.levels[i].images):
             acc = {}
+            offset = prev.block(key)[1]
             for coord, coeff in img.items():
-                if prev.offset[coord][0] != key:
+                if coord not in offset:
                     raise InvariantError("differential broke the vertex bigrading")
                 g, p, q = coord
                 for tcoord, c2 in prev.images[g].items():
-                    target.pad(self.a, tcoord, p, q, coeff * c2, acc)
+                    _Level.pad(mult, tcoord, p, q, coeff * c2, acc)
             if any(v % mod if mod else v for v in acc.values()):
                 raise InvariantError("d o d != 0")
 
@@ -458,13 +500,13 @@ class BimoduleResolution:
         """An integer N such that, for every prime p not dividing N, levels
         0..length over QQ reduce mod p to the start of a projective bimodule
         resolution over GF(p) (module docstring).  N is the product of the
-        denominators of the image coefficients and the numerators of the pivot
-        minors of d_1..d_length; after extend_to(length), d_length is row-reduced
-        here unless its level repeats an earlier one."""
+        denominators of the image coefficients and the numerators of the slice
+        pivot minors of d_1..d_length; after extend_to(length), the slice pass of
+        d_length runs here unless its level repeats an earlier one."""
         out = 1
         for n in {self.distinct_index(n) for n in range(1, length + 1)}:
             if n not in self.minors:
-                self._check_exact(n, self._kernels(n)[1])
+                self._slice_kernels(n)
             out *= self.minors[n].numerator
             for img in self.levels[n].images:
                 for c in img.values():

@@ -15,7 +15,7 @@ from cthh.errors import (AlgebraError, InvariantError, MultipleArrowError, NotDy
                          NotFiniteDimensionalError, UnclassifiedDError)
 from cthh.fields import FieldSpec
 from cthh.linalg import Echelon, det_int, kernel_from_rref, rref_frac, rref_mod
-from cthh.oracle import BimoduleResolution
+from cthh.oracle import BimoduleResolution, _Level
 from cthh.quiver import (Cycle, Quiver, _encode, canonical_form, chordless_cycles, dynkin_seed, enumerate_class,
                          mutate, neighbours, validate)
 from cthh.relations import generate_relations
@@ -534,32 +534,105 @@ def classify_D_reference(q: Quiver):
     return "IVb", _series_reference("IVb", tuple(triples))
 
 
-class FullSpanResolution(BimoduleResolution):
-    """Reference for the top step: every block, every arrow multiple of the
-    neighbouring kernel blocks and every kernel vector goes into the echelon,
-    with no stop at full rank."""
+def level_blocks(a, lvl):
+    """Reference for _Level.block: every block of a level, built in one pass
+    over the generators g = (av, bv), the paths p into av and the paths q out
+    of bv, the trivial one first."""
+    blocks = {}
+    for g, (av, bv) in enumerate(lvl.gens):
+        for p in a.paths_to[av]:
+            for q in a.paths_from[bv]:
+                blocks.setdefault((a.basis[p][0], a.basis[q][-1]), []).append((g, p, q))
+    return blocks
 
-    def _top(self, lvl, kernels):
+
+class EagerLevel:
+    """A level as the target of a differential, with every block built
+    (level_blocks) and the (block, offset) of each coordinate."""
+
+    pad = staticmethod(_Level.pad)
+
+    def __init__(self, a, lvl):
+        self.blocks = level_blocks(a, lvl)
+        self.offset = {c: (key, off) for key, coords in self.blocks.items()
+                       for off, c in enumerate(coords)}
+
+
+class FullSpanResolution(BimoduleResolution):
+    """Reference for the step from level i: d_i row-reduced on every block
+    (_full_kernels), exactness read off its total rank, and for every block
+    every arrow multiple of the neighbouring kernel blocks and every kernel
+    vector into one echelon, with no stop at full rank (_full_top)."""
+
+    def __init__(self, a):
+        self.kernels = {}  # level i -> the kernel bases of d_i, by block
+        super().__init__(a)
+
+    def extend_once(self):
+        i = len(self.levels) - 1
+        kernels, rank = self._full_kernels(i)
+        if rank != self.kernel_dims[i - 1]:
+            raise InvariantError(f"resolution not exact at step {i}: image {rank}, "
+                                 f"kernel {self.kernel_dims[i - 1]}")
+        self.kernels[i] = kernels
+        self.kernel_dims.append(sum(len(v) for v in kernels.values()))
+        self._append(_Level(self.a, *self._full_top(self.levels[i], kernels)))
+        self._check_square_zero(len(self.levels) - 1)
+
+    def _full_blocks(self, i):
+        """Dense matrix of every block of d_i, columns in level_blocks order."""
+        lvl = self.levels[i]
+        columns = level_blocks(self.a, lvl)
+        return {key: list(rows.values()) for key, rows in self._assemble(columns, lvl.images).items()}
+
+    def _full_kernels(self, i):
+        """Kernel bases of every block of d_i, and its total rank."""
+        kernels = {}
+        rank_total = 0
+        blocks = level_blocks(self.a, self.levels[i])
+        for key, mat in sorted(self._full_blocks(i).items()):
+            ncols = len(blocks[key])
+            rank, pivots = rref(mat, ncols, self.field)
+            rank_total += rank
+            kb = kernel_from_rref(mat, ncols, pivots, self.field)
+            if kb:
+                kernels[key] = [list(v) for v in kb]
+        return kernels, rank_total
+
+    def _full_top(self, lvl, kernels):
         a = self.a
+        blocks = level_blocks(a, lvl)
+        offset = {c: off for coords in blocks.values() for off, c in enumerate(coords)}
+
+        def times(src_key, key, vec, arrow, left):
+            out = [0] * len(blocks[key])
+            for (g, p, q), val in zip(blocks[src_key], vec):
+                if left:
+                    for k, c in a.mult.get((arrow, p), ()):
+                        out[offset[(g, k, q)]] += val * c
+                else:
+                    for k, c in a.mult.get((q, arrow), ()):
+                        out[offset[(g, p, k)]] += val * c
+            return out
+
         new_gens = []
         new_images = []
-        for key in sorted(lvl.blocks):
+        for key in sorted(blocks):
             s, t = key
-            block_coords = lvl.blocks[key]
             ech = Echelon(self.field)
             for alpha in self.arrows_out.get(s, ()):
                 src_key = (a.basis[alpha][1], t)
                 for vec in kernels.get(src_key, ()):
-                    ech.add(self._arrow_mul(lvl, src_key, key, vec, alpha, True))
+                    ech.add(times(src_key, key, vec, alpha, True))
             for beta in self.arrows_in.get(t, ()):
                 src_key = (s, a.basis[beta][0])
                 for vec in kernels.get(src_key, ()):
-                    ech.add(self._arrow_mul(lvl, src_key, key, vec, beta, False))
+                    ech.add(times(src_key, key, vec, beta, False))
             for vec in kernels.get(key, ()):
                 residue = ech.add(vec)
                 if residue is not None:
                     new_gens.append(key)
-                    new_images.append({block_coords[off]: val
+                    new_images.append({blocks[key][off]: val
                                        for off, val in enumerate(residue) if val})
         return new_gens, new_images
 
@@ -577,9 +650,9 @@ class AlgebraAsBimodule:
             for off, c in enumerate(coords):
                 self.offset[c] = (key, off)
 
-    def pad(self, a, coord, p, q, coeff, acc):
+    @staticmethod
+    def pad(mult, coord, p, q, coeff, acc):
         """Accumulate p * coord * q into acc (dict coord -> coefficient)."""
-        mult = a.mult
         for k, c1 in mult.get((p, coord), ()):
             for m, c2 in mult.get((k, q), ()):
                 acc[m] = acc.get(m, 0) + coeff * c1 * c2
@@ -587,7 +660,7 @@ class AlgebraAsBimodule:
 
 def differential_target(res, i):
     """Target of the differential out of level i: A for the augmentation."""
-    return AlgebraAsBimodule(res.a) if i == 0 else res.levels[i - 1]
+    return AlgebraAsBimodule(res.a) if i == 0 else EagerLevel(res.a, res.levels[i - 1])
 
 
 def _images(res, i):
@@ -602,7 +675,7 @@ def _column_image(res, level_index, coord, target):
     g, p, q = coord
     acc = {}
     for tcoord, coeff in _images(res, level_index)[g].items():
-        target.pad(res.a, tcoord, p, q, coeff, acc)
+        target.pad(res.a.mult, tcoord, p, q, coeff, acc)
     mod = res.field.characteristic
     if mod:
         return {k: r for k, v in acc.items() if (r := v % mod)}
@@ -611,11 +684,10 @@ def _column_image(res, level_index, coord, target):
 
 def column_image_blocks(res, i):
     """Dense matrix of each block of the differential out of level i, one
-    _column_image per column."""
-    lvl = res.levels[i]
+    _column_image per column; rows in the target block's order."""
     target = differential_target(res, i)
     mats = {}
-    for key, cols in lvl.blocks.items():
+    for key, cols in level_blocks(res.a, res.levels[i]).items():
         mat = [[0] * len(cols) for _ in target.blocks.get(key, ())]
         for c, coord in enumerate(cols):
             for tcoord, val in _column_image(res, i, coord, target).items():
@@ -626,24 +698,12 @@ def column_image_blocks(res, i):
     return mats
 
 
-class ColumnImageResolution(BimoduleResolution):
-    """Reference for the kernel step: each column image computed on its own
-    (column_image_blocks), then the RREF of each block and kernel_from_rref
-    on every block, full rank or not."""
+class ColumnImageResolution(FullSpanResolution):
+    """Reference for the assembly of the kernel step: each column image
+    computed on its own (column_image_blocks)."""
 
-    def _kernels(self, i):
-        kernels = {}
-        rank_total = 0
-        blocks = column_image_blocks(self, i)
-        for key in sorted(blocks):
-            mat = blocks[key]
-            ncols = len(self.levels[i].blocks[key])
-            rank, pivots = rref(mat, ncols, self.field)
-            rank_total += rank
-            kb = kernel_from_rref(mat, ncols, pivots, self.field)
-            if kb:
-                kernels[key] = [list(v) for v in kb]
-        return kernels, rank_total
+    def _full_blocks(self, i):
+        return column_image_blocks(self, i)
 
 
 def augmentation_level_one(a):
@@ -651,9 +711,9 @@ def augmentation_level_one(a):
     augmentation P_0 -> A: its kernel read off each block, then the top of
     that kernel."""
     res = ColumnImageResolution(a)
-    kernels, rank = res._kernels(0)
+    kernels, rank = res._full_kernels(0)
     assert rank == a.dimension  # the augmentation is onto
-    gens, images = res._top(res.levels[0], kernels)
+    gens, images = res._full_top(res.levels[0], kernels)
     return gens, images, sum(len(k) for k in kernels.values())
 
 

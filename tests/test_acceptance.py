@@ -13,7 +13,7 @@ from cthh.algebra import cartan
 from cthh.classify import classify_D, hh_closed_form
 from cthh.fields import QQ, GF2, GF3, GF5, GF7, FieldSpec
 from cthh.oracle import hh1_dim, hh_dims
-from cthh.quiver import Quiver, dynkin_seed, enumerate_class, oriented_triangle_count
+from cthh.quiver import Quiver, oriented_triangle_count
 from cthh.series import HSeries, f_coeff, hh_dim
 from cthh.verify import verify_suite
 
@@ -139,7 +139,7 @@ def test_criterion_06_type_e_table_membership():
     hits = {}
     for rank in (7, 8):
         rows = {poly for poly, _ in E_TABLE_ROWS[rank]}
-        cls = sample_by_canonical(enumerate_class(dynkin_seed("E", rank)), 50)
+        cls = sample_by_canonical(mutation_class("E", rank), 50)
         found = set()
         for q in cls:
             poly = cartan(cached_algebra(q, 0)).assoc_poly

@@ -399,6 +399,26 @@ def test_echelon_incremental_matches_batch():
             assert ech.rank == rank
 
 
+def test_echelon_reads_unreduced_entries_mod_p():
+    # over GF(p) a vector may hold any integers: reduce and add read them mod
+    # p, return every entry in 0..p - 1, and behave as on the reduced vector
+    assert Echelon(GF3).add([3, 1]) == [0, 1]
+    assert Echelon(GF3).add([-1, 4, 5]) == [1, 2, 1]
+    assert Echelon(GF5).reduce([10, -5, 25]) == [0, 0, 0]
+    rng = random.Random(26)
+    for field in (GF2, GF3, GF5):
+        p = field.characteristic
+        for _ in range(40):
+            raw, ech = Echelon(field), Echelon(field)
+            for _ in range(4):
+                vec = [rng.choice((0, p, -p, 2 * p)) + rng.randint(-2 * p, 2 * p) for _ in range(5)]
+                got = raw.add(vec)
+                assert got == ech.add([x % p for x in vec])
+                assert got is None or all(0 <= x < p for x in got)
+                assert all(0 <= x < p for x in raw.reduce(vec))
+            assert raw.pivot_rows == ech.pivot_rows and raw.rank == ech.rank
+
+
 def test_field_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec(4)

@@ -1,6 +1,7 @@
 """Oracle correctness: centers, derivations, resolutions, cohomology dims."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,15 +12,15 @@ from pathlib import Path
 import pytest
 
 import cthh.oracle
-from conftest import (ColumnImageResolution, FullSpanResolution, augmentation_level_one,
-                      cached_algebra, column_image_blocks, hom_differential_reference, matrix_rank,
-                      mutation_class, reduced_over, relabel, rref, sample_by_canonical)
+from conftest import (ColumnImageResolution, EagerLevel, FullSpanResolution, augmentation_level_one,
+                      cached_algebra, column_image_blocks, hom_differential_reference, level_blocks,
+                      matrix_rank, mutation_class, reduced_over, relabel, rref, sample_by_canonical)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
 from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
 from cthh.linalg import kernel_from_rref
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
-from cthh.quiver import Quiver, dynkin_seed, enumerate_class
+from cthh.quiver import Quiver, dynkin_seed
 from cthh.relations import Path as QuiverPath, Relation
 from cthh.series import HSeries, hh_dim
 from test_algebra import D8_MIXED
@@ -205,8 +206,7 @@ def test_resolution_budget(monkeypatch):
 PERIOD_SAMPLE = [(f"{family}{rank}-{k}-{char}", q, char)
                  for family, ranks in (("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,)))
                  for rank in ranks
-                 for k, q in enumerate(sample_by_canonical(
-                     enumerate_class(dynkin_seed(family, rank)), 3))
+                 for k, q in enumerate(sample_by_canonical(mutation_class(family, rank), 3))
                  for char in (2, 3, 0)]
 
 
@@ -264,17 +264,54 @@ def test_top_step_matches_full_span_reference(name, q, char):
     assert _resolution_state(res) == _resolution_state(ref)
 
 
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))],
+                         ids=["A2-A6", "D4-D6", "E6"])
+def test_slice_pass_identities_against_the_full_block_reference(family, ranks):
+    # with r_n(s, t) the kernel dimension of d_n (x) S_t at s: r_n(s, t) is the
+    # rank of block (s, t)'s kernel vectors on its columns (g, p, e_t); the
+    # slice rank of d_n is r_{n-1}(s, t), dim e_s A e_t - delta_st at n = 0;
+    # dim e_s K_n e_t = sum_u r_n(s, u) dim e_u A e_t; over QQ each level's
+    # product of slice pivot minors is +-1.  The states are the reference's
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            for fs in ALL_FIELDS:
+                a = cached_algebra(q, fs.characteristic)
+                res = BimoduleResolution(a)
+                res.extend_to(12)
+                ref = FullSpanResolution(a)
+                ref.extend_to(12)
+                assert (_resolution_state(res), res.total_dim) == (_resolution_state(ref), ref.total_dim)
+                n = a.vertex_count
+                cartan = {(s, t): len(a.parallel.get((s, t), ()))
+                          for s in range(1, n + 1) for t in range(1, n + 1)}
+                assert res.slice_dims[0] == {key: c - (key[0] == key[1]) for key, c in cartan.items()
+                                             if c - (key[0] == key[1])}
+                assert set(ref.kernels) == set(res.slice_dims) - {0}
+                for i, kernels in ref.kernels.items():
+                    r, prev = res.slice_dims[i], res.slice_dims[res.distinct_index(i - 1)]
+                    blocks = level_blocks(a, res.levels[i])
+                    for (s, t) in cartan:
+                        cols = [j for j, c in enumerate(blocks.get((s, t), ())) if c[2] == t - 1]
+                        vectors = [[v[j] for j in cols] for v in kernels.get((s, t), ())]
+                        assert matrix_rank(vectors, len(cols), fs) == r.get((s, t), 0), (q, fs, i)
+                        assert len(cols) - r.get((s, t), 0) == prev.get((s, t), 0), (q, fs, i)
+                        assert len(kernels.get((s, t), ())) == sum(
+                            r.get((s, u), 0) * cartan[(u, t)] for u in range(1, n + 1)), (q, fs, i)
+                    assert fs.characteristic or abs(res.minors[i]) == 1, (q, i)
+
+
 class _CountedFullSpan(FullSpanResolution):
-    """The reference top step, recording per step the count of each kernel
-    block next to the generators the reference finds in each block."""
+    """The reference step, recording per step the count of each block with a
+    slice kernel next to the generators the reference finds in each block."""
 
     def __init__(self, a):
         self.steps = []
         super().__init__(a)
 
-    def _top(self, lvl, kernels):
-        gens, images = super()._top(lvl, kernels)
-        self.steps.append((self._top_counts(lvl, kernels), Counter(gens)))
+    def _full_top(self, lvl, kernels):
+        gens, images = super()._full_top(lvl, kernels)
+        counts = self._top_counts(lvl, self._slice_kernels(len(self.levels) - 1))
+        self.steps.append((counts, Counter(gens)))
         return gens, images
 
 
@@ -297,18 +334,28 @@ def test_top_count_is_the_reference_generator_count(family, ranks):
 
 @pytest.mark.parametrize("name,q,char", PERIOD_SAMPLE, ids=[c[0] for c in PERIOD_SAMPLE])
 def test_kernel_step_matches_column_image_reference(name, q, char):
-    # the kernel step forms p * image(g) once per (generator, left path) and
-    # skips the kernel of a full-rank block; the reference computes every
-    # column image on its own and reads a kernel off every block
+    # the kernel step forms p * image(g) once per (generator, left path), keeps
+    # a row per target coordinate it meets and lists a block on first read;
+    # the reference computes every column image on its own, into every row of
+    # every block built in one pass, and reads a kernel off every block
     a = cached_algebra(q, char)
     res = BimoduleResolution(a)
     res.extend_to(12)
     ref = ColumnImageResolution(a)
     ref.extend_to(12)
     assert _resolution_state(res) == _resolution_state(ref)
-    for i in range(1, len(res.levels) - 1):  # the augmentation d_0 is not formed
-        if res.distinct_index(i) == i:
-            assert res._differential_blocks(i) == column_image_blocks(res, i), i
+    for i in range(len(res.levels)):
+        lvl = res.levels[i]
+        blocks = level_blocks(a, lvl)
+        assert {key: lvl.block(key)[0] for key in blocks} == blocks, i
+        assert lvl.block((0, 0))[0] == [] and lvl.dim == sum(map(len, blocks.values())), i
+        assert lvl.slices == {key: cols for key, coords in blocks.items()
+                              if (cols := [c for c in coords if c[2] == key[1] - 1])}, i
+        if i and res.distinct_index(i) == i:  # the augmentation d_0 is not formed
+            rows = EagerLevel(a, res.levels[i - 1]).blocks
+            want = {key: {rows[key][r]: row for r, row in enumerate(mat) if any(row)}
+                    for key, mat in column_image_blocks(res, i).items()}
+            assert res._assemble(blocks, lvl.images) == want, i
 
 
 @pytest.mark.parametrize("family,ranks", [("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))],
@@ -409,12 +456,9 @@ MINIMALITY_CASES = [
     (f"{name}-{char}", q, char)
     for name, q in [
         ("A4-seed", dynkin_seed("A", 4)),
-        *((f"A5-{k}", q) for k, q in enumerate(sample_by_canonical(
-            enumerate_class(dynkin_seed("A", 5)), 2))),
-        *((f"D5-{k}", q) for k, q in enumerate(sample_by_canonical(
-            enumerate_class(dynkin_seed("D", 5)), 2))),
-        *((f"E6-{k}", q) for k, q in enumerate(sample_by_canonical(
-            enumerate_class(dynkin_seed("E", 6)), 2))),
+        *((f"A5-{k}", q) for k, q in enumerate(sample_by_canonical(mutation_class("A", 5), 2))),
+        *((f"D5-{k}", q) for k, q in enumerate(sample_by_canonical(mutation_class("D", 5), 2))),
+        *((f"E6-{k}", q) for k, q in enumerate(sample_by_canonical(mutation_class("E", 6), 2))),
         ("D5-triangles", D5_TRIANGLES),
         ("cycle-3", oriented_cycle(3)),
         ("cycle-4", oriented_cycle(4)),
@@ -470,8 +514,8 @@ class PlantedFault(BimoduleResolution):
         super().__init__(a)
         self.planted = (level, corrupt)
 
-    def _top(self, lvl, kernels):
-        gens, images = super()._top(lvl, kernels)
+    def _top(self, lvl, counts, kernels):
+        gens, images = super()._top(lvl, counts, kernels)
         level, corrupt = self.planted
         if len(self.levels) == level:
             corrupt(self, gens, images)
@@ -479,9 +523,8 @@ class PlantedFault(BimoduleResolution):
 
 
 def _term_in_other_block(res, gens, images):
-    prev = res.levels[-1]  # the level the new images map into
-    images[0][next(c for key in sorted(prev.blocks) if key != gens[0]
-                   for c in prev.blocks[key])] = 1
+    blocks = level_blocks(res.a, res.levels[-1])  # the level the new images map into
+    images[0][next(c for key in sorted(blocks) if key != gens[0] for c in blocks[key])] = 1
 
 
 def _doubled_coefficient(res, gens, images):
@@ -509,22 +552,95 @@ def test_planted_fault_raises_invariant_error(corrupt, message):
             res.extend_once()
 
 
+class _ReadBlocks(BimoduleResolution):
+    """Records, per step, the counts of the top and the blocks of the full pass."""
+
+    def __init__(self, a):
+        self.steps = {}
+        super().__init__(a)
+
+    def _top_counts(self, lvl, slice_kernels):
+        counts = super()._top_counts(lvl, slice_kernels)
+        self.steps[len(self.levels) - 1] = [counts]
+        return counts
+
+    def _kernels(self, i, keys):
+        self.steps[i].append(set(keys))
+        return super()._kernels(i, keys)
+
+
+def test_full_eliminations_run_only_on_read_blocks():
+    # the full pass row-reduces the blocks counted > 0 and the neighbours whose
+    # kernels their covering reads, (t(a), t) for a out of s and (s, s(b)) for b
+    # into t; every other block has its slice pass only
+    full = total = 0
+    for q in mutation_class("D", 5):
+        for fs in ALL_FIELDS:
+            a = cached_algebra(q, fs.characteristic)
+            res = _ReadBlocks(a)
+            res.extend_to(8)
+            for i, (counts, keys) in res.steps.items():
+                want = set()
+                for (s, t), count in counts.items():
+                    if count:
+                        want |= {(s, t)} | {(a.basis[x][1], t) for x in a.arrows if a.basis[x][0] == s} \
+                            | {(s, a.basis[x][0]) for x in a.arrows if a.basis[x][1] == t}
+                assert keys == want, (q, fs, i)
+                blocks = level_blocks(a, res.levels[i])
+                full += len(keys & blocks.keys())
+                total += len(blocks)
+    assert (full, total) == (3654, 7812)  # fewer than half the blocks are row-reduced whole
+
+
+class _PlantedSliceFault(BimoduleResolution):
+    """Drops a row of the slice matrix of block `key` as step `level` assembles
+    it: the image of d_level (x) S_t there loses rank."""
+
+    def __init__(self, a, level, key):
+        super().__init__(a)
+        self.planted = (level, key)
+
+    def _assemble(self, columns, images):
+        mats = super()._assemble(columns, images)
+        level, key = self.planted
+        if len(self.levels) - 1 == level and columns is self.levels[level].slices:
+            rows = mats[key]
+            del rows[next(iter(rows))]
+        return mats
+
+
+@pytest.mark.parametrize("char", [3, 0])
+def test_fault_in_a_block_the_top_does_not_read_is_not_exact(char):
+    # the top at step 3 reads no kernel of block key, so only the slice pass
+    # row-reduces it; its exactness check must still see the rank it lost
+    a = cached_algebra(D5_TRIANGLES, char)
+    clean = _ReadBlocks(a)
+    clean.extend_to(5)
+    counts, read = clean.steps[3]
+    key = min(key for key in clean.levels[3].slices
+              if key not in read and clean.slice_dims[2].get(key))
+    res = _PlantedSliceFault(a, 3, key)
+    message = f"resolution not exact at step 3: image 0, kernel 1 in the slice of block {key}"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        res.extend_to(5)
+
+
 class PlantedCount(BimoduleResolution):
-    """Adds delta to the count of one kernel block, the first in sorted order
-    whose count stays between 0 and its kernel dimension, as the extend_once
-    step builds level `level`."""
+    """Adds delta to the count of one block, the first in sorted order whose
+    count stays between 0 and the dimension of its slice kernel, as the
+    extend_once step builds level `level`."""
 
     def __init__(self, a, level, delta):
         super().__init__(a)
         self.planted = (level, delta)
         self.planted_key = None
 
-    def _top_counts(self, lvl, kernels):
-        counts = super()._top_counts(lvl, kernels)
+    def _top_counts(self, lvl, slice_kernels):
+        counts = super()._top_counts(lvl, slice_kernels)
         level, delta = self.planted
         if len(self.levels) == level:
             self.planted_key = next(key for key in sorted(counts)
-                                    if 0 <= counts[key] + delta <= len(kernels[key]))
+                                    if 0 <= counts[key] + delta <= len(slice_kernels[key]))
             counts[self.planted_key] += delta
         return counts
 
@@ -601,8 +717,8 @@ def test_planted_fault_survives_optimize():
         "from cthh.oracle import BimoduleResolution\n"
         f"q = Quiver.make(5, {list(D5_TRIANGLES.arrows)})\n"
         "class Planted(BimoduleResolution):\n"
-        "    def _top(self, lvl, kernels):\n"
-        "        gens, images = super()._top(lvl, kernels)\n"
+        "    def _top(self, lvl, counts, kernels):\n"
+        "        gens, images = super()._top(lvl, counts, kernels)\n"
         "        if len(self.levels) == 3:\n"
         "            coord, c = next(iter(images[0].items()))\n"
         "            images[0][coord] = 2 * c\n"
@@ -700,13 +816,13 @@ def test_hom_ranks_mod_p_match_the_reduced_differential(monkeypatch):
 
 
 class _TimesThree(BimoduleResolution):
-    """Multiplies the recorded pivot minor of d_n by 3 for n = PLANTED_LEVEL,
-    so the certificate fails for p = 3 alone."""
+    """Multiplies the recorded slice pivot minor of d_n by 3 for n =
+    PLANTED_LEVEL, so the certificate fails for p = 3 alone."""
 
     PLANTED_LEVEL = 2
 
-    def _kernels(self, i):
-        out = super()._kernels(i)
+    def _slice_kernels(self, i):
+        out = super()._slice_kernels(i)
         if i == self.PLANTED_LEVEL:
             self.minors[i] *= 3
         return out
@@ -782,8 +898,8 @@ def test_fallback_survives_optimize():
         f"q = Quiver.make(5, {list(D5_TRIANGLES.arrows)})\n"
         "rels = generate_relations(q)\n"
         "class Planted(o.BimoduleResolution):\n"
-        "    def _kernels(self, i):\n"
-        "        out = super()._kernels(i)\n"
+        "    def _slice_kernels(self, i):\n"
+        "        out = super()._slice_kernels(i)\n"
         "        if i == 2:\n"
         "            self.minors[i] *= 3\n"
         "        return out\n"

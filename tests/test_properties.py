@@ -7,8 +7,8 @@ Every instance enumerated by a suite must pass; there is no tolerance.
 
 import random
 
-from conftest import (_column_image, cached_algebra, differential_target, matrix_rank, multiply,
-                      mutation_class, relabel, sample_by_canonical)
+from conftest import (_column_image, cached_algebra, differential_target, level_blocks, matrix_rank,
+                      multiply, mutation_class, relabel, sample_by_canonical)
 from cthh.algebra import cartan
 from cthh.fields import GF2
 from cthh.oracle import BimoduleResolution, hh_dims
@@ -63,7 +63,8 @@ def check_resolution_exactness(algebra, length):
         lvl = res.levels[i]
         target = differential_target(res, i)
         tcoords = [c for key in sorted(target.blocks) for c in target.blocks[key]]
-        ccoords = [c for key in sorted(lvl.blocks) for c in lvl.blocks[key]]
+        blocks = level_blocks(res.a, lvl)
+        ccoords = [c for key in sorted(blocks) for c in blocks[key]]
         tpos = {c: r for r, c in enumerate(tcoords)}
         mat = [[0] * len(ccoords) for _ in tcoords]
         for col, coord in enumerate(ccoords):

@@ -16,7 +16,7 @@ from cthh.cli import main
 from cthh.errors import InvariantError
 from cthh.fields import GF2, GF5, QQ
 from cthh.oracle import BimoduleResolution
-from cthh.quiver import Quiver, canonical_form, dynkin_seed, enumerate_class
+from cthh.quiver import Quiver, canonical_form, dynkin_seed
 from cthh.series import HSeries
 from cthh.verify import QuiverRecord, check_quiver, verify_suite
 
@@ -112,7 +112,7 @@ def test_verify_sample_is_the_canonical_digest_prefix(monkeypatch, family, rank,
 
 
 def test_typed_error_in_one_quiver_gives_one_fail_record(monkeypatch, capsys):
-    bad = enumerate_class(dynkin_seed("A", 4))[2]
+    bad = mutation_class("A", 4)[2]
     real = cthh.verify.hh_dims
 
     def hh_dims(a, fieldspecs, max_i):
@@ -173,7 +173,7 @@ def test_pool_fallback_warns_and_keeps_report(monkeypatch):
 
 
 def test_worker_oserror_propagates_without_serial_rerun(monkeypatch):
-    bad = enumerate_class(dynkin_seed("A", 4))[2]
+    bad = mutation_class("A", 4)[2]
     real = cthh.verify.hh_dims
     parent_calls = []  # forked workers append to their own copies
 
