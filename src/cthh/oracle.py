@@ -32,23 +32,25 @@ and H = H rad is 0 by Nakayama.  K_n (x) S_t embeds in P_n (x) S_t as the slice
 kernel, so dim e_s K_n e_t = sum_u r_n(s, u) dim e_u A e_t.
 
 The top of K_n at (s, t) is the top at s of the left module K_n (x) S_t, so its
-dimension c is r_n(s, t) less the rank of alpha times the slice kernel of
-(t(alpha), t), over the arrows alpha out of s (_top_counts).  Only a block
-counted c > 0 and its neighbours, (t(a), t) for a out of s and (s, s(b)) for b
-into t, are row-reduced whole, in the full pass; each one's rank must be
-sum_u r_{n-1}(s, u) dim e_u A e_t.  A block with no rows is not row-reduced.
-An Echelon is fed first the arrow multiples of the neighbouring kernel blocks
-(arrows out of s times K_(t(a),t), then K_(s,s(b)) times arrows into t), which
-span the block of rad K + K rad, of dimension dim K_(s,t) - c, until its rank
-reaches that; then the block's own kernel vectors, whose residues are the
-generators, until c of them are found.  A residue is the one vector of its
-coset that vanishes on the echelon's pivot columns, and the pivot set depends
-only on the span, not on which vectors spanned it or in what order; so the
-generators and their images are those of covering every block with every
-vector.  The d-compose-d check on every new level from level 2 recomputes the
-images term by term through pad, so it cross-checks the assembly; it also
-checks that each generator image lies in its generator's block, since a term
-outside it would be multiplied away unseen.
+dimension c is r_n(s, t) less the rank of R, the span of alpha times the slice
+kernel of (t(alpha), t) over the arrows alpha out of s (_top_counts).  Only the
+blocks counted c > 0 are row-reduced whole, in the full pass; each one's rank
+must be sum_u r_{n-1}(s, u) dim e_u A e_t.  Their block W of rad K + K rad is
+the preimage of R under pi, the restriction of K_(s,t) to the columns
+(g, p, e_t): pi commutes with left multiplication by arrows, so pi(rad K) = R,
+and the kernel of pi on K_(s,t) is K rad there, since K is right projective.
+An Echelon is seeded with the rows of R padded by zeros and fed each kernel
+vector b as (pi(b), b); its rows with a pivot in the b part span W, whose
+dimension must be dim K_(s,t) - c.  Then the block's kernel vectors are fed
+again as (0, b), which only W's rows reduce: their residues are the generators,
+until c of them are found.  A residue is the one vector of its coset that
+vanishes on the echelon's pivot columns, and the pivot set depends only on the
+span, not on which vectors spanned it or in what order; so the generators and
+their images are those of covering every block with every vector.  The
+d-compose-d check on every new level from level 2 recomputes the images term by
+term through pad, so it cross-checks the assembly; it also checks that each
+generator image lies in its generator's block, since a term outside it would be
+multiplied away unseen.
 
 Nothing is assumed about minimality when taking cohomology: the Hom-complex
 differentials are computed honestly, and d-compose-d = 0 plus image = kernel
@@ -188,11 +190,8 @@ class BimoduleResolution:
         self.field = a.field
         self.total_dim = 0
         self.arrows_out = {}
-        self.arrows_in = {}
         for idx in a.arrows:
-            s, t = a.basis[idx]
-            self.arrows_out.setdefault(s, []).append(idx)
-            self.arrows_in.setdefault(t, []).append(idx)
+            self.arrows_out.setdefault(a.basis[idx][0], []).append(idx)
         self.levels = []
         self.kernel_dims = []    # per level: total kernel dimension
         # level n -> {(s, t): dim of the kernel of d_n (x) S_t at s, when nonzero}
@@ -232,24 +231,17 @@ class BimoduleResolution:
 
     def extend_once(self):
         """Kernel of the topmost differential, then cover it minimally: the
-        slice pass on every block, the full pass on the blocks the top reads
+        slice pass on every block, the full pass on the blocks counted > 0
         (module docstring)."""
         a = self.a
         i = len(self.levels) - 1
         lvl = self.levels[i]
-        counts = self._top_counts(lvl, self._slice_kernels(i))
+        tops = self._top_counts(lvl, self._slice_kernels(i))
         # dim e_s K e_t = sum_u r(s, u) dim e_u A e_t, summed over t
         self.kernel_dims.append(sum(r * len(a.paths_from[u])
                                     for (_, u), r in self.slice_dims[i].items()))
-        basis = a.basis
-        read = set()
-        for (s, t), count in counts.items():
-            if count:
-                read.add((s, t))
-                read.update((basis[alpha][1], t) for alpha in self.arrows_out.get(s, ()))
-                read.update((s, basis[beta][0]) for beta in self.arrows_in.get(t, ()))
-        kernels = self._kernels(i, read)
-        self._append(_Level(a, *self._top(lvl, counts, kernels)))
+        kernels = self._kernels(i, [key for key, (count, _) in tops.items() if count])
+        self._append(_Level(a, *self._top(lvl, tops, kernels)))
         self._check_square_zero(len(self.levels) - 1)
 
     def _slice_kernels(self, i):
@@ -335,6 +327,10 @@ class BimoduleResolution:
         kernel basis of the dense rows (a dict, target coordinate -> row)."""
         fld = self.field
         mat = list(rows.values())
+        if ncols == 1:  # a row holds one entry, kept only when nonzero (_assemble)
+            if not mat:
+                return 0, 1, [(1,)]
+            return 1, 1 if fld.characteristic else mat[0][0], []
         minor = 1
         if not mat:  # every column is free
             pivots = []
@@ -345,34 +341,30 @@ class BimoduleResolution:
         kernel = kernel_from_rref(mat, ncols, pivots, fld) if len(pivots) < ncols else []
         return len(pivots), minor, kernel
 
-    def _top(self, lvl, counts, kernels):
+    def _top(self, lvl, tops, kernels):
         """Generators (block keys) and images lifting the kernel top modulo
-        rad*K + K*rad, block by block; the count and the stopping rules are in
-        the module docstring."""
-        fld = self.field
+        rad*K + K*rad, block by block; the spans, the check and the stopping rule
+        are in the module docstring."""
         new_gens = []
         new_images = []
-        for key in sorted(counts):
-            count = counts[key]
-            if not count:
-                continue
+        for key in sorted(kernels):
+            count, rad = tops[key]
             kernel = kernels[key]
+            ech, width = self._radical_echelon(lvl, key, kernel, rad)
+            radical = sum(j >= width for j in ech.pivot_rows)
+            if radical != len(kernel) - count:
+                raise InvariantError(f"top count of block {key} off at step {len(self.levels) - 1}: "
+                                     f"rad*K + K*rad has dimension {radical}, not {len(kernel)} - {count}")
             block_coords = lvl.block(key)[0]
-            ech = Echelon(fld)
-            goal = len(kernel) - count  # dim of the block of rad*K + K*rad
-            if goal:
-                for vec in self._radical_multiples(lvl, kernels, key):
-                    ech.add(vec)
-                    if ech.rank == goal:
-                        break
+            pad = [0] * width
             # the residues of the kernel vectors lift the top
             for vec in kernel:
-                residue = ech.add(vec)
+                residue = ech.add(pad + list(vec))
                 if residue is not None:
                     new_gens.append(key)
                     new_images.append({
                         block_coords[off]: val
-                        for off, val in enumerate(residue)
+                        for off, val in enumerate(residue[width:])
                         if val
                     })
                     count -= 1
@@ -380,21 +372,36 @@ class BimoduleResolution:
                         break
         return new_gens, new_images
 
+    def _radical_echelon(self, lvl, key, kernel, rad):
+        """An Echelon, and the width of its first part, whose rows with a pivot
+        past that part span the block key of rad*K + K*rad: rad's rows padded by
+        zeros, then each kernel vector b as (pi(b), b), pi(b) its entries on the
+        columns (g, p, e_t) (module docstring)."""
+        offset = lvl.block(key)[1]
+        cols = [offset[c] for c in lvl.slices[key]]
+        ech = Echelon(self.field)
+        pad = [0] * len(offset)
+        for _, row in sorted(rad.pivot_rows.items()):  # in pivot order, nothing to reduce
+            ech.add(row + pad)
+        for vec in kernel:
+            ech.add([vec[j] for j in cols] + list(vec))
+        return ech, len(cols)
+
     def _top_counts(self, lvl, slice_kernels):
         """Per block (s, t) with a slice kernel, the dimension of its block of
-        K/(rad*K + K*rad): the dimension of that slice kernel, less the rank of
-        the arrows out of s times the slice kernels of the blocks they reach
-        (module docstring)."""
+        K/(rad*K + K*rad) and an Echelon of R, the span of the arrows out of s
+        times the slice kernels of the blocks they reach: the dimension of that
+        slice kernel, less the rank of R (module docstring)."""
         fld = self.field
-        counts = {}
+        tops = {}
         for key, kernel in slice_kernels.items():
             rad = Echelon(fld)
             for vec in self._slice_multiples(lvl, slice_kernels, key):
                 rad.add(vec)
                 if rad.rank == len(kernel):
                     break
-            counts[key] = len(kernel) - rad.rank
-        return counts
+            tops[key] = len(kernel) - rad.rank, rad
+        return tops
 
     def _slice_multiples(self, lvl, slice_kernels, key):
         """Arrows a out of s times the basis of each slice_kernels[(t(a), t)], on
@@ -404,38 +411,17 @@ class BimoduleResolution:
         for alpha in self.arrows_out.get(s, ()):
             src_key = (self.a.basis[alpha][1], t)
             for vec in slice_kernels.get(src_key, ()):
-                yield self._arrow_mul(lvl.slices[src_key], pos, vec, alpha, True)
+                yield self._arrow_mul(lvl.slices[src_key], pos, vec, alpha)
 
-    def _radical_multiples(self, lvl, kernels, key):
-        """Spanning vectors of rad*K + K*rad in block key: arrows out of s times
-        the kernel blocks they reach, then the kernel blocks into t times arrows."""
-        a = self.a
-        s, t = key
-        offset = lvl.block(key)[1]
-        for alpha in self.arrows_out.get(s, ()):
-            src_key = (a.basis[alpha][1], t)
-            for vec in kernels.get(src_key, ()):
-                yield self._arrow_mul(lvl.block(src_key)[0], offset, vec, alpha, True)
-        for beta in self.arrows_in.get(t, ()):
-            src_key = (s, a.basis[beta][0])
-            for vec in kernels.get(src_key, ()):
-                yield self._arrow_mul(lvl.block(src_key)[0], offset, vec, beta, False)
-
-    def _arrow_mul(self, coords, offset, vec, arrow, left):
-        """arrow * vec if left, else vec * arrow, for vec on the coordinates
-        coords: dense on the coordinates of offset, unreduced mod p (Echelon
-        reduces it)."""
+    def _arrow_mul(self, coords, offset, vec, arrow):
+        """arrow * vec, for vec on the coordinates coords: dense on the
+        coordinates of offset, unreduced mod p (Echelon reduces it)."""
         out = [0] * len(offset)
         mult = self.a.mult
         for (g, p, q), val in zip(coords, vec):
-            if not val:
-                continue
-            if left:
+            if val:
                 for k, c in mult.get((arrow, p), ()):
                     out[offset[(g, k, q)]] += val * c
-            else:
-                for k, c in mult.get((q, arrow), ()):
-                    out[offset[(g, p, k)]] += val * c
         return out
 
     def _check_square_zero(self, i):

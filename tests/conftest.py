@@ -580,54 +580,19 @@ class FullSpanResolution(BimoduleResolution):
         self._check_square_zero(len(self.levels) - 1)
 
     def _full_blocks(self, i):
-        """Dense matrix of every block of d_i, columns in level_blocks order."""
-        lvl = self.levels[i]
-        columns = level_blocks(self.a, lvl)
-        return {key: list(rows.values()) for key, rows in self._assemble(columns, lvl.images).items()}
+        return assembled_blocks(self, i)
 
     def _full_kernels(self, i):
-        """Kernel bases of every block of d_i, and its total rank."""
-        kernels = {}
-        rank_total = 0
-        blocks = level_blocks(self.a, self.levels[i])
-        for key, mat in sorted(self._full_blocks(i).items()):
-            ncols = len(blocks[key])
-            rank, pivots = rref(mat, ncols, self.field)
-            rank_total += rank
-            kb = kernel_from_rref(mat, ncols, pivots, self.field)
-            if kb:
-                kernels[key] = [list(v) for v in kb]
-        return kernels, rank_total
+        return block_kernels(self, i, self._full_blocks(i))
 
     def _full_top(self, lvl, kernels):
-        a = self.a
-        blocks = level_blocks(a, lvl)
-        offset = {c: off for coords in blocks.values() for off, c in enumerate(coords)}
-
-        def times(src_key, key, vec, arrow, left):
-            out = [0] * len(blocks[key])
-            for (g, p, q), val in zip(blocks[src_key], vec):
-                if left:
-                    for k, c in a.mult.get((arrow, p), ()):
-                        out[offset[(g, k, q)]] += val * c
-                else:
-                    for k, c in a.mult.get((q, arrow), ()):
-                        out[offset[(g, p, k)]] += val * c
-            return out
-
+        blocks = level_blocks(self.a, lvl)
         new_gens = []
         new_images = []
         for key in sorted(blocks):
-            s, t = key
             ech = Echelon(self.field)
-            for alpha in self.arrows_out.get(s, ()):
-                src_key = (a.basis[alpha][1], t)
-                for vec in kernels.get(src_key, ()):
-                    ech.add(times(src_key, key, vec, alpha, True))
-            for beta in self.arrows_in.get(t, ()):
-                src_key = (s, a.basis[beta][0])
-                for vec in kernels.get(src_key, ()):
-                    ech.add(times(src_key, key, vec, beta, False))
+            for vec in radical_multiples(self.a, blocks, kernels, key):
+                ech.add(vec)
             for vec in kernels.get(key, ()):
                 residue = ech.add(vec)
                 if residue is not None:
@@ -635,6 +600,60 @@ class FullSpanResolution(BimoduleResolution):
                     new_images.append({blocks[key][off]: val
                                        for off, val in enumerate(residue) if val})
         return new_gens, new_images
+
+
+def assembled_blocks(res, i):
+    """Dense matrix of every block of d_i, columns in level_blocks order."""
+    lvl = res.levels[i]
+    columns = level_blocks(res.a, lvl)
+    return {key: list(rows.values()) for key, rows in res._assemble(columns, lvl.images).items()}
+
+
+def block_kernels(res, i, mats):
+    """Kernel bases of the blocks mats of d_i (dense rows, columns in
+    level_blocks order), and their total rank."""
+    kernels = {}
+    rank_total = 0
+    blocks = level_blocks(res.a, res.levels[i])
+    for key, mat in sorted(mats.items()):
+        ncols = len(blocks[key])
+        rank, pivots = rref(mat, ncols, res.field)
+        rank_total += rank
+        kb = kernel_from_rref(mat, ncols, pivots, res.field)
+        if kb:
+            kernels[key] = [list(v) for v in kb]
+    return kernels, rank_total
+
+
+def radical_multiples(a, blocks, kernels, key):
+    """Spanning vectors of block key = (s, t) of rad*K + K*rad, from the kernel
+    bases of the neighbouring blocks, all on the coordinates of blocks: the
+    arrows out of s times the blocks (t(a), t) they reach, then the blocks
+    (s, s(b)) times the arrows b into t."""
+    s, t = key
+    offset = {c: off for off, c in enumerate(blocks[key])}
+
+    def times(src_key, vec, arrow, left):
+        out = [0] * len(offset)
+        for (g, p, q), val in zip(blocks[src_key], vec):
+            if left:
+                for k, c in a.mult.get((arrow, p), ()):
+                    out[offset[(g, k, q)]] += val * c
+            else:
+                for k, c in a.mult.get((q, arrow), ()):
+                    out[offset[(g, p, k)]] += val * c
+        return out
+
+    for alpha in a.arrows:
+        if a.basis[alpha][0] == s:
+            src_key = (a.basis[alpha][1], t)
+            for vec in kernels.get(src_key, ()):
+                yield times(src_key, vec, alpha, True)
+    for beta in a.arrows:
+        if a.basis[beta][1] == t:
+            src_key = (s, a.basis[beta][0])
+            for vec in kernels.get(src_key, ()):
+                yield times(src_key, vec, beta, False)
 
 
 class AlgebraAsBimodule:

@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 import cthh.oracle
-from conftest import (ColumnImageResolution, EagerLevel, FullSpanResolution, augmentation_level_one,
-                      cached_algebra, column_image_blocks, hom_differential_reference, level_blocks,
-                      matrix_rank, mutation_class, reduced_over, relabel, rref, sample_by_canonical)
+from conftest import (ColumnImageResolution, EagerLevel, FullSpanResolution, assembled_blocks,
+                      augmentation_level_one, block_kernels, cached_algebra, column_image_blocks,
+                      hom_differential_reference, level_blocks, matrix_rank, mutation_class,
+                      radical_multiples, reduced_over, relabel, rref, sample_by_canonical)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
 from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
-from cthh.linalg import kernel_from_rref
+from cthh.linalg import kernel_from_rref, rref_frac, rref_mod
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed
 from cthh.relations import Path as QuiverPath, Relation
@@ -310,7 +311,8 @@ class _CountedFullSpan(FullSpanResolution):
 
     def _full_top(self, lvl, kernels):
         gens, images = super()._full_top(lvl, kernels)
-        counts = self._top_counts(lvl, self._slice_kernels(len(self.levels) - 1))
+        tops = self._top_counts(lvl, self._slice_kernels(len(self.levels) - 1))
+        counts = {key: count for key, (count, _) in tops.items()}
         self.steps.append((counts, Counter(gens)))
         return gens, images
 
@@ -330,6 +332,70 @@ def test_top_count_is_the_reference_generator_count(family, ranks):
                     assert counts == {key: found[key] for key in counts}, (q, fs, n)
                     seen.update(c > 0 for c in counts.values())
     assert seen[True] and seen[False]
+
+
+class _RadicalSpans(BimoduleResolution):
+    """Records, per counted block of each step, the rows that span its block
+    of rad*K + K*rad in the echelon of _radical_echelon."""
+
+    def __init__(self, a):
+        self.spans = []  # (level, block key, rows)
+        super().__init__(a)
+
+    def _radical_echelon(self, lvl, key, kernel, rad):
+        ech, width = super()._radical_echelon(lvl, key, kernel, rad)
+        rows = [row[width:] for j, row in ech.pivot_rows.items() if j >= width]
+        self.spans.append((len(self.levels) - 1, key, rows))
+        return ech, width
+
+
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))],
+                         ids=["A2-A6", "D4-D6", "E6"])
+def test_radical_span_is_the_preimage_of_the_slice_span(family, ranks):
+    # the kernel vectors of a counted block whose part on the columns
+    # (g, p, e_t) lies in the span of the arrow multiples of the slice kernels
+    # span what the reference spans with the arrow multiples of the
+    # neighbouring kernel blocks: the block of rad*K + K*rad
+    seen = Counter()
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            for fs in ALL_FIELDS:
+                a = cached_algebra(q, fs.characteristic)
+                res = _RadicalSpans(a)
+                res.extend_to(8)
+                steps = {}
+                for i, key, rows in res.spans:
+                    if i not in steps:
+                        kernels = block_kernels(res, i, assembled_blocks(res, i))[0]
+                        steps[i] = level_blocks(a, res.levels[i]), kernels
+                    blocks, kernels = steps[i]
+                    ref = list(radical_multiples(a, blocks, kernels, key))
+                    ncols = len(blocks[key])
+                    assert matrix_rank(rows, ncols, fs) == len(rows) == matrix_rank(ref, ncols, fs) \
+                        == matrix_rank(rows + ref, ncols, fs), (q, fs, i, key)
+                    seen[bool(rows)] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("char", [2, 3, 5, 0])
+def test_one_column_elimination_matches_the_rref_route(char):
+    # a one-column block is read off without an elimination: rank 1 if it has
+    # a row (_assemble keeps only nonzero entries), else the unit kernel
+    # vector; over QQ the minor is the first row's entry
+    fs = FieldSpec(char)
+    res = BimoduleResolution(cached_algebra(oriented_cycle(3), char))
+    entries = [1, char - 1] if char else [1, -2, Fraction(-3, 7)]
+    cases = [[]] + [[x] for x in entries] + [entries, entries[::-1]]
+    for case in cases:
+        mat = [[x] for x in case]
+        if char:
+            rank, pivots = rref_mod(mat, 1, char)
+            minor = 1
+        else:
+            rank, pivots, minor = rref_frac(mat, 1)
+        want = rank, minor, kernel_from_rref(mat, 1, pivots, fs) if rank < 1 else []
+        rows = {(0, k, 0): [x] for k, x in enumerate(case)}
+        assert res._eliminate(rows, 1) == want, case
 
 
 @pytest.mark.parametrize("name,q,char", PERIOD_SAMPLE, ids=[c[0] for c in PERIOD_SAMPLE])
@@ -536,6 +602,11 @@ def _dropped_generator(res, gens, images):
     del gens[-1], images[-1]
 
 
+def _duplicated_generator(res, gens, images):
+    gens.append(gens[0])
+    images.append({coord: 2 * c for coord, c in images[0].items()})
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (_term_in_other_block, "differential broke the vertex bigrading"),
     (_doubled_coefficient, "d o d != 0"),
@@ -560,9 +631,9 @@ class _ReadBlocks(BimoduleResolution):
         super().__init__(a)
 
     def _top_counts(self, lvl, slice_kernels):
-        counts = super()._top_counts(lvl, slice_kernels)
-        self.steps[len(self.levels) - 1] = [counts]
-        return counts
+        tops = super()._top_counts(lvl, slice_kernels)
+        self.steps[len(self.levels) - 1] = [{key: count for key, (count, _) in tops.items()}]
+        return tops
 
     def _kernels(self, i, keys):
         self.steps[i].append(set(keys))
@@ -570,9 +641,8 @@ class _ReadBlocks(BimoduleResolution):
 
 
 def test_full_eliminations_run_only_on_read_blocks():
-    # the full pass row-reduces the blocks counted > 0 and the neighbours whose
-    # kernels their covering reads, (t(a), t) for a out of s and (s, s(b)) for b
-    # into t; every other block has its slice pass only
+    # the full pass row-reduces exactly the blocks counted > 0, each with a
+    # column; every other block has its slice pass only
     full = total = 0
     for q in mutation_class("D", 5):
         for fs in ALL_FIELDS:
@@ -580,16 +650,12 @@ def test_full_eliminations_run_only_on_read_blocks():
             res = _ReadBlocks(a)
             res.extend_to(8)
             for i, (counts, keys) in res.steps.items():
-                want = set()
-                for (s, t), count in counts.items():
-                    if count:
-                        want |= {(s, t)} | {(a.basis[x][1], t) for x in a.arrows if a.basis[x][0] == s} \
-                            | {(s, a.basis[x][0]) for x in a.arrows if a.basis[x][1] == t}
-                assert keys == want, (q, fs, i)
+                assert keys == {key for key, count in counts.items() if count}, (q, fs, i)
                 blocks = level_blocks(a, res.levels[i])
-                full += len(keys & blocks.keys())
+                assert all(blocks.get(key) for key in keys), (q, fs, i)
+                full += len(keys)
                 total += len(blocks)
-    assert (full, total) == (3654, 7812)  # fewer than half the blocks are row-reduced whole
+    assert (full, total) == (1774, 7812)  # fewer than a quarter of the blocks are row-reduced whole
 
 
 class _PlantedSliceFault(BimoduleResolution):
@@ -627,22 +693,23 @@ def test_fault_in_a_block_the_top_does_not_read_is_not_exact(char):
 
 class PlantedCount(BimoduleResolution):
     """Adds delta to the count of one block, the first in sorted order whose
-    count stays between 0 and the dimension of its slice kernel, as the
+    count stays between least and the dimension of its slice kernel, as the
     extend_once step builds level `level`."""
 
-    def __init__(self, a, level, delta):
+    def __init__(self, a, level, delta, least=0):
         super().__init__(a)
-        self.planted = (level, delta)
+        self.planted = (level, delta, least)
         self.planted_key = None
 
     def _top_counts(self, lvl, slice_kernels):
-        counts = super()._top_counts(lvl, slice_kernels)
-        level, delta = self.planted
+        tops = super()._top_counts(lvl, slice_kernels)
+        level, delta, least = self.planted
         if len(self.levels) == level:
-            self.planted_key = next(key for key in sorted(counts)
-                                    if 0 <= counts[key] + delta <= len(slice_kernels[key]))
-            counts[self.planted_key] += delta
-        return counts
+            self.planted_key = next(key for key in sorted(tops)
+                                    if least <= tops[key][0] + delta <= len(slice_kernels[key]))
+            count, rad = tops[self.planted_key]
+            tops[self.planted_key] = count + delta, rad
+        return tops
 
 
 def test_count_one_too_low_is_not_exact():
@@ -656,18 +723,39 @@ def test_count_one_too_low_is_not_exact():
     assert res.planted_key is not None
 
 
-def test_count_one_too_high_fails_minimality_alone():
-    # the covering stops one vector short of rad*K + K*rad, so a residue in it
-    # becomes a redundant generator: exactness and d o d = 0 still hold, but
-    # level 3 no longer holds dim Ext^3(S_a, S_b) generators in block (a, b)
+def test_count_one_too_high_fails_the_radical_dimension_check():
+    # the block's rad*K + K*rad, the kernel vectors whose slice part lies in
+    # the span R of the arrow multiples, has dimension dim K - c for the true
+    # count c, not one less
     a = cached_algebra(D5_TRIANGLES, 3)
     res = PlantedCount(a, 3, 1)
+    with pytest.raises(InvariantError, match=r"top count of block \(\d, \d\) off at step 2: rad"):
+        while len(res.levels) < 6:
+            res.extend_once()
+    assert res.planted_key is not None
+
+
+def test_count_one_too_low_on_a_block_still_counted_fails_the_radical_dimension_check():
+    # block (6, 6) of level 3 is counted 2; planted at 1 it is still row-reduced
+    # whole, and its rad*K + K*rad has dimension dim K - 2, not dim K - 1
+    q = Quiver.make(6, [(1, 5), (2, 3), (3, 6), (4, 6), (5, 4), (6, 2), (6, 5)])  # a member of A6
+    res = PlantedCount(cached_algebra(q, 3), 3, -1, least=1)
+    with pytest.raises(InvariantError, match=r"top count of block \(6, 6\) off at step 2: rad"):
+        res.extend_to(5)
+
+
+def test_duplicated_generator_fails_minimality_alone():
+    # a copy of a generator, its image doubled, adds nothing to the image, so
+    # exactness and d o d = 0 still hold, but level 3 no longer holds
+    # dim Ext^3(S_a, S_b) generators in block (a, b)
+    a = cached_algebra(D5_TRIANGLES, 3)
+    res = PlantedFault(a, 3, _duplicated_generator)
     while len(res.levels) < 6:
         res.extend_once()
     want = Counter({(v, b): m for v in range(1, a.vertex_count + 1)
                     for b, m in simple_ext_dims(a, v, 3)[3].items()})
     got = Counter(res.levels[3].gens)
-    assert got - want == Counter({res.planted_key: 1}) and not want - got
+    assert got - want == Counter({res.levels[3].gens[0]: 1}) and not want - got
 
 
 @pytest.mark.parametrize("name, message", [
