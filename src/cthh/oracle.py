@@ -41,9 +41,11 @@ the preimage of R under pi, the restriction of K_(s,t) to the columns
 and the kernel of pi on K_(s,t) is K rad there, since K is right projective.
 An Echelon is seeded with the rows of R padded by zeros and fed each kernel
 vector b as (pi(b), b); its rows with a pivot in the b part span W, whose
-dimension must be dim K_(s,t) - c.  Then the block's kernel vectors are fed
-again as (0, b), which only W's rows reduce: their residues are the generators,
-until c of them are found.  A residue is the one vector of its coset that
+dimension must be dim K_(s,t) - c.  The vectors b whose residue leads in the
+pi part lift the top: b lies outside W plus the span of the vectors before it
+exactly when pi(b) lies outside R plus the span of theirs, so there are c of
+them.  Only they are fed again, as (0, b), which only W's rows reduce: their
+residues are the generators.  A residue is the one vector of its coset that
 vanishes on the echelon's pivot columns, and the pivot set depends only on the
 span, not on which vectors spanned it or in what order; so the generators and
 their images are those of covering every block with every vector.  The
@@ -66,6 +68,33 @@ level and Hom rank is computed once.  The exactness check at level n also
 reads the slice kernel dimensions of level n - 1; it runs on every level
 computed.
 
+Outside characteristic 2 the state often repeats first up to signs: level n,
+with the generator pair of a level j >= 1, is a sign twist of it when
+image_n[h][(g, p, q)] = eps_{n-1}(g) chi(p) eps_n(h) image_j[h][(g, p, q)] for
+signs eps on the generators of levels n - 1 and n and chi on the arrows, chi(p)
+the product over the arrows of p, with alpha -> chi(alpha) alpha an
+automorphism sigma of A (_sign_twist solves for the signs as bits, mod 2).
+Then Phi_m(g, p, q) = eps_m(g) chi(p) is right A-linear and sigma-semilinear
+on the left, and d_n = Phi_{n-1} d_j Phi_n^-1.  Every step of extend_once is
+equivariant under such +-1 diagonal scalings: the RREF pivot columns do not
+move, a kernel vector of kernel_from_rref is rescaled to 1 at its free column,
+the slice ranks, top counts, W and the echelons' pivot sets do not change, and
+a residue picks up Phi at its lead.  So level n + 1 is level j + 1 with each
+image coordinate c of generator h times Phi_n(c) eps_{n+1}(h), eps_{n+1}(h)
+being Phi_n of the image's lead so that the lead stays 1, and the twist
+carries on: extend_to derives every level m > n from level m - (n - j) with
+its source's generators and block index (_derive), where extend_once would
+build the same level.  Exactness at level m - 1 holds because d_m (x) S_t has
+the rank of d_{m-n+j} (x) S_t, which the step from that level checked (or
+derived in turn), and slice_dims[n-1] = slice_dims[j-1] is checked before a
+twist is taken.  A derived step takes its slice and kernel dimensions and its
+minor from its source's (the minor changes by a sign only, so the
+certificate's primes do not), and the d-compose-d check runs on every derived
+level.  The period stays
+exact equality of states, and each distinct level's Hom rank is still
+computed: Hom ranks are not invariant under the twist.  Over GF(2) a twist is
+equality, so none is found.
+
 hh_dims resolves an algebra once, over its own field, and one resolution
 over QQ serves every characteristic.  The algebra's multiplication table is
 integral, and HH is the cohomology of Hom(P, A) for any projective bimodule
@@ -79,10 +108,11 @@ same argument over GF(p); so its Hom complex gives HH^0..HH^n over GF(p).  A
 slice block keeps its rank when the minor on the rows and columns its
 elimination picked is a unit mod p, and that minor is +- the product of the
 pivots rref_frac meets, so the certificate costs no extra elimination.
-extend_to(n + 1) runs the slice pass of d_1..d_n only; unless level n + 1
-repeats an earlier one, that of d_{n+1} runs once more.  When p divides a
-denominator or a minor, the certificate fails (it does not prove the ranks
-drop) and that field is resolved on its own, with a RuntimeWarning.
+extend_to(n + 1) runs the slice pass of d_1..d_n only (a derived step copies
+its source's minor); unless level n + 1 repeats an earlier one, that of
+d_{n+1} runs once more.  When p divides a denominator or a minor, the
+certificate fails (it does not prove the ranks drop) and that field is
+resolved on its own, with a RuntimeWarning.
 
 The Hom complex reuses the certificate: each distinct Hom differential d^i is
 row-reduced once, over the resolution's field.  For a certified p its entries
@@ -100,6 +130,7 @@ l the number of paths from a vertex to itself: dim Der = dim Der_0 + dim A - l.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from collections import defaultdict
 
@@ -199,6 +230,9 @@ class BimoduleResolution:
         self.minors = {}         # level n -> +- the product of d_n's slice minors; 1 over GF(p)
         self.period = None
         self._states = {}        # (gens[n-1], gens[n]) -> levels n with that pair
+        # (n - j, chi per basis path, {level m: eps_m}) once level n is a sign
+        # twist of level j (_sign_twist); the signs are bits, 1 for -1
+        self._twist = None
         # the augmentation P_0 -> A, e_v (x) e_v -> e_v, is onto: each path p
         # is the image of e_{s(p)} (x) p, and P_0 (x) S_t -> S_t is onto
         level0 = _Level(a, [(v, v) for v in range(1, a.vertex_count + 1)], ())
@@ -222,8 +256,8 @@ class BimoduleResolution:
         self._find_period(1)
 
     def _append(self, lvl):
-        """Append a level built here; the budget counts built levels only, so a
-        shared level past the period (extend_to) is free."""
+        """Append a level built or derived here; the budget counts those levels
+        only, so a shared level past the period (extend_to) is free."""
         self.total_dim += lvl.dim
         if self.total_dim > DEFAULT_BUDGET:
             raise ResolutionBudgetError(self.total_dim, DEFAULT_BUDGET)
@@ -343,49 +377,49 @@ class BimoduleResolution:
 
     def _top(self, lvl, tops, kernels):
         """Generators (block keys) and images lifting the kernel top modulo
-        rad*K + K*rad, block by block; the spans, the check and the stopping rule
-        are in the module docstring."""
+        rad*K + K*rad, block by block; the spans, the check and the choice of
+        the vectors that lift are in the module docstring."""
         new_gens = []
         new_images = []
         for key in sorted(kernels):
             count, rad = tops[key]
             kernel = kernels[key]
-            ech, width = self._radical_echelon(lvl, key, kernel, rad)
-            radical = sum(j >= width for j in ech.pivot_rows)
-            if radical != len(kernel) - count:
+            ech, width, lifts = self._radical_echelon(lvl, key, kernel, rad)
+            if len(lifts) != count:
                 raise InvariantError(f"top count of block {key} off at step {len(self.levels) - 1}: "
-                                     f"rad*K + K*rad has dimension {radical}, not {len(kernel)} - {count}")
+                                     f"rad*K + K*rad has dimension {len(kernel) - len(lifts)}, "
+                                     f"not {len(kernel)} - {count}")
             block_coords = lvl.block(key)[0]
             pad = [0] * width
-            # the residues of the kernel vectors lift the top
-            for vec in kernel:
+            for vec in lifts:  # each one's residue lifts the top
                 residue = ech.add(pad + list(vec))
-                if residue is not None:
-                    new_gens.append(key)
-                    new_images.append({
-                        block_coords[off]: val
-                        for off, val in enumerate(residue[width:])
-                        if val
-                    })
-                    count -= 1
-                    if not count:
-                        break
+                new_gens.append(key)
+                new_images.append({
+                    block_coords[off]: val
+                    for off, val in enumerate(residue[width:])
+                    if val
+                })
         return new_gens, new_images
 
     def _radical_echelon(self, lvl, key, kernel, rad):
-        """An Echelon, and the width of its first part, whose rows with a pivot
-        past that part span the block key of rad*K + K*rad: rad's rows padded by
-        zeros, then each kernel vector b as (pi(b), b), pi(b) its entries on the
-        columns (g, p, e_t) (module docstring)."""
+        """An Echelon, the width of its first part and the kernel vectors that
+        lift the top: rad's rows padded by zeros, then each kernel vector b as
+        (pi(b), b), pi(b) its entries on the columns (g, p, e_t).  The rows with
+        a pivot past the first part span the block key of rad*K + K*rad; b
+        lifts the top when its residue leads in the first part (module
+        docstring)."""
         offset = lvl.block(key)[1]
         cols = [offset[c] for c in lvl.slices[key]]
         ech = Echelon(self.field)
         pad = [0] * len(offset)
         for _, row in sorted(rad.pivot_rows.items()):  # in pivot order, nothing to reduce
             ech.add(row + pad)
+        lifts = []
         for vec in kernel:
-            ech.add([vec[j] for j in cols] + list(vec))
-        return ech, len(cols)
+            residue = ech.add([vec[j] for j in cols] + list(vec))
+            if any(residue[:len(cols)]):  # never None: the kernel vectors are independent
+                lifts.append(vec)
+        return ech, len(cols), lifts
 
     def _top_counts(self, lvl, slice_kernels):
         """Per block (s, t) with a slice kernel, the dimension of its block of
@@ -443,20 +477,27 @@ class BimoduleResolution:
                 raise InvariantError("d o d != 0")
 
     def extend_to(self, length):
-        """Levels 0..length.  Once a level's state repeats (module docstring),
-        the remaining levels are references to the repeating ones."""
+        """Levels 0..length.  Once a level is a sign twist of an earlier one, the
+        following levels are derived from earlier ones; once a level's state
+        repeats, the remaining levels are references to the repeating ones
+        (module docstring)."""
         while len(self.levels) < length + 1:
             n = len(self.levels)
-            if self.period is None:
-                self.extend_once()
-                self._find_period(n)
-            else:
+            if self.period is not None:
                 # kept per level, so that extend_once also works on top of shared levels
                 self.kernel_dims.append(self.kernel_dims[self.distinct_index(n - 1)])
                 self.levels.append(self.levels[self.distinct_index(n)])
+                continue
+            if self._twist and n - 1 in self._twist[2]:
+                self._derive(n)
+            else:
+                self.extend_once()
+            self._find_period(n)
 
     def _find_period(self, n):
-        """Record (j, n - j) if level n's state repeats level j's, and share level j."""
+        """Record (j, n - j) if level n's state repeats level j's, and share level
+        j; else, unless a twist is known, look for a sign twist of an earlier
+        level with its generators."""
         key = (tuple(self.levels[n - 1].gens), tuple(self.levels[n].gens))
         seen = self._states.setdefault(key, [])
         for j in seen:
@@ -464,7 +505,83 @@ class BimoduleResolution:
                 self.period = (j, n - j)
                 self.levels[n] = self.levels[j]
                 return
+        if self._twist is None:
+            self._twist = next(filter(None, (self._sign_twist(j, n) for j in seen)), None)
         seen.append(n)
+
+    def _sign_twist(self, j, n):
+        """Signs chi on the arrows, eps_{n-1} and eps_n on the generators of levels
+        n - 1 and n, with image_n[h][(g, p, q)] = eps_{n-1}(g) chi(p) eps_n(h)
+        image_j[h][(g, p, q)] and alpha -> chi(alpha) alpha an automorphism of
+        A, chi(p) the product over the arrows of p; as the _twist of level n, or
+        None.  Levels j >= 1 (level 0 is never recorded) and n have the same
+        generator pair, and their slice ranks must agree (module docstring);
+        over GF(2) the coefficients are 1, so none but equality is found."""
+        if self.slice_dims[n - 1] != self.slice_dims[j - 1]:
+            return None
+        a, mod = self.a, self.field.characteristic
+        col = {a.basis[alpha]: k for k, alpha in enumerate(a.arrows)}
+        odd = []  # per basis path, the unknowns of the arrows it holds an odd number of times
+        for w in a.basis:
+            cols = set()
+            for arrow in zip(w, w[1:]):
+                cols ^= {col[arrow]}
+            odd.append(frozenset(cols))
+        first = len(col)                              # the unknowns eps_{n-1}, then eps_n
+        last = first + len(self.levels[n - 1].gens)
+        width = last + len(self.levels[n].gens)
+        eqs = set()  # (unknowns, right-hand side bit)
+        for h, (old, new) in enumerate(zip(self.levels[j].images, self.levels[n].images)):
+            if old.keys() != new.keys():
+                return None
+            for c, v in new.items():
+                u = old[c]
+                if v != u and v != (mod - u if mod else -u):
+                    return None
+                eqs.add((odd[c[1]] | {first + c[0], last + h}, int(v != u)))
+        # chi(k) = chi(alpha) chi(q) for alpha q = ... + k ...: then p -> chi(p) p is
+        # multiplicative on alpha times every path, so on every product
+        for alpha in a.arrows:
+            for q in a.paths_from[a.basis[alpha][1]]:
+                for k, _ in a.mult.get((alpha, q), ()):
+                    if a.basis[k] != a.basis[alpha] + a.basis[q][1:]:
+                        eqs.add((odd[alpha] ^ odd[q] ^ odd[k], 0))
+        rows = [[int(k in cols) for k in range(width)] + [bit] for cols, bit in eqs]
+        pivots = rref_mod(rows, width + 1, 2)[1]
+        if pivots and pivots[-1] == width:  # 0 = 1
+            return None
+        x = [0] * width  # the free unknowns 0
+        for r, k in enumerate(pivots):
+            x[k] = rows[r][width]
+        chi = [sum(x[k] for k in cols) % 2 for cols in odd]
+        return n - j, chi, {n: x[last:]}
+
+    def _derive(self, m):
+        """Level m from level m - d, d the twist's shift, as extend_once would
+        build it: each image coordinate c = (g, p, q) times Phi(c) eps_m(h),
+        Phi(c) = eps_{m-1}(g) chi(p), with eps_m(h) = Phi of the image's lead,
+        so that the lead stays 1.  The step from level m - 1 takes its slice
+        and kernel dimensions and its minor (+- over QQ) from the step from
+        level m - 1 - d (module docstring)."""
+        d, chi, signs = self._twist
+        i = m - 1 - d
+        self.kernel_dims.append(self.kernel_dims[i])
+        self.slice_dims[m - 1] = self.slice_dims[i]
+        self.minors[m - 1] = self.minors[i]
+        mod = self.field.characteristic
+        eps = signs[m - 1]
+        src = self.levels[m - d]
+        images, signs[m] = [], []
+        for img in src.images:
+            g, p, _ = next(iter(img))
+            lead = eps[g] ^ chi[p]
+            images.append({c: (mod - v if mod else -v) if eps[c[0]] ^ chi[c[1]] ^ lead else v
+                           for c, v in img.items()})
+            signs[m].append(lead)
+        lvl = copy.copy(src)  # its generators, so its block index too
+        lvl.images = images
+        self._append(lvl)
+        self._check_square_zero(m)
 
     def distinct_index(self, n):
         """The least level index whose state is level n's."""

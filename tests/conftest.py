@@ -562,7 +562,9 @@ class FullSpanResolution(BimoduleResolution):
     """Reference for the step from level i: d_i row-reduced on every block
     (_full_kernels), exactness read off its total rank, and for every block
     every arrow multiple of the neighbouring kernel blocks and every kernel
-    vector into one echelon, with no stop at full rank (_full_top)."""
+    vector into one echelon, with no stop at full rank (_full_top).  It
+    computes every level up to the period: it never finds a sign twist, so
+    extend_to derives none."""
 
     def __init__(self, a):
         self.kernels = {}  # level i -> the kernel bases of d_i, by block
@@ -578,6 +580,9 @@ class FullSpanResolution(BimoduleResolution):
         self.kernel_dims.append(sum(len(v) for v in kernels.values()))
         self._append(_Level(self.a, *self._full_top(self.levels[i], kernels)))
         self._check_square_zero(len(self.levels) - 1)
+
+    def _sign_twist(self, j, n):
+        return None
 
     def _full_blocks(self, i):
         return assembled_blocks(self, i)

@@ -1,5 +1,6 @@
 """Oracle correctness: centers, derivations, resolutions, cohomology dims."""
 
+import copy
 import os
 import re
 import subprocess
@@ -204,6 +205,26 @@ def test_resolution_budget(monkeypatch):
         hh_dims(a, [a.field], max_i=10)
 
 
+class _CountedSteps(BimoduleResolution):
+    """Counts its extend_once steps; extend_to derives the other levels it
+    appends before the period closes."""
+
+    def __init__(self, a):
+        self.steps = 0
+        super().__init__(a)
+
+    def extend_once(self):
+        self.steps += 1
+        super().extend_once()
+
+
+def _derived_levels(res, length):
+    """How many of levels 2.. that extend_to(length) appended before the period
+    closed (levels 0 and 1 are written down) were derived, not built."""
+    last = sum(res.period) if res.period else length
+    return last - 1 - res.steps
+
+
 PERIOD_SAMPLE = [(f"{family}{rank}-{k}-{char}", q, char)
                  for family, ranks in (("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,)))
                  for rank in ranks
@@ -217,8 +238,10 @@ def test_periodic_resolution_matches_plain_steps(name, q, char):
     # every level, and both must give the same levels and the same dimensions
     a = cached_algebra(q, char)
     length = 12
-    res = BimoduleResolution(a)
+    res = _CountedSteps(a)
     res.extend_to(length)
+    derived = _derived_levels(res, length)
+    assert char != 2 or derived == 0  # over GF(2) a sign twist is equality
     plain = BimoduleResolution(a)
     while len(plain.levels) < length + 1:
         plain.extend_once()
@@ -240,6 +263,17 @@ def test_periodic_resolution_matches_plain_steps(name, q, char):
     ranks = [0] + [plain.hom_differential_rank(i, [a.field])[0] for i in range(1, length + 1)]
     dims = tuple(len(plain.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(length))
     assert hh_dims(a, [a.field], max_i=length - 1)[0] == dims
+
+
+def test_period_sample_derives_levels_over_3_and_0_only():
+    # extend_to derives the levels after a sign twist of an earlier level
+    # instead of building them; over GF(2) a sign twist is equality
+    derived = Counter()
+    for name, q, char in PERIOD_SAMPLE:
+        res = _CountedSteps(cached_algebra(q, char))
+        res.extend_to(12)
+        derived[char] += _derived_levels(res, 12)
+    assert (derived[2], derived[3], derived[0]) == (0, 40, 40)
 
 
 def _resolution_state(res):
@@ -272,13 +306,17 @@ def test_slice_pass_identities_against_the_full_block_reference(family, ranks):
     # rank of block (s, t)'s kernel vectors on its columns (g, p, e_t); the
     # slice rank of d_n is r_{n-1}(s, t), dim e_s A e_t - delta_st at n = 0;
     # dim e_s K_n e_t = sum_u r_n(s, u) dim e_u A e_t; over QQ each level's
-    # product of slice pivot minors is +-1.  The states are the reference's
+    # product of slice pivot minors is +-1.  The states are the reference's,
+    # which computes every level: the levels derived after a sign twist are
+    # compared with computed ones, on every field but GF(2)
+    derived = Counter()
     for rank in ranks:
         for q in mutation_class(family, rank):
             for fs in ALL_FIELDS:
                 a = cached_algebra(q, fs.characteristic)
-                res = BimoduleResolution(a)
+                res = _CountedSteps(a)
                 res.extend_to(12)
+                derived[fs.characteristic] += _derived_levels(res, 12)
                 ref = FullSpanResolution(a)
                 ref.extend_to(12)
                 assert (_resolution_state(res), res.total_dim) == (_resolution_state(ref), ref.total_dim)
@@ -299,6 +337,7 @@ def test_slice_pass_identities_against_the_full_block_reference(family, ranks):
                         assert len(kernels.get((s, t), ())) == sum(
                             r.get((s, u), 0) * cartan[(u, t)] for u in range(1, n + 1)), (q, fs, i)
                     assert fs.characteristic or abs(res.minors[i]) == 1, (q, i)
+    assert derived[2] == 0 and all(derived[c] for c in (3, 5, 0)), derived
 
 
 class _CountedFullSpan(FullSpanResolution):
@@ -343,10 +382,10 @@ class _RadicalSpans(BimoduleResolution):
         super().__init__(a)
 
     def _radical_echelon(self, lvl, key, kernel, rad):
-        ech, width = super()._radical_echelon(lvl, key, kernel, rad)
+        ech, width, lifts = super()._radical_echelon(lvl, key, kernel, rad)
         rows = [row[width:] for j, row in ech.pivot_rows.items() if j >= width]
         self.spans.append((len(self.levels) - 1, key, rows))
-        return ech, width
+        return ech, width, lifts
 
 
 @pytest.mark.parametrize("family,ranks", [("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))],
@@ -623,6 +662,125 @@ def test_planted_fault_raises_invariant_error(corrupt, message):
             res.extend_once()
 
 
+D6_TWIST = Quiver.make(6, [(2, 1), (3, 6), (4, 6), (5, 3), (5, 4), (6, 1), (6, 5)])
+TWIST_CI = Quiver.make(4, [(1, 4), (2, 3), (3, 4), (4, 2)])  # the quiver of the CI check
+
+
+def _flipped(images):
+    coord, c = next(iter(images[0].items()))
+    images[0][coord] = -c
+
+
+def _doubled(images):
+    coord, c = next(iter(images[0].items()))
+    images[0][coord] = 2 * c
+
+
+def _dropped(images):
+    del images[0][next(iter(images[0]))]
+
+
+class _PlantedForTheTwist(_CountedSteps):
+    """The sign twist search at level n reads level n with plant(images)
+    applied to a copy of its images; the level itself is kept."""
+
+    def __init__(self, a, plant):
+        self.plant = plant
+        super().__init__(a)
+
+    def _sign_twist(self, j, n):
+        lvl = self.levels[n]
+        images = [dict(img) for img in lvl.images]
+        self.plant(images)
+        self.levels[n] = copy.copy(lvl)
+        self.levels[n].images = [{c: self.field.element(v) for c, v in img.items()} for img in images]
+        try:
+            return super()._sign_twist(j, n)
+        finally:
+            self.levels[n] = lvl
+
+
+@pytest.mark.parametrize("q,plant,chars", [
+    (D6_TWIST, _flipped, (3, 5, 0)),
+    (TWIST_CI, _doubled, (5, 0)),
+    (TWIST_CI, _dropped, (3, 5, 0)),
+], ids=["flipped-sign", "ratio-2", "dropped-term"])
+def test_planted_fault_in_the_twist_search_derives_nothing(monkeypatch, q, plant, chars):
+    # level 6 is level 3 up to signs on both quivers; a coefficient whose sign
+    # contradicts the signs the others fix (on this D6 member), a ratio other
+    # than +-1 or a missing term leaves no twist, so every level up to the
+    # period is computed and the dimensions do not change
+    for char in chars:
+        a = cached_algebra(q, char)
+        res, planted = _CountedSteps(a), _PlantedForTheTwist(a, plant)
+        res.extend_to(12)
+        planted.extend_to(12)
+        assert res.period == planted.period == (3, 6)
+        assert (_derived_levels(res, 12), _derived_levels(planted, 12)) == (3, 0)
+        assert _resolution_state(planted) == _resolution_state(res)
+        want = hh_dims(a, [a.field], max_i=11)
+        monkeypatch.setattr(cthh.oracle, "BimoduleResolution", lambda a: _PlantedForTheTwist(a, plant))
+        assert hh_dims(a, [a.field], max_i=11) == want
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("char", [3, 5, 0])
+def test_sign_flipped_where_the_twist_search_cannot_see_it_fails_d_o_d(char):
+    # here no other equation fixes the flipped coefficient's sign, so the
+    # search finds signs that fit the flipped level 6 and not the real one;
+    # d o d = 0 fails on level 7, the first level derived from them
+    res = _PlantedForTheTwist(cached_algebra(TWIST_CI, char), _flipped)
+    with pytest.raises(InvariantError, match="d o d != 0"):
+        res.extend_to(12)
+    assert len(res.levels) == 8 and res.steps == 5
+
+
+class _OtherSigns(_CountedSteps):
+    """Takes the other twist with the same arrow signs: every generator sign of
+    levels n - 1 and n negated, which fits the same equations."""
+
+    def _sign_twist(self, j, n):
+        twist = super()._sign_twist(j, n)
+        if twist:
+            twist[2][n] = [1 - e for e in twist[2][n]]
+        return twist
+
+
+@pytest.mark.parametrize("char", [3, 5, 0])
+def test_derived_levels_do_not_depend_on_which_twist_is_taken(char):
+    # the lead of each derived image takes the sign that keeps it 1, so both
+    # twists derive the levels extend_once builds
+    for q in (D6_TWIST, TWIST_CI):
+        a = cached_algebra(q, char)
+        res, ref = _OtherSigns(a), FullSpanResolution(a)
+        res.extend_to(12)
+        ref.extend_to(12)
+        assert _derived_levels(res, 12) == 3
+        assert _resolution_state(res) == _resolution_state(ref)
+
+
+class _WrongSliceRecord(_CountedSteps):
+    """Records one slice kernel dimension of d_5 one too high, after the step
+    from level 5 has checked its ranks."""
+
+    def _slice_kernels(self, i):
+        out = super()._slice_kernels(i)
+        if i == 5:
+            dims = self.slice_dims[5] = dict(self.slice_dims[5])
+            dims[min(dims)] += 1
+        return out
+
+
+@pytest.mark.parametrize("char", [3, 0])
+def test_exactness_before_a_twist_is_still_checked(char):
+    # level 6 is level 3 up to signs, but the step from level 6 is what checks
+    # exactness at level 5, against the slice kernel dimensions of d_5; the
+    # twist is taken only when those equal d_2's, so that check is not skipped
+    res = _WrongSliceRecord(cached_algebra(TWIST_CI, char))
+    with pytest.raises(InvariantError, match="resolution not exact at step 6"):
+        res.extend_to(12)
+
+
 class _ReadBlocks(BimoduleResolution):
     """Records, per step, the counts of the top and the blocks of the full pass."""
 
@@ -655,7 +813,9 @@ def test_full_eliminations_run_only_on_read_blocks():
                 assert all(blocks.get(key) for key in keys), (q, fs, i)
                 full += len(keys)
                 total += len(blocks)
-    assert (full, total) == (1774, 7812)  # fewer than a quarter of the blocks are row-reduced whole
+    # fewer than a quarter of the blocks are row-reduced whole; the steps to the
+    # levels derived from a sign twist run no pass (7812 blocks without them)
+    assert (full, total) == (1540, 6816)
 
 
 class _PlantedSliceFault(BimoduleResolution):
@@ -938,6 +1098,25 @@ def test_top_differential_is_certified_before_the_period_closes(monkeypatch):
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
     with pytest.warns(RuntimeWarning, match="not certified mod 3"):
         got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
+    assert got == _per_field(q, max_i)
+
+
+def test_failed_certificate_on_a_twisted_level_falls_back_for_that_prime(monkeypatch):
+    # level 6 is level 3 up to signs, so the steps from levels 6, 7 and 8 are
+    # derived and take their minors from the steps from levels 3, 4 and 5: a
+    # factor 3 planted in the minor of d_3 reaches the minor of d_6 too
+    q, max_i = TWIST_CI, 10
+    clean = _CountedSteps(cached_algebra(q, 0))
+    clean.extend_to(max_i + 1)
+    assert clean.period == (3, 6) and clean.steps == 5 and clean.minors[6] % 3
+    monkeypatch.setattr(_TimesThree, "PLANTED_LEVEL", 3)
+    res = _TimesThree(cached_algebra(q, 0))
+    res.extend_to(max_i + 1)
+    assert res.minors[3] == res.minors[6] == 3 * clean.minors[6]
+    monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
+    with pytest.warns(RuntimeWarning, match="not certified mod 3") as record:
+        got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
+    assert len(record) == 1
     assert got == _per_field(q, max_i)
 
 
