@@ -13,18 +13,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(m: int) -> bool:
+    """Miller-Rabin with the prime bases up to 37, exact for m < 3.1 * 10^23:
+    the least composite that passes them all is 318665857834031151167461."""
+    if m < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MILLER_RABIN_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in _MILLER_RABIN_BASES:
+        x = pow(q, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

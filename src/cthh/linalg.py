@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .fields import FieldSpec
+from .fields import FieldSpec, is_prime
 
 
 class NonSquareError(ValueError):
@@ -272,32 +272,6 @@ def pencil_det(a, b):
     return tuple(x - modulus if 2 * x > modulus else x for x in coeffs)
 
 
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(m) -> bool:
-    """Miller-Rabin with the prime bases up to 37, exact for 1 < m < 3.1 * 10^23:
-    the least composite that passes them all is 318665857834031151167461."""
-    for q in _MILLER_RABIN_BASES:
-        if m % q == 0:
-            return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for q in _MILLER_RABIN_BASES:
-        x = pow(q, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _primes():
     """2^61 - 1 (a Mersenne prime), then the primes below it in descending
     order, found as needed."""
@@ -305,7 +279,7 @@ def _primes():
     yield m
     while True:
         m -= 2
-        if _is_prime(m):
+        if is_prime(m):
             yield m
 
 

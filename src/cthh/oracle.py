@@ -86,13 +86,14 @@ carries on: extend_to derives every level m > n from level m - (n - j) with
 its source's generators and block index (_derive), where extend_once would
 build the same level.  Exactness at level m - 1 holds because d_m (x) S_t has
 the rank of d_{m-n+j} (x) S_t, which the step from that level checked (or
-derived in turn), and slice_dims[n-1] = slice_dims[j-1] is checked before a
-twist is taken.  A derived step takes its slice and kernel dimensions and its
-minor from its source's (the minor changes by a sign only, so the
-certificate's primes do not), and the d-compose-d check runs on every derived
-level.  The period stays
-exact equality of states, and each distinct level's Hom rank is still
-computed: Hom ranks are not invariant under the twist.  Over GF(2) a twist is
+derived in turn), and the slice kernel dimensions of d_{n-1} and d_{j-1} are
+checked equal before a twist is taken.  Each level holds the slice kernel
+dimensions and the minor of the step out of it: level n takes level j's when
+the twist is found, and a derived level carries its source's (the minor
+changes by a sign only, so the certificate's primes do not).  The
+d-compose-d check runs on every derived level.  The period stays exact
+equality of states, and each distinct level's Hom rank is still computed:
+Hom ranks are not invariant under the twist.  Over GF(2) a twist is
 equality, so none is found.
 
 hh_dims resolves an algebra once, over its own field, and one resolution
@@ -108,11 +109,11 @@ same argument over GF(p); so its Hom complex gives HH^0..HH^n over GF(p).  A
 slice block keeps its rank when the minor on the rows and columns its
 elimination picked is a unit mod p, and that minor is +- the product of the
 pivots rref_frac meets, so the certificate costs no extra elimination.
-extend_to(n + 1) runs the slice pass of d_1..d_n only (a derived step copies
-its source's minor); unless level n + 1 repeats an earlier one, that of
-d_{n+1} runs once more.  When p divides a denominator or a minor, the
-certificate fails (it does not prove the ranks drop) and that field is
-resolved on its own, with a RuntimeWarning.
+extend_to(n + 1) runs the slice pass of d_1..d_n only (a derived level carries
+its source's minor); unless level n + 1 repeats an earlier one or carries a
+minor, that of d_{n+1} runs once more.  When p divides a denominator or a
+minor, the certificate fails (it does not prove the ranks drop) and that field
+is resolved on its own, with a RuntimeWarning.
 
 The Hom complex reuses the certificate: each distinct Hom differential d^i is
 row-reduced once, over the resolution's field.  For a certified p its entries
@@ -147,11 +148,15 @@ class _Level:
 
     Block (s, t) is e_s P e_t, with basis (g, p, q) for the generators g = (a, b),
     the paths p from s to a and q from b to t, in that order; block(key) lists
-    it on first read.  slices[(s, t)] lists the basis (g, p, e_t) of P (x) S_t at s."""
+    it on first read.  slices[(s, t)] lists the basis (g, p, e_t) of P (x) S_t at s.
+    slice_dims and minor belong to the step d out of the level, once known:
+    {(s, t): dim of the kernel of d (x) S_t at s, when nonzero}, and +- the
+    product of d's slice pivot minors over QQ (1 over GF(p))."""
 
     def __init__(self, a: BoundAlgebra, gens, images):
         self.gens = list(gens)       # list of (a_vertex, b_vertex)
         self.images = list(images)   # per generator: dict coord -> coeff in level - 1; none at 0
+        self.slice_dims = self.minor = None
         self.parallel = a.parallel
         self._blocks = {}            # (s, t) -> (its coordinates, coordinate -> offset)
         lefts = self._lefts = {}     # s -> (g, p, b) per generator g = (a, b), path p from s to a
@@ -224,10 +229,6 @@ class BimoduleResolution:
         for idx in a.arrows:
             self.arrows_out.setdefault(a.basis[idx][0], []).append(idx)
         self.levels = []
-        self.kernel_dims = []    # per level: total kernel dimension
-        # level n -> {(s, t): dim of the kernel of d_n (x) S_t at s, when nonzero}
-        self.slice_dims = {}
-        self.minors = {}         # level n -> +- the product of d_n's slice minors; 1 over GF(p)
         self.period = None
         self._states = {}        # (gens[n-1], gens[n]) -> levels n with that pair
         # (n - j, chi per basis path, {level m: eps_m}) once level n is a sign
@@ -237,9 +238,8 @@ class BimoduleResolution:
         # is the image of e_{s(p)} (x) p, and P_0 (x) S_t -> S_t is onto
         level0 = _Level(a, [(v, v) for v in range(1, a.vertex_count + 1)], ())
         self._append(level0)
-        self.kernel_dims.append(level0.dim - a.dimension)
-        self.slice_dims[0] = {key: d for key, paths in a.parallel.items()
-                              if (d := len(paths) - (key[0] == key[1]))}
+        level0.slice_dims = {key: d for key, paths in a.parallel.items()
+                             if (d := len(paths) - (key[0] == key[1]))}
         # level 1 (module docstring), with the sign and term order the top of
         # the augmentation's kernel has: the lower vertex's term first, with +1;
         # the basis lists the trivial path at v at index v - 1
@@ -267,23 +267,18 @@ class BimoduleResolution:
         """Kernel of the topmost differential, then cover it minimally: the
         slice pass on every block, the full pass on the blocks counted > 0
         (module docstring)."""
-        a = self.a
         i = len(self.levels) - 1
         lvl = self.levels[i]
         tops = self._top_counts(lvl, self._slice_kernels(i))
-        # dim e_s K e_t = sum_u r(s, u) dim e_u A e_t, summed over t
-        self.kernel_dims.append(sum(r * len(a.paths_from[u])
-                                    for (_, u), r in self.slice_dims[i].items()))
         kernels = self._kernels(i, [key for key, (count, _) in tops.items() if count])
-        self._append(_Level(a, *self._top(lvl, tops, kernels)))
+        self._append(_Level(self.a, *self._top(lvl, tops, kernels)))
         self._check_square_zero(len(self.levels) - 1)
 
     def _slice_kernels(self, i):
         """Kernel bases of d_i (x) S_t at s, on the columns (g, p, e_t) of each
         block (s, t) of level i (i >= 1).  Its rank must be the kernel dimension
         of d_{i-1} (x) S_t at s (exactness at level i - 1); the kernel
-        dimensions go to slice_dims[i], and over QQ the product of the pivot
-        minors to minors[i]."""
+        dimensions and the product of the pivot minors go to level i."""
         lvl = self.levels[i]
         n = self.a.vertex_count  # the trivial paths are the basis paths below n
         # the image terms with a trivial right path, the only ones d (x) S_t keeps
@@ -299,13 +294,12 @@ class BimoduleResolution:
             if kernel:
                 kernels[key] = kernel
                 dims[key] = len(kernel)
-        prev = self.slice_dims[self.distinct_index(i - 1)]
+        prev = self.levels[i - 1].slice_dims
         if ranks != prev:
             key = min(k for k in ranks.keys() | prev.keys() if ranks.get(k) != prev.get(k))
             raise InvariantError(f"resolution not exact at step {i}: image {ranks.get(key, 0)}, "
                                  f"kernel {prev.get(key, 0)} in the slice of block {key}")
-        self.slice_dims[i] = dims
-        self.minors[i] = minor
+        lvl.slice_dims, lvl.minor = dims, minor
         return kernels
 
     def _kernels(self, i, keys):
@@ -315,7 +309,7 @@ class BimoduleResolution:
         lvl = self.levels[i]
         parallel = self.a.parallel
         prev = {}  # s -> (u, r(s, u))
-        for (s, u), r in self.slice_dims[self.distinct_index(i - 1)].items():
+        for (s, u), r in self.levels[i - 1].slice_dims.items():
             prev.setdefault(s, []).append((u, r))
         kernels = {}
         columns = {key: lvl.block(key)[0] for key in keys}
@@ -484,11 +478,9 @@ class BimoduleResolution:
         while len(self.levels) < length + 1:
             n = len(self.levels)
             if self.period is not None:
-                # kept per level, so that extend_once also works on top of shared levels
-                self.kernel_dims.append(self.kernel_dims[self.distinct_index(n - 1)])
                 self.levels.append(self.levels[self.distinct_index(n)])
                 continue
-            if self._twist and n - 1 in self._twist[2]:
+            if self._twist:
                 self._derive(n)
             else:
                 self.extend_once()
@@ -507,6 +499,9 @@ class BimoduleResolution:
                 return
         if self._twist is None:
             self._twist = next(filter(None, (self._sign_twist(j, n) for j in seen)), None)
+            if self._twist:  # d_n is d_j twisted: it has d_j's slice ranks and minor up to sign
+                src, lvl = self.levels[n - self._twist[0]], self.levels[n]
+                lvl.slice_dims, lvl.minor = src.slice_dims, src.minor
         seen.append(n)
 
     def _sign_twist(self, j, n):
@@ -517,7 +512,7 @@ class BimoduleResolution:
         None.  Levels j >= 1 (level 0 is never recorded) and n have the same
         generator pair, and their slice ranks must agree (module docstring);
         over GF(2) the coefficients are 1, so none but equality is found."""
-        if self.slice_dims[n - 1] != self.slice_dims[j - 1]:
+        if self.levels[n - 1].slice_dims != self.levels[j - 1].slice_dims:
             return None
         a, mod = self.a, self.field.characteristic
         col = {a.basis[alpha]: k for k, alpha in enumerate(a.arrows)}
@@ -560,14 +555,9 @@ class BimoduleResolution:
         """Level m from level m - d, d the twist's shift, as extend_once would
         build it: each image coordinate c = (g, p, q) times Phi(c) eps_m(h),
         Phi(c) = eps_{m-1}(g) chi(p), with eps_m(h) = Phi of the image's lead,
-        so that the lead stays 1.  The step from level m - 1 takes its slice
-        and kernel dimensions and its minor (+- over QQ) from the step from
-        level m - 1 - d (module docstring)."""
+        so that the lead stays 1.  The copy carries the source's block index
+        and step data, the minor +- over QQ (module docstring)."""
         d, chi, signs = self._twist
-        i = m - 1 - d
-        self.kernel_dims.append(self.kernel_dims[i])
-        self.slice_dims[m - 1] = self.slice_dims[i]
-        self.minors[m - 1] = self.minors[i]
         mod = self.field.characteristic
         eps = signs[m - 1]
         src = self.levels[m - d]
@@ -578,7 +568,7 @@ class BimoduleResolution:
             images.append({c: (mod - v if mod else -v) if eps[c[0]] ^ chi[c[1]] ^ lead else v
                            for c, v in img.items()})
             signs[m].append(lead)
-        lvl = copy.copy(src)  # its generators, so its block index too
+        lvl = copy.copy(src)  # shares its generators, block index and step data
         lvl.images = images
         self._append(lvl)
         self._check_square_zero(m)
@@ -605,12 +595,13 @@ class BimoduleResolution:
         resolution over GF(p) (module docstring).  N is the product of the
         denominators of the image coefficients and the numerators of the slice
         pivot minors of d_1..d_length; after extend_to(length), the slice pass of
-        d_length runs here unless its level repeats an earlier one."""
+        d_length runs here unless its level repeats or twists an earlier one or
+        was derived."""
         out = 1
         for n in {self.distinct_index(n) for n in range(1, length + 1)}:
-            if n not in self.minors:
+            if self.levels[n].minor is None:
                 self._slice_kernels(n)
-            out *= self.minors[n].numerator
+            out *= self.levels[n].minor.numerator
             for img in self.levels[n].images:
                 for c in img.values():
                     if type(c) is not int:

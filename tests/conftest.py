@@ -564,11 +564,13 @@ class FullSpanResolution(BimoduleResolution):
     every arrow multiple of the neighbouring kernel blocks and every kernel
     vector into one echelon, with no stop at full rank (_full_top).  It
     computes every level up to the period: it never finds a sign twist, so
-    extend_to derives none."""
+    extend_to derives none.  kernel_dims[i] is the total kernel dimension of
+    d_i for the levels i it steps from, and of the augmentation at 0."""
 
     def __init__(self, a):
         self.kernels = {}  # level i -> the kernel bases of d_i, by block
         super().__init__(a)
+        self.kernel_dims = [self.levels[0].dim - a.dimension]
 
     def extend_once(self):
         i = len(self.levels) - 1
@@ -605,6 +607,18 @@ class FullSpanResolution(BimoduleResolution):
                     new_images.append({blocks[key][off]: val
                                        for off, val in enumerate(residue) if val})
         return new_gens, new_images
+
+
+def kernel_dims(res):
+    """dim ker d_i for each level i below the top.  For the engine, from the
+    slice kernel dimensions r(s, u) of d_i that level i holds: ker d_i is
+    right projective, so dim e_s K e_t = sum_u r(s, u) dim e_u A e_t, and
+    summed over t that is sum r(s, u) dim e_u A; the reference reads its own
+    total-rank kernel dimensions."""
+    if isinstance(res, FullSpanResolution):
+        return [res.kernel_dims[res.distinct_index(i)] for i in range(len(res.levels) - 1)]
+    return [sum(r * len(res.a.paths_from[u]) for (_, u), r in lvl.slice_dims.items())
+            for lvl in res.levels[:-1]]
 
 
 def assembled_blocks(res, i):

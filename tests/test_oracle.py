@@ -15,7 +15,7 @@ import pytest
 import cthh.oracle
 from conftest import (ColumnImageResolution, EagerLevel, FullSpanResolution, assembled_blocks,
                       augmentation_level_one, block_kernels, cached_algebra, column_image_blocks,
-                      hom_differential_reference, level_blocks, matrix_rank, mutation_class,
+                      hom_differential_reference, kernel_dims, level_blocks, matrix_rank, mutation_class,
                       radical_multiples, reduced_over, relabel, rref, sample_by_canonical)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
@@ -279,7 +279,7 @@ def test_period_sample_derives_levels_over_3_and_0_only():
 def _resolution_state(res):
     """Generators and images (in insertion order) of every level, kernel dims, period."""
     return ([(lvl.gens, [list(img.items()) for img in lvl.images]) for lvl in res.levels],
-            res.kernel_dims, res.period)
+            kernel_dims(res), res.period)
 
 
 TOP_SAMPLE = PERIOD_SAMPLE + [(f"{name[:-2]}-5", q, 5) for name, q, char in PERIOD_SAMPLE if char == 2]
@@ -323,11 +323,11 @@ def test_slice_pass_identities_against_the_full_block_reference(family, ranks):
                 n = a.vertex_count
                 cartan = {(s, t): len(a.parallel.get((s, t), ()))
                           for s in range(1, n + 1) for t in range(1, n + 1)}
-                assert res.slice_dims[0] == {key: c - (key[0] == key[1]) for key, c in cartan.items()
-                                             if c - (key[0] == key[1])}
-                assert set(ref.kernels) == set(res.slice_dims) - {0}
+                assert res.levels[0].slice_dims == {key: c - (key[0] == key[1]) for key, c in cartan.items()
+                                                    if c - (key[0] == key[1])}
+                assert set(ref.kernels) == {res.distinct_index(i) for i in range(1, len(res.levels) - 1)}
                 for i, kernels in ref.kernels.items():
-                    r, prev = res.slice_dims[i], res.slice_dims[res.distinct_index(i - 1)]
+                    r, prev = res.levels[i].slice_dims, res.levels[i - 1].slice_dims
                     blocks = level_blocks(a, res.levels[i])
                     for (s, t) in cartan:
                         cols = [j for j, c in enumerate(blocks.get((s, t), ())) if c[2] == t - 1]
@@ -336,7 +336,7 @@ def test_slice_pass_identities_against_the_full_block_reference(family, ranks):
                         assert len(cols) - r.get((s, t), 0) == prev.get((s, t), 0), (q, fs, i)
                         assert len(kernels.get((s, t), ())) == sum(
                             r.get((s, u), 0) * cartan[(u, t)] for u in range(1, n + 1)), (q, fs, i)
-                    assert fs.characteristic or abs(res.minors[i]) == 1, (q, i)
+                    assert fs.characteristic or abs(res.levels[i].minor) == 1, (q, i)
     assert derived[2] == 0 and all(derived[c] for c in (3, 5, 0)), derived
 
 
@@ -477,7 +477,7 @@ def test_level_one_from_the_arrows_is_the_augmentation_kernel_top(family, ranks)
                 assert res.levels[1].gens == gens, (q, char)
                 assert [list(img.items()) for img in res.levels[1].images] == \
                     [list(img.items()) for img in images], (q, char)
-                assert res.kernel_dims == [kernel_dim], (q, char)
+                assert kernel_dims(res) == [kernel_dim], (q, char)
 
 
 def _times_path(a, vec, path):
@@ -766,7 +766,7 @@ class _WrongSliceRecord(_CountedSteps):
     def _slice_kernels(self, i):
         out = super()._slice_kernels(i)
         if i == 5:
-            dims = self.slice_dims[5] = dict(self.slice_dims[5])
+            dims = self.levels[5].slice_dims = dict(self.levels[5].slice_dims)
             dims[min(dims)] += 1
         return out
 
@@ -844,7 +844,7 @@ def test_fault_in_a_block_the_top_does_not_read_is_not_exact(char):
     clean.extend_to(5)
     counts, read = clean.steps[3]
     key = min(key for key in clean.levels[3].slices
-              if key not in read and clean.slice_dims[2].get(key))
+              if key not in read and clean.levels[2].slice_dims.get(key))
     res = _PlantedSliceFault(a, 3, key)
     message = f"resolution not exact at step 3: image 0, kernel 1 in the slice of block {key}"
     with pytest.raises(InvariantError, match=re.escape(message)):
@@ -1072,7 +1072,7 @@ class _TimesThree(BimoduleResolution):
     def _slice_kernels(self, i):
         out = super()._slice_kernels(i)
         if i == self.PLANTED_LEVEL:
-            self.minors[i] *= 3
+            self.levels[i].minor *= 3
         return out
 
 
@@ -1092,8 +1092,8 @@ def test_top_differential_is_certified_before_the_period_closes(monkeypatch):
     q, max_i = oriented_cycle(3), 2
     res = BimoduleResolution(cached_algebra(q, 0))
     res.extend_to(max_i + 1)
-    assert res.period is None and max_i + 1 not in res.minors
-    assert res.obstruction(max_i + 1) % 3 and max_i + 1 in res.minors
+    assert res.period is None and res.levels[max_i + 1].minor is None
+    assert res.obstruction(max_i + 1) % 3 and res.levels[max_i + 1].minor is not None
     monkeypatch.setattr(_TimesThree, "PLANTED_LEVEL", max_i + 1)
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
     with pytest.warns(RuntimeWarning, match="not certified mod 3"):
@@ -1108,12 +1108,81 @@ def test_failed_certificate_on_a_twisted_level_falls_back_for_that_prime(monkeyp
     q, max_i = TWIST_CI, 10
     clean = _CountedSteps(cached_algebra(q, 0))
     clean.extend_to(max_i + 1)
-    assert clean.period == (3, 6) and clean.steps == 5 and clean.minors[6] % 3
+    assert clean.period == (3, 6) and clean.steps == 5 and clean.levels[6].minor % 3
     monkeypatch.setattr(_TimesThree, "PLANTED_LEVEL", 3)
     res = _TimesThree(cached_algebra(q, 0))
     res.extend_to(max_i + 1)
-    assert res.minors[3] == res.minors[6] == 3 * clean.minors[6]
+    assert res.levels[3].minor == res.levels[6].minor == 3 * clean.levels[6].minor
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
+    with pytest.warns(RuntimeWarning, match="not certified mod 3") as record:
+        got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
+    assert len(record) == 1
+    assert got == _per_field(q, max_i)
+
+
+class _CertificatePasses(BimoduleResolution):
+    """Records each instance, the levels it derives and the levels whose slice
+    pass runs inside obstruction."""
+
+    made = []
+
+    def __init__(self, a):
+        self.derived, self.passes, self.certifying = set(), [], False
+        self.made.append(self)
+        super().__init__(a)
+
+    def _derive(self, m):
+        self.derived.add(m)
+        super()._derive(m)
+
+    def _slice_kernels(self, i):
+        if self.certifying:
+            self.passes.append(i)
+        return super()._slice_kernels(i)
+
+    def obstruction(self, length):
+        self.certifying = True
+        try:
+            return super().obstruction(length)
+        finally:
+            self.certifying = False
+
+
+def test_certificate_runs_no_slice_pass_on_a_derived_level(monkeypatch):
+    # a derived level carries the minor of the step out of it from its source,
+    # so obstruction row-reduces only a top level that was computed and
+    # neither repeats nor twists an earlier one: 19 of the 80 tops at max_i 6,
+    # while 37 are derived
+    monkeypatch.setattr(_CertificatePasses, "made", [])
+    monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _CertificatePasses)
+    for q in mutation_class("D", 6):
+        hh_dims(cached_algebra(q, 0), [GF3, QQ], max_i=6)
+    passes = [(i, res) for res in _CertificatePasses.made for i in res.passes]
+    assert all(i == 7 and i not in res.derived for i, res in passes)
+    assert len(passes) == 19 and sum(7 in res.derived for res in _CertificatePasses.made) == 37
+
+
+class _CarriedTimesThree(BimoduleResolution):
+    """Multiplies by 3 the minor that derived level PLANTED_LEVEL carries from
+    its source, and that one alone."""
+
+    PLANTED_LEVEL = 7
+
+    def _derive(self, m):
+        super()._derive(m)
+        if m == self.PLANTED_LEVEL:
+            self.levels[m].minor *= 3
+
+
+def test_certificate_reads_the_minor_a_derived_top_level_carries(monkeypatch):
+    # level 7 is derived from level 4, and at max_i 6 it is the top: the
+    # certificate must read the minor it carries, which the planted factor 3
+    # makes fail for GF(3) alone
+    q, max_i = TWIST_CI, 6
+    res = _CarriedTimesThree(cached_algebra(q, 0))
+    res.extend_to(max_i + 1)
+    assert res.levels[7].minor == 3 * res.levels[4].minor and res.obstruction(max_i + 1) % 3 == 0
+    monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _CarriedTimesThree)
     with pytest.warns(RuntimeWarning, match="not certified mod 3") as record:
         got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
     assert len(record) == 1
@@ -1168,7 +1237,7 @@ def test_fallback_survives_optimize():
         "    def _slice_kernels(self, i):\n"
         "        out = super()._slice_kernels(i)\n"
         "        if i == 2:\n"
-        "            self.minors[i] *= 3\n"
+        "            self.levels[i].minor *= 3\n"
         "        return out\n"
         "fields = [FieldSpec(c) for c in (2, 3, 5, 0)]\n"
         "want = [hh_dims(build_algebra(q, rels, fs), [fs], max_i=4)[0] for fs in fields]\n"
