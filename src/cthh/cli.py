@@ -286,15 +286,6 @@ _COMMANDS = {
 }
 
 
-def _add_command_arguments(p, name):
-    _, fn, arguments = _COMMANDS[name]
-    for flags, kwargs in arguments:
-        p.add_argument(*flags, **kwargs)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=fn)
-    return p
-
-
 def build_parser():
     """The full parser, with every subcommand."""
     ap = argparse.ArgumentParser(
@@ -302,29 +293,70 @@ def build_parser():
         description="Hochschild cohomology of cluster-tilted algebras of finite type",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_, _, _) in _COMMANDS.items():
-        _add_command_arguments(sub.add_parser(name, help=help_), name)
+    for name, (help_, fn, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=fn)
     return ap
 
 
-def _parse_args(argv):
-    """Parse with only the named command's parser, which prints and fails as
-    the full parser's subparser does; help and errors without a known
-    command, and leftover arguments, need the full parser."""
+def _parse_plain(argv):
+    """The Namespace the full parser gives a plain command line, read off
+    _COMMANDS without building a parser; None for any other argv.  A plain
+    line is a known command, its positionals in order, each option of the
+    table at most once as --name VALUE or --name=VALUE, and --json, with no
+    value that starts with '-'."""
     if not argv or argv[0] not in _COMMANDS:
-        return build_parser().parse_args(argv)
-    ap = _add_command_arguments(argparse.ArgumentParser(prog=f"cthh {argv[0]}"), argv[0])
-    args, extras = ap.parse_known_args(argv[1:])
-    if extras:
-        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+        return None
+    _, fn, arguments = _COMMANDS[argv[0]]
+    positionals, given = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag in given or flag == "--json" and eq:
+            return None
+        if token == "--json":
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value reads as dash-led
+        if value.startswith("-"):
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0], json=given.pop("--json", False), fn=fn)
+    positionals.reverse()
+    for (flag, *_), kwargs in arguments:
+        if flag.startswith("-"):
+            dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+            if flag not in given:
+                if kwargs.get("required"):
+                    return None
+                setattr(args, dest, kwargs.get("default"))
+                continue
+            value = given.pop(flag)
+        elif positionals:
+            dest, value = flag, positionals.pop()
+        else:
+            return None
+        try:
+            setattr(args, dest, kwargs.get("type", str)(value))
+        except ValueError:
+            return None
+    return None if given or positionals else args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parse_args(argv)
+        # argparse parses what the table does not, so it prints every help
+        # text and usage error
+        args = _parse_plain(argv) or build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

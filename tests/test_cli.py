@@ -1,7 +1,11 @@
 """CLI surface: document parsing, command output, exit codes."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import random
 import time
 from pathlib import Path
 
@@ -9,7 +13,7 @@ import pytest
 
 import cthh.algebra
 from conftest import mutation_class
-from cthh.cli import build_parser, main, parse_quiver, serialize_quiver
+from cthh.cli import _COMMANDS, _parse_plain, build_parser, main, parse_quiver, serialize_quiver
 from cthh.errors import InputSyntaxError
 from cthh.fields import GF2, QQ
 from cthh.quiver import Quiver
@@ -452,6 +456,92 @@ def test_cli_one_subcommand_parser_prints_like_the_full_parser(monkeypatch, caps
     want = capsys.readouterr()
     assert (got.out, got.err) == (want.out, want.err)
     assert got.out or got.err
+
+
+# values an option or a positional may be given, good and bad
+INT_VALUES = ["2", "0", "16", "+3", " 4", "x", "2.5", "", "-1"]
+STR_VALUES = ["A3", "2,3", "all", "", "hh", "-x", "a=b"]
+JUNK = ["--json", "--json=1", "-h", "--help", "--", "-1", "-", "--bogus", "--at", "q.json", "extra", ""]
+
+
+def random_argv(rng, command):
+    """A command line for command: a plain one, perhaps mutated, or a random
+    string of tokens of the command's kinds."""
+    arguments = _COMMANDS[command][2]
+    pool = list(JUNK)
+    groups = []
+    for (flag, *_), kwargs in arguments:
+        values = INT_VALUES if kwargs.get("type") is int else STR_VALUES
+        if not flag.startswith("-"):
+            pool += ["q.json", "extra"]
+            continue
+        pool += [flag, *(flag[:k] for k in range(3, len(flag))), *values]
+        pool += [f"{flag}={v}" for v in values]
+        if kwargs.get("required") or rng.random() < 0.5:
+            value = rng.choice(values[:4])
+            groups.append([f"{flag}={value}"] if rng.random() < 0.3 else [flag, value])
+    if rng.random() < 0.5:
+        return [command, *(rng.choice(pool) for _ in range(rng.randrange(7)))]
+    if rng.random() < 0.3:
+        groups.append(["--json"])
+    rng.shuffle(groups)
+    if any(not flag.startswith("-") for (flag, *_), _ in arguments):
+        groups.insert(rng.randrange(len(groups) + 1), ["q.json"])
+    argv = [command, *(token for group in groups for token in group)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        mutation = rng.randrange(3)
+        if mutation == 0:
+            argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(pool))
+        elif mutation == 1 and len(argv) > 1:
+            del argv[rng.randrange(1, len(argv))]
+        elif groups:
+            argv += rng.choice(groups)
+    return argv
+
+
+def test_cli_plain_command_lines_parse_like_the_full_parser():
+    rng = random.Random(30)
+    full = build_parser()
+    seen = {command: {True: 0, False: 0} for command in _COMMANDS}
+    for _ in range(4000):
+        command = rng.choice(list(_COMMANDS))
+        argv = random_argv(rng, command)
+        plain = _parse_plain(argv)
+        seen[command][plain is not None] += 1
+        if plain is None:
+            continue
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                want = full.parse_args(argv)
+            except SystemExit:
+                raise AssertionError(f"{argv} read off the table, but the full parser rejects it")
+        assert vars(plain) == vars(want), argv
+    for command, counts in seen.items():
+        assert counts[True] and counts[False], (command, counts)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "{q}", "--char", "2", "--json"],
+    ["hh-oracle", "{q}", "--char=3", "--max-i", "6"],
+    ["verify", "--seed", "A3", "--chars", "2", "--max-i", "2", "--jobs", "1"],
+])
+def test_cli_plain_command_lines_build_no_parser(monkeypatch, tmp_path, capsys, argv):
+    argv = [a.format(q=write(tmp_path, "q.json", TRIANGLE)) for a in argv]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def no_parser(*args, **kwargs):
+        raise AssertionError("a plain command line built an argparse parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_cli_abbreviated_options_still_parse(tmp_path, capsys):
+    path = write(tmp_path, "q.json", TRIANGLE)
+    assert main(["hh", path, "--char", "2", "--max", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 1, 0, 1, 1]
 
 
 # a mutant of A40 with t = 10 oriented triangles, so h = 10 f_3
