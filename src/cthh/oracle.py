@@ -96,6 +96,32 @@ equality of states, and each distinct level's Hom rank is still computed:
 Hom ranks are not invariant under the twist.  Over GF(2) a twist is
 equality, so none is found.
 
+Threads: join each generator of a level n >= 2 to the generators of level n - 1
+its image reads; the components over levels >= 1 are the threads (level 0,
+which every arrow reads, is left out), and extend_to finds them at level 2.
+d_2 is block-diagonal by thread, and if d_n is, each of its blocks (s, t) is a
+direct sum of one matrix per thread up to the order of rows and columns, so
+the step from level n splits: the RREF of a direct sum is the parts' RREFs
+(they form a reduced echelon basis of its row space, which has only one), so
+the pivots, the kernel vectors of kernel_from_rref and the slice kernels
+belong to one thread each; R and rad*K + K*rad are direct sums, an echelon's
+pivot set holds the leads of its span, so it is the union of the parts', and
+the residue of a vector of one thread is its residue within that thread; a
+kernel vector lifts the top when it does within its thread.  So every image
+of level n + 1 reads one thread, and extend_to checks that from level 3 on.
+Within a block a thread's columns keep their order, so the step restricted to
+a thread T gives the generators and images, numbered within T, that it gives
+on T alone: it reads only T's state S_n^T = (T's generators of levels n - 1
+and n, their images on T's generators of level n - 1 numbered from 0).  Once
+S_n^T = S_j^T for some 2 <= j < n, T's part of level m >= j is its part of
+level j + (m - j) % (n - j), and extend_to builds no level once every thread
+has repeated or the whole level has (the threads can trade places, so a
+whole-level period need not close each one).  From d^2 on the Hom
+differentials are block-diagonal by thread as well, and Hom(P_i, A) is the sum
+of the Hom(P_i^T, A): hom_parts reads each thread's Hom space and Hom rank at
+the thread's own distinct index, d^1 and the levels after a whole-level
+period whole.
+
 hh_dims resolves an algebra once, over its own field, and one resolution
 over QQ serves every characteristic.  The algebra's multiplication table is
 integral, and HH is the cohomology of Hom(P, A) for any projective bimodule
@@ -115,12 +141,18 @@ minor, that of d_{n+1} runs once more.  When p divides a denominator or a
 minor, the certificate fails (it does not prove the ranks drop) and that field
 is resolved on its own, with a RuntimeWarning.
 
-The Hom complex reuses the certificate: each distinct Hom differential d^i is
-row-reduced once, over the resolution's field.  For a certified p its entries
-are p-integral, so its rank mod p is at most its rank r over QQ, and at least r
-when p does not divide its pivot product, +- an r x r minor; only a p that
-divides it reduces d^i mod p again.  The per-field HH^0/HH^1 cross-checks
-check this reuse.
+The threads need no certificate of their own: the rank mod p of a direct sum
+is the sum of the parts', each at most its rank over QQ, so a thread's block
+keeps its rank when the whole block does; obstruction covers the levels that
+hom_parts reads, and once every thread has repeated they lie below the last
+level built, whose steps have run.
+
+The Hom complex reuses the certificate: each distinct Hom differential d^i (from
+d^2 on, each thread's part of it) is row-reduced once, over the resolution's
+field.  For a certified p its entries are p-integral, so its rank mod p is at
+most its rank r over QQ, and at least r when p does not divide its pivot
+product, +- an r x r minor; only a p that divides it reduces d^i mod p again.
+The per-field HH^0/HH^1 cross-checks check this reuse.
 
 The HH^0/HH^1 cross-checks solve small systems in the same bigrading: Z(A) lies
 in the sum of the e_v A e_v, and up to an inner derivation a derivation vanishes
@@ -157,6 +189,7 @@ class _Level:
         self.gens = list(gens)       # list of (a_vertex, b_vertex)
         self.images = list(images)   # per generator: dict coord -> coeff in level - 1; none at 0
         self.slice_dims = self.minor = None
+        self.threads = None          # thread -> its generators in order, from level 1 once level 2 is built
         self.parallel = a.parallel
         self._blocks = {}            # (s, t) -> (its coordinates, coordinate -> offset)
         lefts = self._lefts = {}     # s -> (g, p, b) per generator g = (a, b), path p from s to a
@@ -218,7 +251,10 @@ class BimoduleResolution:
 
     `period` is None until `extend_to` finds a level whose state repeats an
     earlier one; then it is (j, d), and levels[n] is levels[j + (n - j) % d]
-    for every n >= j.
+    for every n >= j.  `thread_periods` holds, once level 2 is built, a (j, d)
+    or None per thread: a thread that repeated at level j + d reads level
+    j + (n - j) % d for every n >= j, and once every thread has repeated
+    `extend_to` builds no further level (module docstring).
     """
 
     def __init__(self, a: BoundAlgebra):
@@ -230,7 +266,9 @@ class BimoduleResolution:
             self.arrows_out.setdefault(a.basis[idx][0], []).append(idx)
         self.levels = []
         self.period = None
+        self.thread_periods = None
         self._states = {}        # (gens[n-1], gens[n]) -> levels n with that pair
+        self._thread_states = {}  # (thread, its gens[n-1], its gens[n]) -> levels n with that triple
         # (n - j, chi per basis path, {level m: eps_m}) once level n is a sign
         # twist of level j (_sign_twist); the signs are bits, 1 for -1
         self._twist = None
@@ -471,15 +509,17 @@ class BimoduleResolution:
                 raise InvariantError("d o d != 0")
 
     def extend_to(self, length):
-        """Levels 0..length.  Once a level is a sign twist of an earlier one, the
-        following levels are derived from earlier ones; once a level's state
-        repeats, the remaining levels are references to the repeating ones
-        (module docstring)."""
+        """Levels 0..length, or fewer once every thread has repeated.  Once a
+        level is a sign twist of an earlier one, the following levels are
+        derived from earlier ones; once a level's state repeats, the remaining
+        levels are references to the repeating ones (module docstring)."""
         while len(self.levels) < length + 1:
             n = len(self.levels)
             if self.period is not None:
                 self.levels.append(self.levels[self.distinct_index(n)])
                 continue
+            if self.thread_periods and all(self.thread_periods):
+                return
             if self._twist:
                 self._derive(n)
             else:
@@ -488,8 +528,9 @@ class BimoduleResolution:
 
     def _find_period(self, n):
         """Record (j, n - j) if level n's state repeats level j's, and share level
-        j; else, unless a twist is known, look for a sign twist of an earlier
-        level with its generators."""
+        j; else record the threads that repeat (_close_threads) and, unless
+        every thread has or a twist is known, look for a sign twist of an
+        earlier level with its generators."""
         key = (tuple(self.levels[n - 1].gens), tuple(self.levels[n].gens))
         seen = self._states.setdefault(key, [])
         for j in seen:
@@ -497,12 +538,87 @@ class BimoduleResolution:
                 self.period = (j, n - j)
                 self.levels[n] = self.levels[j]
                 return
+        if n >= 2 and self._close_threads(n, key):
+            return
         if self._twist is None:
             self._twist = next(filter(None, (self._sign_twist(j, n) for j in seen)), None)
             if self._twist:  # d_n is d_j twisted: it has d_j's slice ranks and minor up to sign
                 src, lvl = self.levels[n - self._twist[0]], self.levels[n]
                 lvl.slice_dims, lvl.minor = src.slice_dims, src.minor
         seen.append(n)
+
+    def _close_threads(self, n, key):
+        """Record (j, n - j) for each open thread whose state at level n repeats
+        its state at level j; True once every thread has (module docstring).
+        key is the pair of generator tuples of levels n - 1 and n.  A thread
+        with no generator at level n has none later, so its state repeats once
+        it is ((), (), ()).  A thread that holds every generator of levels
+        n - 1 and n holds every later one, and its state is the whole level's,
+        which _find_period records: it is compared with the thread's earlier
+        states and not recorded."""
+        self._label_threads(n)
+        prev, lvl = self.levels[n - 1], self.levels[n]
+        for t, period in enumerate(self.thread_periods):
+            if period:
+                continue
+            before, after = prev.threads.get(t, ()), lvl.threads.get(t, ())
+            if not after:
+                if not before and t not in self.levels[n - 2].threads:
+                    self.thread_periods[t] = (n - 1, 1)
+                continue
+            whole = len(before) == len(prev.gens) and len(after) == len(lvl.gens)
+            state = (t, *key) if whole else (t, tuple(map(prev.gens.__getitem__, before)),
+                                            tuple(map(lvl.gens.__getitem__, after)))
+            j = next((j for j in self._thread_states.get(state, ()) if self._same_images(t, j, n)), None)
+            if j:
+                self.thread_periods[t] = (j, n - j)
+            if not whole:
+                self._thread_states.setdefault(state, []).append(n)
+        return all(self.thread_periods)
+
+    def _label_threads(self, n):
+        """Group the generators of level n by thread (_Level.threads).  At n = 2
+        the threads are the components of the generators of levels 1 and 2,
+        joined when an image reads a generator, numbered in order of their
+        first generator of level 1; from level 3 on an image must read one
+        thread."""
+        prev, lvl = self.levels[n - 1], self.levels[n]
+        if n == 2:
+            owner = list(range(len(prev.gens)))  # the least generator of each one's component
+            for img in lvl.images:
+                joined = {owner[g] for g, _, _ in img}
+                if len(joined) > 1:
+                    least = min(joined)
+                    owner = [least if o in joined else o for o in owner]
+            ids, prev.threads, lvl.threads = {}, {}, {}
+            for g, o in enumerate(owner):
+                prev.threads.setdefault(ids.setdefault(o, len(ids)), []).append(g)
+            for h, img in enumerate(lvl.images):
+                lvl.threads.setdefault(ids[owner[next(iter(img))[0]]], []).append(h)
+            self.thread_periods = [None] * len(ids)
+        elif len(prev.threads) == 1:  # every image reads the one thread
+            lvl.threads = {t: list(range(len(lvl.gens))) for t in prev.threads if lvl.gens}
+        else:
+            label = {g: t for t, members in prev.threads.items() for g in members}
+            lvl.threads = {}
+            for h, img in enumerate(lvl.images):
+                read = {label[g] for g, _, _ in img}
+                if len(read) > 1:
+                    raise InvariantError(f"generator {h} of level {n} reads threads {sorted(read)} "
+                                         f"of level {n - 1}")
+                lvl.threads.setdefault(read.pop(), []).append(h)
+
+    def _same_images(self, t, j, n):
+        """Whether thread t's images at levels j and n agree once its generators
+        of levels j - 1 and n - 1 are each numbered from 0 (their generators
+        agree)."""
+        at_j, at_n = self.levels[j], self.levels[n]
+        to_j = dict(zip(self.levels[n - 1].threads.get(t, ()), self.levels[j - 1].threads.get(t, ())))
+        for old, new in zip(at_j.threads.get(t, ()), at_n.threads.get(t, ())):
+            old, new = at_j.images[old], at_n.images[new]
+            if len(old) != len(new) or any(old.get((to_j[g], p, q)) != v for (g, p, q), v in new.items()):
+                return False
+        return True
 
     def _sign_twist(self, j, n):
         """Signs chi on the arrows, eps_{n-1} and eps_n on the generators of levels
@@ -580,25 +696,42 @@ class BimoduleResolution:
         j, d = self.period
         return j + (n - j) % d
 
+    def hom_parts(self, i):
+        """The (level, thread) pairs whose Hom spaces sum to Hom(P_i, A) and whose
+        Hom differentials sum to d^i: the whole level (thread None) at its
+        distinct index for i < 2 and once the whole level repeats, else each
+        thread at its own (module docstring)."""
+        if i < 2 or self.period is not None and i >= self.period[0]:
+            return [(self.distinct_index(i), None)]
+        out = []
+        for t, period in enumerate(self.thread_periods):
+            j, d = period or (i + 1, 1)
+            m = j + (i - j) % d if i >= j else i
+            if t in self.levels[m].threads:  # a thread with no generator there adds nothing
+                out.append((m, t))
+        return out
+
     # ------------------------------------------------------------------
     # Hom(-, A) cochain complex
     # ------------------------------------------------------------------
 
-    def hom_basis(self, i):
-        """Basis of Hom(P_i, A): one (g, w) per path w in e_a A e_b."""
-        parallel = self.a.parallel
-        return [(g, w) for g, key in enumerate(self.levels[i].gens) for w in parallel.get(key, ())]
+    def hom_basis(self, i, thread=None):
+        """Basis of Hom(P_i, A), or of its part on one thread: one (g, w) per
+        path w in e_a A e_b."""
+        lvl, parallel = self.levels[i], self.a.parallel
+        gens = range(len(lvl.gens)) if thread is None else lvl.threads.get(thread, ())
+        return [(g, w) for g in gens for w in parallel.get(lvl.gens[g], ())]
 
     def obstruction(self, length):
         """An integer N such that, for every prime p not dividing N, levels
         0..length over QQ reduce mod p to the start of a projective bimodule
         resolution over GF(p) (module docstring).  N is the product of the
         denominators of the image coefficients and the numerators of the slice
-        pivot minors of d_1..d_length; after extend_to(length), the slice pass of
-        d_length runs here unless its level repeats or twists an earlier one or
-        was derived."""
+        pivot minors of the levels that hom_parts reads for d_1..d_length; after
+        extend_to(length), the slice pass of d_length runs here unless its level
+        repeats or twists an earlier one, was derived or is not read."""
         out = 1
-        for n in {self.distinct_index(n) for n in range(1, length + 1)}:
+        for n in {m for i in range(1, length + 1) for m, _ in self.hom_parts(i)}:
             if self.levels[n].minor is None:
                 self._slice_kernels(n)
             out *= self.levels[n].minor.numerator
@@ -608,34 +741,37 @@ class BimoduleResolution:
                         out *= c.denominator
         return out
 
-    def hom_differential_rank(self, i, fields):
-        """Ranks of Hom(P_{i-1}, A) -> Hom(P_i, A) over each field in fields: the
-        resolution's own, or a GF(p) that a resolution over QQ is certified for
-        (obstruction).  It is row-reduced once over the resolution's field, and
-        again mod p only for a prime dividing that pivot minor (module docstring)."""
-        rank, minor = self._hom_rank(i, self.field)
+    def hom_differential_rank(self, i, fields, thread=None):
+        """Ranks of Hom(P_{i-1}, A) -> Hom(P_i, A), or of its part on one thread,
+        over each field in fields: the resolution's own, or a GF(p) that a
+        resolution over QQ is certified for (obstruction).  It is row-reduced
+        once over the resolution's field, and again mod p only for a prime
+        dividing that pivot minor (module docstring)."""
+        rank, minor = self._hom_rank(i, self.field, thread)
         return [rank if fs == self.field or minor.numerator % fs.characteristic
-                else self._hom_rank(i, fs)[0] for fs in fields]
+                else self._hom_rank(i, fs, thread)[0] for fs in fields]
 
-    def _hom_rank(self, i, field):
-        """Rank of Hom(P_{i-1}, A) -> Hom(P_i, A) over field and, over QQ, +- the
-        product of its pivots; a resolution over QQ is reduced mod p for GF(p)."""
-        dom = self.hom_basis(i - 1)
-        cod_pos = {gw: r for r, gw in enumerate(self.hom_basis(i))}
+    def _hom_rank(self, i, field, thread=None):
+        """Rank of Hom(P_{i-1}, A) -> Hom(P_i, A), or of its part on one thread,
+        over field and, over QQ, +- the product of its pivots; a resolution over
+        QQ is reduced mod p for GF(p).  The image terms are grouped by the
+        generator they read once, for every column on it."""
+        dom = self.hom_basis(i - 1, thread)
+        cod_pos = {gw: r for r, gw in enumerate(self.hom_basis(i, thread))}
         mult = self.a.mult
-        images = self.levels[i].images
-        if field != self.field:  # the one place a Fraction can meet GF(p)
-            images = [{coord: field.element(c) for coord, c in img.items()} for img in images]
+        lvl = self.levels[i]
+        convert = field != self.field  # the one place a Fraction can meet GF(p)
+        reads = {}  # generator of level i - 1 -> the terms (g, p, q, coeff) that read it
+        for g in range(len(lvl.gens)) if thread is None else lvl.threads[thread]:
+            for (src, p, q), c in lvl.images[g].items():
+                reads.setdefault(src, []).append((g, p, q, field.element(c) if convert else c))
 
         def terms():
-            for col, (gsrc, w) in enumerate(dom):
-                for g, img in enumerate(images):
-                    for (gg, pp, qq), coeff in img.items():
-                        if gg != gsrc:
-                            continue
-                        for k, c1 in mult.get((pp, w), ()):
-                            for m, c2 in mult.get((k, qq), ()):
-                                yield cod_pos[(g, m)], col, coeff * c1 * c2
+            for col, (src, w) in enumerate(dom):
+                for g, pp, qq, coeff in reads.get(src, ()):
+                    for k, c1 in mult.get((pp, w), ()):
+                        for m, c2 in mult.get((k, qq), ()):
+                            yield cod_pos[(g, m)], col, coeff * c1 * c2
 
         return _rank(terms(), len(dom), field)
 
@@ -735,10 +871,16 @@ def hh_dims(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
     obstruction = res.obstruction(max_i + 1) if set(fieldspecs) - {a.field} else 1
     certified = [fs for fs in dict.fromkeys(fieldspecs)
                  if fs == a.field or obstruction % fs.characteristic]
-    ranks = [[0] * len(certified)]  # per level i, the rank of d^i over each certified field
-    for i in range(1, max_i + 2) if certified else ():
-        m = res.distinct_index(i)  # the rank reads the same state as the level
-        ranks.append(ranks[m] if m < i else res.hom_differential_rank(i, certified))
+    parts = [res.hom_parts(i) for i in range(max_i + 2)]
+    size = {p: len(res.hom_basis(*p)) for p in dict.fromkeys(p for ps in parts for p in ps)}
+    homs = [sum(size[p] for p in ps) for ps in parts]  # dim Hom(P_i, A)
+    # (level, thread) -> the rank of its Hom differential over each certified
+    # field; a part whose Hom space is 0 has none to reduce
+    zero = [0] * len(certified)
+    ranks = {(m, t): res.hom_differential_rank(m, certified, t) if certified and size[(m, t)] else zero
+             for m, t in dict.fromkeys(p for ps in parts[1:] for p in ps)}
+    # the rank of d^i over each certified field, d^0 = 0
+    rank = [zero] + [[sum(r) for r in zip(zero, *(ranks[p] for p in ps))] for ps in parts[1:]]
     out = []
     for fs, alg in zip(fieldspecs, algebras):
         if fs not in certified:
@@ -748,7 +890,7 @@ def hh_dims(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
             out += hh_dims(alg, [fs], max_i)
             continue
         k = certified.index(fs)
-        dims = tuple(len(res.hom_basis(i)) - ranks[i][k] - ranks[i + 1][k] for i in range(max_i + 1))
+        dims = tuple(homs[i] - rank[i][k] - rank[i + 1][k] for i in range(max_i + 1))
         if dims[0] != center_dim(alg):
             raise InvariantError("HH^0 disagrees with the center")
         # dim HH^1 = dim Der - dim Inn, and dim Inn = dim A - dim Z(A) = dim A - dims[0]

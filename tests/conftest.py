@@ -609,6 +609,62 @@ class FullSpanResolution(BimoduleResolution):
         return new_gens, new_images
 
 
+class WholePeriodResolution(BimoduleResolution):
+    """Reference for the stopping rule: it closes on a whole-level period
+    alone, so extend_to(length) builds every level up to that period."""
+
+    def _close_threads(self, n, key):
+        return False
+
+
+def whole_period_hh_dims(a, max_i):
+    """dim HH^0..HH^max_i over a's own field from WholePeriodResolution: the
+    rank of each distinct level's whole Hom differential, read at the whole
+    level's distinct index."""
+    res = WholePeriodResolution(a)
+    res.extend_to(max_i + 1)
+    ranks = [0]
+    for i in range(1, max_i + 2):
+        m = res.distinct_index(i)
+        ranks.append(ranks[m] if m < i else res.hom_differential_rank(i, [a.field])[0])
+    return tuple(len(res.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(max_i + 1))
+
+
+def thread_components(levels):
+    """Reference threads: per level from 1 on, the component of each generator
+    in the graph joining every generator to the generators its image reads,
+    over all of levels; components numbered in order of their first level-1
+    generator (every component holds one, since every image reads one)."""
+    root = {}
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            x = root[x]
+        return x
+
+    for n in range(2, len(levels)):
+        for h, img in enumerate(levels[n].images):
+            for g, _, _ in img:
+                a, b = find((n, h)), find((n - 1, g))
+                if a != b:
+                    root[a] = b
+    ids = {}
+    for g in range(len(levels[1].gens)):
+        ids.setdefault(find((1, g)), len(ids))
+    return [None] + [[ids[find((n, g))] for g in range(len(levels[n].gens))]
+                     for n in range(1, len(levels))]
+
+
+def thread_state(levels, labels, n, t):
+    """Thread t's state at level n: its generators of levels n - 1 and n, and
+    its images on its generators of level n - 1 numbered from 0."""
+    local = {g: k for k, g in enumerate(g for g, u in enumerate(labels[n - 1]) if u == t)}
+    return ([gen for gen, u in zip(levels[n - 1].gens, labels[n - 1]) if u == t],
+            [gen for gen, u in zip(levels[n].gens, labels[n]) if u == t],
+            [{(local[g], p, q): v for (g, p, q), v in img.items()}
+             for img, u in zip(levels[n].images, labels[n]) if u == t])
+
+
 def kernel_dims(res):
     """dim ker d_i for each level i below the top.  For the engine, from the
     slice kernel dimensions r(s, u) of d_i that level i holds: ker d_i is
@@ -768,17 +824,20 @@ def matrix_rank(rows, ncols, field):
     return rref([list(r) for r in rows], ncols, field)[0]
 
 
-def hom_differential_reference(res, i):
-    """Dense matrix of Hom(P_{i-1}, A) -> Hom(P_i, A), f -> f o d_i, over the
-    resolution's field: rows res.hom_basis(i), columns res.hom_basis(i - 1).
-    The column of (g', w) holds, in row (g, m), the coefficient of m in the sum
-    of c * p w q over the terms c (g', p, q) of g's image."""
+def hom_differential_reference(res, i, thread=None):
+    """Dense matrix of Hom(P_{i-1}, A) -> Hom(P_i, A), f -> f o d_i, or of its
+    part on one thread, over the resolution's field: rows res.hom_basis(i,
+    thread), columns res.hom_basis(i - 1, thread).  The column of (g', w)
+    holds, in row (g, m), the coefficient of m in the sum of c * p w q over the
+    terms c (g', p, q) of g's image."""
     a = res.a
-    dom = res.hom_basis(i - 1)
-    row_of = {gw: r for r, gw in enumerate(res.hom_basis(i))}
+    dom = res.hom_basis(i - 1, thread)
+    row_of = {gw: r for r, gw in enumerate(res.hom_basis(i, thread))}
     mat = [[0] * len(dom) for _ in row_of]
     for col, (src, w) in enumerate(dom):
         for g, img in enumerate(res.levels[i].images):
+            if thread is not None and g not in res.levels[i].threads[thread]:
+                continue
             for (gg, p, q), c in img.items():
                 if gg == src:
                     for m, v in multiply(a, multiply(a, ((p, c),), ((w, 1),)), ((q, 1),)):

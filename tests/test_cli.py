@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import cthh.algebra
+import cthh.cli
+import cthh.verify
 from conftest import mutation_class
 from cthh.cli import _COMMANDS, _parse_plain, build_parser, main, parse_quiver, serialize_quiver
 from cthh.errors import InputSyntaxError
@@ -391,6 +393,27 @@ def test_cli_char_is_checked_before_the_file_is_read(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: characteristic must be 0 or prime, got 4\n"
+
+
+@pytest.mark.parametrize("argv,sample", [
+    (["--seed", "E7"], 50),
+    (["--seed", "E8"], 50),
+    (["--seed", "E7", "--sample", "all"], None),
+    (["--seed", "D7"], None),
+])
+def test_cli_verify_default_sample(monkeypatch, capsys, argv, sample):
+    # E7 and E8 are sampled to 50 quivers unless --sample is given; every other
+    # class is swept whole; the sweep itself is not run here
+    seen = []
+
+    def sweep(family, rank, fieldspecs, max_i, sample=None, jobs=None):
+        seen.append(sample)
+        return cthh.verify.VerifyReport(family, rank, tuple(map(str, fieldspecs)), max_i, sample)
+
+    monkeypatch.setattr(cthh.cli, "verify_suite", sweep)
+    assert main(["verify", *argv, "--chars", "2"]) == 0
+    assert seen == [sample]
+    assert capsys.readouterr().out.endswith("0/0 quivers ok, fields GF(2), i <= 8\n")
 
 
 def test_cli_verify_non_numeric_sample_exit_2(capsys):

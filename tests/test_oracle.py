@@ -13,17 +13,18 @@ from pathlib import Path
 import pytest
 
 import cthh.oracle
-from conftest import (ColumnImageResolution, EagerLevel, FullSpanResolution, assembled_blocks,
-                      augmentation_level_one, block_kernels, cached_algebra, column_image_blocks,
+from conftest import (ColumnImageResolution, EagerLevel, FullSpanResolution, WholePeriodResolution,
+                      assembled_blocks, augmentation_level_one, block_kernels, cached_algebra, column_image_blocks,
                       hom_differential_reference, kernel_dims, level_blocks, matrix_rank, mutation_class,
-                      radical_multiples, reduced_over, relabel, rref, sample_by_canonical)
+                      radical_multiples, reduced_over, relabel, rref, sample_by_canonical, thread_components,
+                      thread_state, whole_period_hh_dims)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
 from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
 from cthh.linalg import kernel_from_rref, rref_frac, rref_mod
 from cthh.oracle import BimoduleResolution, center_dim, derivation_space_dim, hh1_dim, hh_dims
 from cthh.quiver import Quiver, dynkin_seed
-from cthh.relations import Path as QuiverPath, Relation
+from cthh.relations import Path as QuiverPath, Relation, generate_relations
 from cthh.series import HSeries, hh_dim
 from test_algebra import D8_MIXED
 
@@ -220,8 +221,9 @@ class _CountedSteps(BimoduleResolution):
 
 def _derived_levels(res, length):
     """How many of levels 2.. that extend_to(length) appended before the period
-    closed (levels 0 and 1 are written down) were derived, not built."""
-    last = sum(res.period) if res.period else length
+    closed or every thread repeated (levels 0 and 1 are written down) were
+    derived, not built."""
+    last = sum(res.period) if res.period else len(res.levels) - 1
     return last - 1 - res.steps
 
 
@@ -246,20 +248,38 @@ def test_periodic_resolution_matches_plain_steps(name, q, char):
     while len(plain.levels) < length + 1:
         plain.extend_once()
     assert plain.period is None
-    assert len(res.levels) == length + 1
+    # every resolution of the sample repeats within 12 levels, as a whole or
+    # thread by thread; once every thread has repeated no level is appended
+    top = length if res.period else len(res.levels) - 1
+    assert len(res.levels) == top + 1 and (res.period or all(res.thread_periods))
     assert [(lvl.gens, lvl.images) for lvl in res.levels] == \
-        [(lvl.gens, lvl.images) for lvl in plain.levels]
-    j, d = res.period  # every resolution of the sample repeats within 12 levels
-    # the budget counts the levels extend_once built, level j + d among them
-    assert res.total_dim == sum(lvl.dim for lvl in res.levels[:j + d + 1])
+        [(lvl.gens, lvl.images) for lvl in plain.levels[:top + 1]]
+    # the budget counts the levels extend_once built or derived
+    last = sum(res.period) if res.period else top
+    assert res.total_dim == sum(lvl.dim for lvl in res.levels[:last + 1])
     assert plain.total_dim == sum(lvl.dim for lvl in plain.levels)
-    res.extend_once()  # a plain step on top of shared levels
-    plain.extend_once()
+    res.extend_once()  # a plain step on top of the last level, shared or not
+    while len(plain.levels) < len(res.levels):
+        plain.extend_once()
     assert (res.levels[-1].gens, res.levels[-1].images) == \
-        (plain.levels[-1].gens, plain.levels[-1].images)
-    assert 1 <= j and 1 <= d and j + d <= length
-    for n in range(j, length + 1):
-        assert res.levels[n] is res.levels[j + (n - j) % d]
+        (plain.levels[len(res.levels) - 1].gens, plain.levels[len(res.levels) - 1].images)
+    if res.period:
+        j, d = res.period
+        assert 1 <= j and 1 <= d and j + d <= length
+        for n in range(j, length + 1):
+            assert res.levels[n] is res.levels[j + (n - j) % d]
+    else:
+        # the threads are the components over every level plain steps build,
+        # and each thread's state repeats with its own period on all of them
+        labels = thread_components(plain.levels)
+        for n in range(1, top + 1):
+            assert res.levels[n].threads == {t: [g for g, u in enumerate(labels[n]) if u == t]
+                                             for t in set(labels[n])}, n
+        for t, (j, d) in enumerate(res.thread_periods):
+            assert 2 <= j and 1 <= d and j + d <= top
+            for n in range(j, len(plain.levels)):
+                assert thread_state(plain.levels, labels, n, t) == \
+                    thread_state(plain.levels, labels, j + (n - j) % d, t), (t, n)
     ranks = [0] + [plain.hom_differential_rank(i, [a.field])[0] for i in range(1, length + 1)]
     dims = tuple(len(plain.hom_basis(i)) - ranks[i] - ranks[i + 1] for i in range(length))
     assert hh_dims(a, [a.field], max_i=length - 1)[0] == dims
@@ -273,13 +293,14 @@ def test_period_sample_derives_levels_over_3_and_0_only():
         res = _CountedSteps(cached_algebra(q, char))
         res.extend_to(12)
         derived[char] += _derived_levels(res, 12)
-    assert (derived[2], derived[3], derived[0]) == (0, 40, 40)
+    assert (derived[2], derived[3], derived[0]) == (0, 28, 28)
 
 
 def _resolution_state(res):
-    """Generators and images (in insertion order) of every level, kernel dims, period."""
+    """Generators and images (in insertion order) of every level, kernel dims,
+    the period and each thread's."""
     return ([(lvl.gens, [list(img.items()) for img in lvl.images]) for lvl in res.levels],
-            kernel_dims(res), res.period)
+            kernel_dims(res), res.period, res.thread_periods)
 
 
 TOP_SAMPLE = PERIOD_SAMPLE + [(f"{name[:-2]}-5", q, 5) for name, q, char in PERIOD_SAMPLE if char == 2]
@@ -557,6 +578,14 @@ def simple_ext_dims(a, vertex, top):
     return dims
 
 
+def _level_gens(res, n):
+    """The generators of level n: past the level where every thread has
+    repeated, those of each thread at the level hom_parts reads for it."""
+    if n < len(res.levels):
+        return res.levels[n].gens
+    return [res.levels[m].gens[g] for m, t in res.hom_parts(n) for g in res.levels[m].threads[t]]
+
+
 MINIMALITY_CASES = [
     (f"{name}-{char}", q, char)
     for name, q in [
@@ -582,7 +611,7 @@ def test_generators_count_ext_between_simples(name, q, char):
     for v in range(1, a.vertex_count + 1):
         ext = simple_ext_dims(a, v, 6)
         for n in range(7):
-            got = Counter(b for av, b in res.levels[n].gens if av == v)
+            got = Counter(b for av, b in _level_gens(res, n) if av == v)
             assert got == ext[n], (v, n)
 
 
@@ -662,6 +691,79 @@ def test_planted_fault_raises_invariant_error(corrupt, message):
             res.extend_once()
 
 
+# a member of D8 whose oriented 3-cycle 2->3->5->8->3 and 4-cycle 3->6->7->2->3
+# meet at vertex 3: from level 2 on its levels split into a thread of 4
+# generators and one of 3, which repeat by level 10; the whole level repeats
+# only at (3, 24)
+D8_TWO_THREADS = Quiver.make(8, [(1, 8), (2, 3), (3, 5), (3, 6), (4, 7), (5, 8), (6, 7), (7, 2), (8, 3)])
+
+
+def _other_thread_added(res, gens, images):
+    """Adds to a generator image of level 3 the image of an earlier generator of
+    the same block and another thread: it still lies in the kernel of d_2."""
+    thread = {g: t for t, gs in res.levels[2].threads.items() for g in gs}
+    reads = [thread[next(iter(img))[0]] for img in images]
+    h, k = next((h, k) for h in range(len(gens)) for k in range(h)
+                if gens[h] == gens[k] and reads[h] != reads[k])
+    for coord, c in images[k].items():
+        images[h][coord] = images[h].get(coord, 0) + c
+
+
+@pytest.mark.parametrize("char", [3, 0])
+def test_image_reading_two_threads_raises_invariant_error(char):
+    # d o d = 0 and the vertex bigrading still hold, but the image reads both
+    # threads of level 2, which the per-thread recurrence rules out
+    a = cached_algebra(D8_TWO_THREADS, char)
+    res = PlantedFault(a, 3, _other_thread_added)
+    with pytest.raises(InvariantError, match=re.escape("generator 2 of level 3 reads threads [1, 2] of level 2")):
+        res.extend_to(5)
+
+
+@pytest.mark.parametrize("char", [2, 3, 5, 0])
+def test_threads_repeat_before_the_whole_level(char):
+    # extend_to stops at level 10, once both threads (and the two arrows that
+    # no relation reads) have repeated; past it, hom_parts reads each thread
+    # at a level whose thread state the whole-level resolution repeats there
+    a = cached_algebra(D8_TWO_THREADS, char)
+    res, whole = BimoduleResolution(a), WholePeriodResolution(a)
+    res.extend_to(30)
+    whole.extend_to(30)
+    assert whole.period == (3, 24) and res.period is None and len(res.levels) == 11
+    assert res.thread_periods == [(3, 1), (2, 8), (2, 3) if char == 2 else (2, 6), (3, 1)]
+    assert {t: len(hs) for t, hs in res.levels[5].threads.items()} == {1: 4, 2: 3}
+    labels = thread_components(whole.levels)
+    assert max(labels[1]) + 1 == len(res.thread_periods)
+    for n in range(2, 31):
+        parts = res.hom_parts(n)
+        assert sorted(t for _, t in parts) == sorted(set(labels[n])), n
+        for m, t in parts:
+            assert thread_state(whole.levels, labels, n, t) == thread_state(whole.levels, labels, m, t), (n, t)
+    assert hh_dims(a, [a.field], max_i=30)[0] == whole_period_hh_dims(a, 30)
+
+
+THREAD_REFERENCE_CLASSES = [("A", range(2, 8)), ("D", range(4, 8)), ("E", (6,))]
+
+
+@pytest.mark.parametrize("family,ranks", THREAD_REFERENCE_CLASSES, ids=["A2-A7", "D4-D7", "E6"])
+def test_thread_route_matches_the_whole_period_reference(family, ranks):
+    # hh_dims stops once every thread has repeated and sums each thread's Hom
+    # ranks at its own distinct index; the reference resolves until the whole
+    # level repeats and reads whole-level Hom ranks
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            rels = generate_relations(q)
+            for fs in ALL_FIELDS:
+                a = build_algebra(q, rels, fs)
+                assert hh_dims(a, [fs], max_i=16)[0] == whole_period_hh_dims(a, 16), (q, fs)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_thread_route_matches_the_whole_period_reference_on_cycles(n):
+    for fs in ALL_FIELDS:
+        a = cached_algebra(oriented_cycle(n), fs.characteristic)
+        assert hh_dims(a, [fs], max_i=16)[0] == whole_period_hh_dims(a, 16), fs
+
+
 D6_TWIST = Quiver.make(6, [(2, 1), (3, 6), (4, 6), (5, 3), (5, 4), (6, 1), (6, 5)])
 TWIST_CI = Quiver.make(4, [(1, 4), (2, 3), (3, 4), (4, 2)])  # the quiver of the CI check
 
@@ -715,8 +817,11 @@ def test_planted_fault_in_the_twist_search_derives_nothing(monkeypatch, q, plant
         res, planted = _CountedSteps(a), _PlantedForTheTwist(a, plant)
         res.extend_to(12)
         planted.extend_to(12)
-        assert res.period == planted.period == (3, 6)
-        assert (_derived_levels(res, 12), _derived_levels(planted, 12)) == (3, 0)
+        # the threads through the triangles repeat (2, 6), before the whole
+        # level would repeat (3, 6)
+        assert res.period is planted.period is None
+        assert res.thread_periods[1] == planted.thread_periods[1] == (2, 6)
+        assert (_derived_levels(res, 12), _derived_levels(planted, 12)) == (2, 0)
         assert _resolution_state(planted) == _resolution_state(res)
         want = hh_dims(a, [a.field], max_i=11)
         monkeypatch.setattr(cthh.oracle, "BimoduleResolution", lambda a: _PlantedForTheTwist(a, plant))
@@ -755,7 +860,7 @@ def test_derived_levels_do_not_depend_on_which_twist_is_taken(char):
         res, ref = _OtherSigns(a), FullSpanResolution(a)
         res.extend_to(12)
         ref.extend_to(12)
-        assert _derived_levels(res, 12) == 3
+        assert _derived_levels(res, 12) == 2
         assert _resolution_state(res) == _resolution_state(ref)
 
 
@@ -814,8 +919,9 @@ def test_full_eliminations_run_only_on_read_blocks():
                 full += len(keys)
                 total += len(blocks)
     # fewer than a quarter of the blocks are row-reduced whole; the steps to the
-    # levels derived from a sign twist run no pass (7812 blocks without them)
-    assert (full, total) == (1540, 6816)
+    # levels derived from a sign twist run no pass (7646 blocks without them),
+    # and no step runs once every thread has repeated
+    assert (full, total) == (1495, 6650)
 
 
 class _PlantedSliceFault(BimoduleResolution):
@@ -849,6 +955,35 @@ def test_fault_in_a_block_the_top_does_not_read_is_not_exact(char):
     message = f"resolution not exact at step 3: image 0, kernel 1 in the slice of block {key}"
     with pytest.raises(InvariantError, match=re.escape(message)):
         res.extend_to(5)
+
+
+class _PlantedFullFault(BimoduleResolution):
+    """Zeroes the matrix of the first block with rows that the full pass of step
+    `level` assembles; the slice pass of that step is left as it is."""
+
+    def __init__(self, a, level):
+        super().__init__(a)
+        self.planted = level
+        self.planted_key = None
+
+    def _assemble(self, columns, images):
+        mats = super()._assemble(columns, images)
+        if len(self.levels) - 1 == self.planted and columns is not self.levels[self.planted].slices:
+            self.planted_key = min(key for key, rows in mats.items() if rows)
+            mats[self.planted_key] = {}
+        return mats
+
+
+@pytest.mark.parametrize("char", [3, 0])
+def test_fault_in_a_counted_block_fails_the_full_pass_exactness(char):
+    # the slice pass of step 3 sees the true ranks, so only the full pass's
+    # check, rank of block (s, t) against sum_u r(s, u) dim e_u A e_t, can
+    # see the block that lost its rows
+    a = cached_algebra(D5_TRIANGLES, char)
+    res = _PlantedFullFault(a, 3)
+    with pytest.raises(InvariantError, match=r"resolution not exact at step 3: image 0, kernel [1-9]\d* in block \("):
+        res.extend_to(5)
+    assert res.planted_key is not None and res.levels[3].slice_dims is not None
 
 
 class PlantedCount(BimoduleResolution):
@@ -1017,7 +1152,8 @@ def test_view_over_gfp_matches_the_reduced_table(family, ranks):
                     res = BimoduleResolution(alg)
                     res.extend_to(6)
                     got.append((_resolution_state(res), res.total_dim,
-                                [res.hom_differential_rank(i, [fs]) for i in range(1, 7)],
+                                [res.hom_differential_rank(m, [fs], t)
+                                 for i in range(1, 7) for m, t in res.hom_parts(i)],
                                 hh_dims(alg, [fs], max_i=6), center_dim(alg), derivation_space_dim(alg)))
                 assert got[0] == got[1], (q, fs)
 
@@ -1039,21 +1175,21 @@ def test_hom_ranks_mod_p_match_the_reduced_differential(monkeypatch):
     fallbacks = Counter()
     real = BimoduleResolution._hom_rank
 
-    def counting(self, i, field):
+    def counting(self, i, field, thread=None):
         if field != self.field:
             fallbacks[field.characteristic] += 1
-        return real(self, i, field)
+        return real(self, i, field, thread)
 
     monkeypatch.setattr(BimoduleResolution, "_hom_rank", counting)
     for family, ranks in (("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))):
         for q in (q for rank in ranks for q in mutation_class(family, rank)):
             res = BimoduleResolution(cached_algebra(q, 0))
             res.extend_to(9)
-            for i in sorted({res.distinct_index(i) for i in range(1, 10)}):
-                mat = hom_differential_reference(res, i)
+            for i, t in dict.fromkeys(p for i in range(1, 10) for p in res.hom_parts(i)):
+                mat = hom_differential_reference(res, i, t)
                 want = [matrix_rank([[fs.element(x) for x in row] for row in mat],
-                                    len(res.hom_basis(i - 1)), fs) for fs in ALL_FIELDS]
-                assert res.hom_differential_rank(i, ALL_FIELDS) == want, (q, i)
+                                    len(res.hom_basis(i - 1, t)), fs) for fs in ALL_FIELDS]
+                assert res.hom_differential_rank(i, ALL_FIELDS, t) == want, (q, i, t)
     # the fallback runs for every prime, e.g. on the minors +-2 and +-3 at level 4
     # of the oriented 3- and 4-cycle and +-5 on a D6 quiver
     assert sorted(fallbacks) == [2, 3, 5]
@@ -1102,13 +1238,13 @@ def test_top_differential_is_certified_before_the_period_closes(monkeypatch):
 
 
 def test_failed_certificate_on_a_twisted_level_falls_back_for_that_prime(monkeypatch):
-    # level 6 is level 3 up to signs, so the steps from levels 6, 7 and 8 are
-    # derived and take their minors from the steps from levels 3, 4 and 5: a
-    # factor 3 planted in the minor of d_3 reaches the minor of d_6 too
+    # level 6 is level 3 up to signs, so the step from level 6 takes its minor
+    # from the step from level 3 and levels 7 and 8 are derived: a factor 3
+    # planted in the minor of d_3 reaches the minor of d_6 too
     q, max_i = TWIST_CI, 10
     clean = _CountedSteps(cached_algebra(q, 0))
     clean.extend_to(max_i + 1)
-    assert clean.period == (3, 6) and clean.steps == 5 and clean.levels[6].minor % 3
+    assert clean.thread_periods[1] == (2, 6) and clean.steps == 5 and clean.levels[6].minor % 3
     monkeypatch.setattr(_TimesThree, "PLANTED_LEVEL", 3)
     res = _TimesThree(cached_algebra(q, 0))
     res.extend_to(max_i + 1)

@@ -1,5 +1,6 @@
 """Per-quiver work of the verify sweep: each invariant is computed once."""
 
+import json
 import multiprocessing
 import pathlib
 import re
@@ -56,9 +57,9 @@ def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
     eliminations = Counter()
     real = BimoduleResolution._hom_rank
 
-    def hom_rank(self, i, field):
+    def hom_rank(self, i, field, thread=None):
         eliminations[field.characteristic] += 1
-        return real(self, i, field)
+        return real(self, i, field, thread)
 
     monkeypatch.setattr(BimoduleResolution, "_hom_rank", hom_rank)
     seen = []  # (function, algebra) for each algebra that reaches it
@@ -93,10 +94,12 @@ def test_check_quiver_computes_each_invariant_once(monkeypatch, family, q):
     assert counts == {"build_algebra": 1, "cartan": 1, "hh1_dim": 1,
                       "center_dim": 1 + len(fields), "classify_D": int(family == "D"),
                       "series.series_from_invariants": 1, "linalg.pencil_det": 1}
-    # one Hom-differential elimination over QQ per distinct level 1..5, and one
-    # mod p per (p, level) whose pivot minor p divides: the oriented 6-cycle
-    # repeats no level by 5, and its level-4 minor is -5; E6 repeats from 3 on
-    assert eliminations == ({0: 5, 5: 1} if family == "D" else {0: 3})
+    # one Hom-differential elimination over QQ per distinct level 1..5 (per
+    # thread from level 2 on) whose Hom space is not 0, and one mod p per
+    # (p, level) whose pivot minor p divides: the oriented 6-cycle repeats no
+    # level by 5, Hom(P_2, A) and Hom(P_5, A) are 0 there, and its level-4 minor
+    # is -5; E6 is hereditary, so Hom(P_i, A) is 0 from level 2 on
+    assert eliminations == ({0: 3, 5: 1} if family == "D" else {0: 1})
 
 
 @pytest.mark.parametrize("family, rank, sample", [("A", 5, 7), ("D", 7, 40), ("E", 7, 50), ("D", 6, 80)])
@@ -170,6 +173,35 @@ def test_pool_fallback_warns_and_keeps_report(monkeypatch):
     with pytest.warns(RuntimeWarning, match="OSError: .*Function not implemented"):
         report = verify_suite("A", 4, [GF2, QQ], max_i=3, jobs=2)
     assert report.to_dict() == serial.to_dict()
+
+
+def test_pool_map_failure_shuts_the_pool_down_and_keeps_report(monkeypatch):
+    # the pool is built, then submitting the tasks fails: the pool is shut
+    # down, one warning says so, and the serial sweep gives the same bytes
+    pools = []
+
+    class FailingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.shutdowns = []
+            pools.append(self)
+
+        def map(self, *args, **kwargs):
+            raise OSError(24, "Too many open files")
+
+        def shutdown(self, *args, **kwargs):
+            self.shutdowns.append((args, kwargs))
+            super().shutdown(*args, **kwargs)
+
+    serial = json.dumps(verify_suite("A", 4, [GF2, QQ], max_i=3, jobs=1).to_dict())
+    monkeypatch.setattr(cthh.verify, "ProcessPoolExecutor", FailingPool)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = verify_suite("A", 4, [GF2, QQ], max_i=3, jobs=2)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "process pool unavailable (OSError: [Errno 24] Too many open files); verifying serially")]
+    assert len(pools) == 1 and pools[0].shutdowns == [((), {"cancel_futures": True})]
+    assert json.dumps(report.to_dict()) == serial
 
 
 def test_worker_oserror_propagates_without_serial_rerun(monkeypatch):
