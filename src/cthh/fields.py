@@ -57,9 +57,11 @@ class FieldSpec:
             raise ValueError(f"prime too large for exact word arithmetic: {p}")
 
     def element(self, n):
-        """Coerce an integer (or Fraction, over the rationals) into the field.
+        """Coerce an integer or a Fraction into the field.
 
-        Over the rationals an integral value comes back as an `int`."""
+        Over the rationals an integral value comes back as an `int`.  Over
+        GF(p) a Fraction is its numerator times the inverse of its denominator,
+        and a denominator that p divides raises ZeroDivisionError."""
         if self.characteristic == 0:
             if type(n) is int:
                 return n

@@ -88,13 +88,11 @@ build the same level.  Exactness at level m - 1 holds because d_m (x) S_t has
 the rank of d_{m-n+j} (x) S_t, which the step from that level checked (or
 derived in turn), and the slice kernel dimensions of d_{n-1} and d_{j-1} are
 checked equal before a twist is taken.  Each level holds the slice kernel
-dimensions and the minor of the step out of it: level n takes level j's when
-the twist is found, and a derived level carries its source's (the minor
-changes by a sign only, so the certificate's primes do not).  The
-d-compose-d check runs on every derived level.  The period stays exact
-equality of states, and each distinct level's Hom rank is still computed:
-Hom ranks are not invariant under the twist.  Over GF(2) a twist is
-equality, so none is found.
+dimensions of the step out of it: level n takes level j's when the twist is
+found, and a derived level carries its source's.  The d-compose-d check runs on
+every derived level.  The period stays exact equality of states, and each
+distinct level's Hom rank is still computed: Hom ranks are not invariant under
+the twist.  Over GF(2) a twist is equality, so none is found.
 
 Threads: join each generator of a level n >= 2 to the generators of level n - 1
 its image reads; the components over levels >= 1 are the threads (level 0,
@@ -135,17 +133,21 @@ same argument over GF(p); so its Hom complex gives HH^0..HH^n over GF(p).  A
 slice block keeps its rank when the minor on the rows and columns its
 elimination picked is a unit mod p, and that minor is +- the product of the
 pivots rref_frac meets, so the certificate costs no extra elimination.
-extend_to(n + 1) runs the slice pass of d_1..d_n only (a derived level carries
-its source's minor); unless level n + 1 repeats an earlier one or carries a
-minor, that of d_{n+1} runs once more.  When p divides a denominator or a
-minor, the certificate fails (it does not prove the ranks drop) and that field
-is resolved on its own, with a RuntimeWarning.
+The resolution keeps one integer, obstruction: the product of each slice
+pass's pivot minors (numerators) and, over QQ, of the denominators _top writes
+into an image; level 1 is written with +-1 and _derive only flips signs.  It
+covers every step that ran, a superset of the levels hom_parts reads: a shared
+level is one whose step ran, and a derived or twisting level has the slice
+ranks and, up to sign, the images and pivot minors of one.  extend_to(n + 1)
+runs the slice pass of d_1..d_n, and hh_dims that of d_{n+1} unless level n + 1
+holds its slice data already or was never built.  When p divides obstruction,
+the certificate fails (it does not prove the ranks drop) and that field is
+resolved on its own, with a RuntimeWarning.
 
 The threads need no certificate of their own: the rank mod p of a direct sum
 is the sum of the parts', each at most its rank over QQ, so a thread's block
-keeps its rank when the whole block does; obstruction covers the levels that
-hom_parts reads, and once every thread has repeated they lie below the last
-level built, whose steps have run.
+keeps its rank when the whole block does; and once every thread has repeated,
+the levels hom_parts reads lie below the last level built, whose steps ran.
 
 The Hom complex reuses the certificate: each distinct Hom differential d^i (from
 d^2 on, each thread's part of it) is row-reduced once, over the resolution's
@@ -181,14 +183,13 @@ class _Level:
     Block (s, t) is e_s P e_t, with basis (g, p, q) for the generators g = (a, b),
     the paths p from s to a and q from b to t, in that order; block(key) lists
     it on first read.  slices[(s, t)] lists the basis (g, p, e_t) of P (x) S_t at s.
-    slice_dims and minor belong to the step d out of the level, once known:
-    {(s, t): dim of the kernel of d (x) S_t at s, when nonzero}, and +- the
-    product of d's slice pivot minors over QQ (1 over GF(p))."""
+    slice_dims belongs to the step d out of the level, once known: {(s, t): dim
+    of the kernel of d (x) S_t at s, when nonzero}."""
 
     def __init__(self, a: BoundAlgebra, gens, images):
         self.gens = list(gens)       # list of (a_vertex, b_vertex)
         self.images = list(images)   # per generator: dict coord -> coeff in level - 1; none at 0
-        self.slice_dims = self.minor = None
+        self.slice_dims = None
         self.threads = None          # thread -> its generators in order, from level 1 once level 2 is built
         self.parallel = a.parallel
         self._blocks = {}            # (s, t) -> (its coordinates, coordinate -> offset)
@@ -261,6 +262,7 @@ class BimoduleResolution:
         self.a = a
         self.field = a.field
         self.total_dim = 0
+        self.obstruction = 1  # the certificate for GF(p), p not dividing it (module docstring)
         self.arrows_out = {}
         for idx in a.arrows:
             self.arrows_out.setdefault(a.basis[idx][0], []).append(idx)
@@ -316,7 +318,8 @@ class BimoduleResolution:
         """Kernel bases of d_i (x) S_t at s, on the columns (g, p, e_t) of each
         block (s, t) of level i (i >= 1).  Its rank must be the kernel dimension
         of d_{i-1} (x) S_t at s (exactness at level i - 1); the kernel
-        dimensions and the product of the pivot minors go to level i."""
+        dimensions go to level i, the product of the pivot minors into
+        obstruction."""
         lvl = self.levels[i]
         n = self.a.vertex_count  # the trivial paths are the basis paths below n
         # the image terms with a trivial right path, the only ones d (x) S_t keeps
@@ -337,7 +340,8 @@ class BimoduleResolution:
             key = min(k for k in ranks.keys() | prev.keys() if ranks.get(k) != prev.get(k))
             raise InvariantError(f"resolution not exact at step {i}: image {ranks.get(key, 0)}, "
                                  f"kernel {prev.get(key, 0)} in the slice of block {key}")
-        lvl.slice_dims, lvl.minor = dims, minor
+        lvl.slice_dims = dims
+        self.obstruction *= minor.numerator
         return kernels
 
     def _kernels(self, i, keys):
@@ -410,7 +414,9 @@ class BimoduleResolution:
     def _top(self, lvl, tops, kernels):
         """Generators (block keys) and images lifting the kernel top modulo
         rad*K + K*rad, block by block; the spans, the check and the choice of
-        the vectors that lift are in the module docstring."""
+        the vectors that lift are in the module docstring.  Over QQ the
+        denominator of each non-integral coefficient goes into obstruction."""
+        rational = not self.field.characteristic
         new_gens = []
         new_images = []
         for key in sorted(kernels):
@@ -425,12 +431,13 @@ class BimoduleResolution:
             pad = [0] * width
             for vec in lifts:  # each one's residue lifts the top
                 residue = ech.add(pad + list(vec))
+                image = {block_coords[off]: val for off, val in enumerate(residue[width:]) if val}
+                if rational:
+                    for val in image.values():
+                        if type(val) is not int:
+                            self.obstruction *= val.denominator
                 new_gens.append(key)
-                new_images.append({
-                    block_coords[off]: val
-                    for off, val in enumerate(residue[width:])
-                    if val
-                })
+                new_images.append(image)
         return new_gens, new_images
 
     def _radical_echelon(self, lvl, key, kernel, rad):
@@ -542,9 +549,8 @@ class BimoduleResolution:
             return
         if self._twist is None:
             self._twist = next(filter(None, (self._sign_twist(j, n) for j in seen)), None)
-            if self._twist:  # d_n is d_j twisted: it has d_j's slice ranks and minor up to sign
-                src, lvl = self.levels[n - self._twist[0]], self.levels[n]
-                lvl.slice_dims, lvl.minor = src.slice_dims, src.minor
+            if self._twist:  # d_n is d_j twisted: it has d_j's slice ranks
+                self.levels[n].slice_dims = self.levels[n - self._twist[0]].slice_dims
         seen.append(n)
 
     def _close_threads(self, n, key):
@@ -672,7 +678,7 @@ class BimoduleResolution:
         build it: each image coordinate c = (g, p, q) times Phi(c) eps_m(h),
         Phi(c) = eps_{m-1}(g) chi(p), with eps_m(h) = Phi of the image's lead,
         so that the lead stays 1.  The copy carries the source's block index
-        and step data, the minor +- over QQ (module docstring)."""
+        and slice kernel dimensions (module docstring)."""
         d, chi, signs = self._twist
         mod = self.field.characteristic
         eps = signs[m - 1]
@@ -722,29 +728,10 @@ class BimoduleResolution:
         gens = range(len(lvl.gens)) if thread is None else lvl.threads.get(thread, ())
         return [(g, w) for g in gens for w in parallel.get(lvl.gens[g], ())]
 
-    def obstruction(self, length):
-        """An integer N such that, for every prime p not dividing N, levels
-        0..length over QQ reduce mod p to the start of a projective bimodule
-        resolution over GF(p) (module docstring).  N is the product of the
-        denominators of the image coefficients and the numerators of the slice
-        pivot minors of the levels that hom_parts reads for d_1..d_length; after
-        extend_to(length), the slice pass of d_length runs here unless its level
-        repeats or twists an earlier one, was derived or is not read."""
-        out = 1
-        for n in {m for i in range(1, length + 1) for m, _ in self.hom_parts(i)}:
-            if self.levels[n].minor is None:
-                self._slice_kernels(n)
-            out *= self.levels[n].minor.numerator
-            for img in self.levels[n].images:
-                for c in img.values():
-                    if type(c) is not int:
-                        out *= c.denominator
-        return out
-
     def hom_differential_rank(self, i, fields, thread=None):
         """Ranks of Hom(P_{i-1}, A) -> Hom(P_i, A), or of its part on one thread,
         over each field in fields: the resolution's own, or a GF(p) that a
-        resolution over QQ is certified for (obstruction).  It is row-reduced
+        resolution over QQ is certified for (its obstruction).  It is row-reduced
         once over the resolution's field, and again mod p only for a prime
         dividing that pivot minor (module docstring)."""
         rank, minor = self._hom_rank(i, self.field, thread)
@@ -868,9 +855,10 @@ def hh_dims(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
     algebras = [a.over(fs) for fs in fieldspecs]  # a wrong field fails before any level
     res = BimoduleResolution(a)
     res.extend_to(max_i + 1)
-    obstruction = res.obstruction(max_i + 1) if set(fieldspecs) - {a.field} else 1
+    if set(fieldspecs) - {a.field} and len(res.levels) == max_i + 2 and res.levels[-1].slice_dims is None:
+        res._slice_kernels(max_i + 1)  # exactness at P_max_i, for the certificate alone
     certified = [fs for fs in dict.fromkeys(fieldspecs)
-                 if fs == a.field or obstruction % fs.characteristic]
+                 if fs == a.field or res.obstruction % fs.characteristic]
     parts = [res.hom_parts(i) for i in range(max_i + 2)]
     size = {p: len(res.hom_basis(*p)) for p in dict.fromkeys(p for ps in parts for p in ps)}
     homs = [sum(size[p] for p in ps) for ps in parts]  # dim Hom(P_i, A)

@@ -323,6 +323,21 @@ def test_cycle_without_relations_not_finite_dimensional():
         build_algebra(oriented_cycle(3), (), QQ)
 
 
+def test_redundant_relation_cancels_and_changes_nothing():
+    # (1,2,5) - (1,4,5) is the sum of the other two relations, so completion
+    # reduces it to 0, cancelling a coefficient in _reduce on the way
+    q = Quiver.make(5, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
+
+    def commute(x, y):
+        return Relation(((1, Path((1, x, 5))), (-1, Path((1, y, 5)))))
+
+    rels = (((1, 2), commute(2, 3)), ((1, 3), commute(3, 4)))
+    for fs in (QQ, GF2):
+        a = build_algebra(q, rels, fs)
+        b = build_algebra(q, rels + (((1, 4), commute(2, 4)),), fs)
+        assert a.dimension == 12 and (a.basis, a.mult) == (b.basis, b.mult)
+
+
 def test_non_unit_leading_coefficient_rejected():
     q = dynkin_seed("A", 3)
     rels = (((1, 2), Relation(((2, Path((1, 2, 3))),))),)

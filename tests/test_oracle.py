@@ -326,10 +326,11 @@ def test_slice_pass_identities_against_the_full_block_reference(family, ranks):
     # with r_n(s, t) the kernel dimension of d_n (x) S_t at s: r_n(s, t) is the
     # rank of block (s, t)'s kernel vectors on its columns (g, p, e_t); the
     # slice rank of d_n is r_{n-1}(s, t), dim e_s A e_t - delta_st at n = 0;
-    # dim e_s K_n e_t = sum_u r_n(s, u) dim e_u A e_t; over QQ each level's
-    # product of slice pivot minors is +-1.  The states are the reference's,
-    # which computes every level: the levels derived after a sign twist are
-    # compared with computed ones, on every field but GF(2)
+    # dim e_s K_n e_t = sum_u r_n(s, u) dim e_u A e_t; over QQ the obstruction
+    # is +-1: every slice pivot minor is a unit and every image integral.  The
+    # states are the reference's, which computes every level: the levels
+    # derived after a sign twist are compared with computed ones, on every
+    # field but GF(2)
     derived = Counter()
     for rank in ranks:
         for q in mutation_class(family, rank):
@@ -357,7 +358,7 @@ def test_slice_pass_identities_against_the_full_block_reference(family, ranks):
                         assert len(cols) - r.get((s, t), 0) == prev.get((s, t), 0), (q, fs, i)
                         assert len(kernels.get((s, t), ())) == sum(
                             r.get((s, u), 0) * cartan[(u, t)] for u in range(1, n + 1)), (q, fs, i)
-                    assert fs.characteristic or abs(res.levels[i].minor) == 1, (q, i)
+                assert fs.characteristic or res.obstruction in (1, -1), q
     assert derived[2] == 0 and all(derived[c] for c in (3, 5, 0)), derived
 
 
@@ -1200,7 +1201,7 @@ def test_hom_ranks_mod_p_match_the_reduced_differential(monkeypatch):
 
 
 class _TimesThree(BimoduleResolution):
-    """Multiplies the recorded slice pivot minor of d_n by 3 for n =
+    """Multiplies the obstruction by 3 in the slice pass of d_n for n =
     PLANTED_LEVEL, so the certificate fails for p = 3 alone."""
 
     PLANTED_LEVEL = 2
@@ -1208,7 +1209,7 @@ class _TimesThree(BimoduleResolution):
     def _slice_kernels(self, i):
         out = super()._slice_kernels(i)
         if i == self.PLANTED_LEVEL:
-            self.levels[i].minor *= 3
+            self.obstruction *= 3
         return out
 
 
@@ -1224,12 +1225,12 @@ def test_failed_certificate_falls_back_for_that_prime(monkeypatch):
 def test_top_differential_is_certified_before_the_period_closes(monkeypatch):
     # levels 0..3 of the triangle algebra hold no repeat yet, so d_3 (the
     # differential out of the top level) is row-reduced only for the
-    # certificate; a minor planted there must still reach the fallback
+    # certificate, in hh_dims; a factor planted in that pass must still reach
+    # the fallback
     q, max_i = oriented_cycle(3), 2
     res = BimoduleResolution(cached_algebra(q, 0))
     res.extend_to(max_i + 1)
-    assert res.period is None and res.levels[max_i + 1].minor is None
-    assert res.obstruction(max_i + 1) % 3 and res.levels[max_i + 1].minor is not None
+    assert res.period is None and res.levels[max_i + 1].slice_dims is None and res.obstruction % 3
     monkeypatch.setattr(_TimesThree, "PLANTED_LEVEL", max_i + 1)
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
     with pytest.warns(RuntimeWarning, match="not certified mod 3"):
@@ -1238,17 +1239,17 @@ def test_top_differential_is_certified_before_the_period_closes(monkeypatch):
 
 
 def test_failed_certificate_on_a_twisted_level_falls_back_for_that_prime(monkeypatch):
-    # level 6 is level 3 up to signs, so the step from level 6 takes its minor
-    # from the step from level 3 and levels 7 and 8 are derived: a factor 3
-    # planted in the minor of d_3 reaches the minor of d_6 too
+    # level 6 is level 3 up to signs, so the step from level 6 takes its slice
+    # data from the step from level 3 and runs no slice pass, and levels 7 and
+    # 8 are derived: a factor 3 planted in the slice pass of d_3 stands for d_6
     q, max_i = TWIST_CI, 10
     clean = _CountedSteps(cached_algebra(q, 0))
     clean.extend_to(max_i + 1)
-    assert clean.thread_periods[1] == (2, 6) and clean.steps == 5 and clean.levels[6].minor % 3
+    assert clean.thread_periods[1] == (2, 6) and clean.steps == 5 and clean.obstruction % 3
     monkeypatch.setattr(_TimesThree, "PLANTED_LEVEL", 3)
     res = _TimesThree(cached_algebra(q, 0))
     res.extend_to(max_i + 1)
-    assert res.levels[3].minor == res.levels[6].minor == 3 * clean.levels[6].minor
+    assert res.levels[6].slice_dims is res.levels[3].slice_dims and res.obstruction == 3 * clean.obstruction
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _TimesThree)
     with pytest.warns(RuntimeWarning, match="not certified mod 3") as record:
         got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
@@ -1258,12 +1259,12 @@ def test_failed_certificate_on_a_twisted_level_falls_back_for_that_prime(monkeyp
 
 class _CertificatePasses(BimoduleResolution):
     """Records each instance, the levels it derives and the levels whose slice
-    pass runs inside obstruction."""
+    pass runs outside extend_once, for the certificate alone."""
 
     made = []
 
     def __init__(self, a):
-        self.derived, self.passes, self.certifying = set(), [], False
+        self.derived, self.passes, self.building = set(), [], False
         self.made.append(self)
         super().__init__(a)
 
@@ -1271,22 +1272,22 @@ class _CertificatePasses(BimoduleResolution):
         self.derived.add(m)
         super()._derive(m)
 
+    def extend_once(self):
+        self.building = True
+        try:
+            super().extend_once()
+        finally:
+            self.building = False
+
     def _slice_kernels(self, i):
-        if self.certifying:
+        if not self.building:
             self.passes.append(i)
         return super()._slice_kernels(i)
 
-    def obstruction(self, length):
-        self.certifying = True
-        try:
-            return super().obstruction(length)
-        finally:
-            self.certifying = False
-
 
 def test_certificate_runs_no_slice_pass_on_a_derived_level(monkeypatch):
-    # a derived level carries the minor of the step out of it from its source,
-    # so obstruction row-reduces only a top level that was computed and
+    # a derived level carries the slice data of the step out of it from its
+    # source, so hh_dims row-reduces only a top level that was computed and
     # neither repeats nor twists an earlier one: 19 of the 80 tops at max_i 6,
     # while 37 are derived
     monkeypatch.setattr(_CertificatePasses, "made", [])
@@ -1298,44 +1299,30 @@ def test_certificate_runs_no_slice_pass_on_a_derived_level(monkeypatch):
     assert len(passes) == 19 and sum(7 in res.derived for res in _CertificatePasses.made) == 37
 
 
-class _CarriedTimesThree(BimoduleResolution):
-    """Multiplies by 3 the minor that derived level PLANTED_LEVEL carries from
-    its source, and that one alone."""
+class _HalvingEchelon:
+    """Hands each residue back halved; its rows stay as they are."""
 
-    PLANTED_LEVEL = 7
+    def __init__(self, ech):
+        self.ech = ech
 
-    def _derive(self, m):
-        super()._derive(m)
-        if m == self.PLANTED_LEVEL:
-            self.levels[m].minor *= 3
-
-
-def test_certificate_reads_the_minor_a_derived_top_level_carries(monkeypatch):
-    # level 7 is derived from level 4, and at max_i 6 it is the top: the
-    # certificate must read the minor it carries, which the planted factor 3
-    # makes fail for GF(3) alone
-    q, max_i = TWIST_CI, 6
-    res = _CarriedTimesThree(cached_algebra(q, 0))
-    res.extend_to(max_i + 1)
-    assert res.levels[7].minor == 3 * res.levels[4].minor and res.obstruction(max_i + 1) % 3 == 0
-    monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _CarriedTimesThree)
-    with pytest.warns(RuntimeWarning, match="not certified mod 3") as record:
-        got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
-    assert len(record) == 1
-    assert got == _per_field(q, max_i)
+    def add(self, vec):
+        return [Fraction(v, 2) for v in self.ech.add(vec)]
 
 
 class _HalvedTop(BimoduleResolution):
-    """Over QQ, halves the image of the first generator of the top level,
-    which is still a resolution of A (its generator is rescaled) but not
-    2-integral."""
+    """Over QQ, halves the images _top writes for the first block of level
+    length, the top of extend_to(length): still a resolution of A (their
+    generators are rescaled) but not 2-integral.  halve is None once done."""
 
     def extend_to(self, length):
+        self.halve = length if self.field == QQ else None
         super().extend_to(length)
-        if self.field == QQ:
-            assert self.distinct_index(length) == length
-            images = self.levels[length].images
-            images[0] = {c: Fraction(v, 2) for c, v in images[0].items()}
+
+    def _radical_echelon(self, lvl, key, kernel, rad):
+        ech, width, lifts = super()._radical_echelon(lvl, key, kernel, rad)
+        if len(self.levels) == self.halve:
+            self.halve, ech = None, _HalvingEchelon(ech)
+        return ech, width, lifts
 
 
 def test_non_integral_image_falls_back_without_crashing(monkeypatch):
@@ -1353,12 +1340,31 @@ def test_non_integral_image_is_reduced_in_the_hom_complex(monkeypatch):
     q, max_i = oriented_cycle(3), 3
     res = _HalvedTop(cached_algebra(q, 0))
     res.extend_to(max_i + 1)
+    assert res.halve is None and res.obstruction % 2 == 0
+    assert any(type(c) is Fraction for c in res.levels[max_i + 1].images[0].values())
     assert res.hom_differential_rank(max_i + 1, [QQ]) != [0]
     monkeypatch.setattr(cthh.oracle, "BimoduleResolution", _HalvedTop)
     with pytest.warns(RuntimeWarning, match="not certified mod 2") as record:
         got = hh_dims(cached_algebra(q, 0), ALL_FIELDS, max_i=max_i)
     assert len(record) == 1
     assert got == _per_field(q, max_i)
+
+
+def test_relation_with_a_coefficient_two_falls_back_mod_two():
+    # 2 (1->2->4) - (1->3->4) has the tip 1->3->4 with coefficient -1, so the
+    # algebra builds over every field; nothing is planted, yet its QQ
+    # resolution meets an even slice pivot minor and an image denominator 2,
+    # and GF(2) alone falls back
+    q, max_i = Quiver.make(4, [(1, 2), (1, 3), (2, 4), (3, 4)]), 8
+    rels = (((1, 2), Relation(((2, QuiverPath((1, 2, 4))), (-1, QuiverPath((1, 3, 4)))))),)
+    res = BimoduleResolution(build_algebra(q, rels))
+    res.extend_to(max_i + 1)
+    assert res.levels[max_i + 1].slice_dims is not None and res.obstruction == -4
+    with pytest.warns(RuntimeWarning, match=r"Quiver\(4; .*not certified mod 2") as record:
+        got = hh_dims(build_algebra(q, rels), ALL_FIELDS, max_i=max_i)
+    assert len(record) == 1
+    assert got == [(1, 1, 1) + (0,) * 6] + [(1,) + (0,) * 8] * 3
+    assert got == [hh_dims(build_algebra(q, rels, fs), [fs], max_i=max_i)[0] for fs in ALL_FIELDS]
 
 
 def test_fallback_survives_optimize():
@@ -1373,7 +1379,7 @@ def test_fallback_survives_optimize():
         "    def _slice_kernels(self, i):\n"
         "        out = super()._slice_kernels(i)\n"
         "        if i == 2:\n"
-        "            self.levels[i].minor *= 3\n"
+        "            self.obstruction *= 3\n"
         "        return out\n"
         "fields = [FieldSpec(c) for c in (2, 3, 5, 0)]\n"
         "want = [hh_dims(build_algebra(q, rels, fs), [fs], max_i=4)[0] for fs in fields]\n"
