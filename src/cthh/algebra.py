@@ -122,10 +122,13 @@ class BoundAlgebra:
     """Quotient of a path algebra with a fixed deterministic basis.
 
     basis paths are vertex tuples ((v,) is the trivial path at v), sorted by
-    (length, vertex sequence); mult maps a basis index pair to a tuple of
-    (basis index, integer coefficient) with zero products absent, over every
-    field: a consumer over GF(p) reduces what it computes from it.  The basis
-    indexes are computed on construction and shared by every view (over):
+    (length, vertex sequence).  mult is the multiplication table by left
+    factor, one dict per basis index: mult[i][j] is the tuple of (basis index,
+    integer coefficient) of path i times path j, with zero products absent,
+    over every field: a consumer over GF(p) reduces what it computes from it.
+    A reader that multiplies by one left factor in a loop takes its row out
+    of the loop.  The basis indexes are computed on construction, and they
+    and the rows are shared by every view (over):
     index maps a path to its basis index, paths_from[v] and paths_to[v] list
     the paths out of and into v, parallel[(s, t)] those from s to t, and
     arrows the arrows, each list in ascending basis order.
@@ -134,7 +137,7 @@ class BoundAlgebra:
     quiver: Quiver
     field: FieldSpec
     basis: tuple
-    mult: dict
+    mult: list
 
     def __post_init__(self):
         paths_from, paths_to, parallel = {}, {}, {}
@@ -197,9 +200,9 @@ def build_algebra(q: Quiver, rels, fieldspec: FieldSpec = QQ) -> BoundAlgebra:
             raise NotFiniteDimensionalError(f"normal words longer than {limit} arrows")
 
     basis = tuple(sorted((w for layer in layers for w in layer), key=_path_key))
-    a = BoundAlgebra(q, QQ, basis, {})  # indexed here; its table is filled in below
-    mult, index = a.mult, a.index  # over the integers; zero coefficients never reach a normal form
-    for i, p in enumerate(basis):
+    a = BoundAlgebra(q, QQ, basis, [{} for _ in basis])  # indexed here; its rows are filled in below
+    index = a.index  # over the integers; zero coefficients never reach a normal form
+    for p, row in zip(basis, a.mult):
         # p and r are normal, so a tip of p + r[1:] holds an arrow on each side
         # of the junction vertex len(p) - 1: the tip's slice [s, s + k) of the
         # word has s < len(p) - 1 < s + k - 1 (a slice cut short by the word's
@@ -208,7 +211,7 @@ def build_algebra(q: Quiver, rels, fieldspec: FieldSpec = QQ) -> BoundAlgebra:
         for j in a.paths_from[p[-1]]:
             word = p + basis[j][1:]
             if word in index:  # a normal word is its own normal form
-                mult[(i, j)] = ((index[word], 1),)
+                row[j] = ((index[word], 1),)
                 continue
             for s, e in spans:  # rewrite the first tip found across the junction
                 tail = rules.get(word[s:e])
@@ -219,7 +222,7 @@ def build_algebra(q: Quiver, rels, fieldspec: FieldSpec = QQ) -> BoundAlgebra:
             if tail:  # else a monomial rule: the product is 0
                 nf = _reduce({word[:s] + t + word[e:]: c for t, c in tail.items()}, rules, lengths)
                 if nf:
-                    mult[(i, j)] = tuple(sorted((index[w], c) for w, c in nf.items()))
+                    row[j] = tuple(sorted((index[w], c) for w, c in nf.items()))
     return a.over(fieldspec)
 
 

@@ -16,8 +16,10 @@ cohomology dimensions are the answer.
 The step from level n runs two passes over d_n, both on dense matrices: a
 column per coordinate (g, p, q) holding p * image(g) * q, a row per target
 coordinate it reaches (_assemble).  The left product p * image(g) is formed
-once per generator g and left path p, then multiplied by each right path q;
-entries are reduced modulo the characteristic as they are written.
+once per generator g and left path p, from the table's row of p (the
+algebra's multiplication table is held by left factor), then multiplied by
+each right path q; entries are reduced modulo the characteristic as they are
+written.
 
 The slice pass runs on every block (s, t).  The resolution splits as a sequence
 of right modules, since A is right projective, so each kernel K_n = ker d_n is
@@ -29,7 +31,11 @@ at s, with r_0(s, t) = dim e_s A e_t - delta_st: that is exactness.  It is
 enough.  Let H be the lowest homology of P -> A -> 0; below it the complex
 splits, so H (x) S_t is the homology of P (x) S_t there, which is 0 for every t,
 and H = H rad is 0 by Nakayama.  K_n (x) S_t embeds in P_n (x) S_t as the slice
-kernel, so dim e_s K_n e_t = sum_u r_n(s, u) dim e_u A e_t.
+kernel, so dim e_s K_n e_t = sum_u r_n(s, u) dim e_u A e_t.  Most slice blocks
+have one column (g, p, e_t), which holds p times the terms of g's image with a
+trivial right path: such a block has rank 1, its pivot the first nonzero entry
+of that product, or else rank 0 and the kernel (1,).  Only the wider blocks are
+assembled and row-reduced.
 
 The top of K_n at (s, t) is the top at s of the left module K_n (x) S_t, so its
 dimension c is r_n(s, t) less the rank of R, the span of alpha times the slice
@@ -49,10 +55,10 @@ residues are the generators.  A residue is the one vector of its coset that
 vanishes on the echelon's pivot columns, and the pivot set depends only on the
 span, not on which vectors spanned it or in what order; so the generators and
 their images are those of covering every block with every vector.  The
-d-compose-d check on every new level from level 2 recomputes the images term by
-term through pad, so it cross-checks the assembly; it also checks that each
-generator image lies in its generator's block, since a term outside it would be
-multiplied away unseen.
+d-compose-d check on every new level from level 2 recomputes d_{n-1} d_n term
+by term, each product of two image terms on its own, apart from _assemble, so it
+cross-checks the assembly; it also checks that each generator image lies in
+its generator's block, since a term outside it would be multiplied away unseen.
 
 Nothing is assumed about minimality when taking cohomology: the Hom-complex
 differentials are computed honestly, and d-compose-d = 0 plus image = kernel
@@ -218,20 +224,12 @@ class _Level:
         return got
 
     @staticmethod
-    def pad(mult, coord, p, q, coeff, acc):
-        """Accumulate p * (g, p', q') * q into acc."""
-        g, pp, qq = coord
-        for k, c1 in mult.get((p, pp), ()):
-            for m, c2 in mult.get((qq, q), ()):
-                key = (g, k, m)
-                acc[key] = acc.get(key, 0) + coeff * c1 * c2
-
-    @staticmethod
-    def left(mult, p, vec):
-        """p * vec, for vec a dict (g, p', q') -> coefficient."""
+    def left(row, vec):
+        """p * vec, for row the table's row of p (mult[p]) and vec a dict
+        (g, p', q') -> coefficient."""
         out = {}
         for (g, pp, qq), coeff in vec.items():
-            for k, c1 in mult.get((p, pp), ()):
+            for k, c1 in row.get(pp, ()):
                 key = (g, k, qq)
                 out[key] = out.get(key, 0) + coeff * c1
         return out
@@ -241,7 +239,7 @@ class _Level:
         """vec * q, for vec a dict (g, p', q') -> coefficient."""
         out = {}
         for (g, k, qq), v in vec.items():
-            for m, c2 in mult.get((qq, q), ()):
+            for m, c2 in mult[qq].get(q, ()):
                 key = (g, k, m)
                 out[key] = out.get(key, 0) + v * c2
         return out
@@ -319,15 +317,37 @@ class BimoduleResolution:
         block (s, t) of level i (i >= 1).  Its rank must be the kernel dimension
         of d_{i-1} (x) S_t at s (exactness at level i - 1); the kernel
         dimensions go to level i, the product of the pivot minors into
-        obstruction."""
+        obstruction.  A block of one column (g, p, e_t) is read off the left
+        product p * heads[g], rank 1 at its first nonzero entry, which over QQ
+        is its pivot minor; only the wider blocks are assembled and
+        row-reduced (module docstring)."""
         lvl = self.levels[i]
+        mult = self.a.mult
         n = self.a.vertex_count  # the trivial paths are the basis paths below n
+        mod = self.field.characteristic
         # the image terms with a trivial right path, the only ones d (x) S_t keeps
         heads = [{c: v for c, v in img.items() if c[2] < n} for img in lvl.images]
         kernels, ranks, dims = {}, {}, {}
         minor = 1
-        for key, rows in self._assemble(lvl.slices, heads).items():
-            ncols = len(lvl.slices[key])
+        wide = {}
+        for key, cols in lvl.slices.items():
+            if len(cols) > 1:
+                wide[key] = cols
+                continue
+            (g, p, _), = cols
+            for v in _Level.left(mult[p], heads[g]).values():
+                if mod:
+                    v %= mod
+                if v:
+                    ranks[key] = 1
+                    if not mod:
+                        minor *= v
+                    break
+            else:
+                kernels[key] = [(1,)]
+                dims[key] = 1
+        for key, rows in self._assemble(wide, heads).items():
+            ncols = len(wide[key])
             rank, block_minor, kernel = self._eliminate(rows, ncols)
             minor *= block_minor
             if rank:
@@ -381,7 +401,7 @@ class BimoduleResolution:
             for c, (g, p, q) in enumerate(cols):
                 left = lefts.get((g, p))
                 if left is None:
-                    left = lefts[(g, p)] = _Level.left(mult, p, images[g])
+                    left = lefts[(g, p)] = _Level.left(mult[p], images[g])
                 for tcoord, v in (_Level.right(mult, left, q) if q >= n else left).items():
                     if mod:
                         v %= mod
@@ -490,16 +510,18 @@ class BimoduleResolution:
         """arrow * vec, for vec on the coordinates coords: dense on the
         coordinates of offset, unreduced mod p (Echelon reduces it)."""
         out = [0] * len(offset)
-        mult = self.a.mult
+        row = self.a.mult[arrow]
         for (g, p, q), val in zip(coords, vec):
             if val:
-                for k, c in mult.get((arrow, p), ()):
+                for k, c in row.get(p, ()):
                     out[offset[(g, k, q)]] += val * c
         return out
 
     def _check_square_zero(self, i):
         """Each generator image of level i lies in its generator's block of
-        level i - 1, and d_{i-1} after d_i vanishes on it (i >= 2)."""
+        level i - 1, and d_{i-1} after d_i vanishes on it (i >= 2): each term
+        c (g, p, q) of the image and each term c' (g', p', q') of g's image add
+        c c' (g', p p', q' q), summed term by term, apart from _assemble."""
         prev = self.levels[i - 1]
         mult = self.a.mult
         mod = self.field.characteristic
@@ -510,8 +532,13 @@ class BimoduleResolution:
                 if coord not in offset:
                     raise InvariantError("differential broke the vertex bigrading")
                 g, p, q = coord
-                for tcoord, c2 in prev.images[g].items():
-                    _Level.pad(mult, tcoord, p, q, coeff * c2, acc)
+                row = mult[p]
+                for (h, pp, qq), c2 in prev.images[g].items():
+                    for k, c1 in row.get(pp, ()):
+                        v = coeff * c2 * c1
+                        for m, c3 in mult[qq].get(q, ()):
+                            tcoord = (h, k, m)
+                            acc[tcoord] = acc.get(tcoord, 0) + v * c3
             if any(v % mod if mod else v for v in acc.values()):
                 raise InvariantError("d o d != 0")
 
@@ -659,8 +686,9 @@ class BimoduleResolution:
         # chi(k) = chi(alpha) chi(q) for alpha q = ... + k ...: then p -> chi(p) p is
         # multiplicative on alpha times every path, so on every product
         for alpha in a.arrows:
+            row = a.mult[alpha]
             for q in a.paths_from[a.basis[alpha][1]]:
-                for k, _ in a.mult.get((alpha, q), ()):
+                for k, _ in row.get(q, ()):
                     if a.basis[k] != a.basis[alpha] + a.basis[q][1:]:
                         eqs.add((odd[alpha] ^ odd[q] ^ odd[k], 0))
         rows = [[int(k in cols) for k in range(width)] + [bit] for cols, bit in eqs]
@@ -742,50 +770,62 @@ class BimoduleResolution:
         """Rank of Hom(P_{i-1}, A) -> Hom(P_i, A), or of its part on one thread,
         over field and, over QQ, +- the product of its pivots; a resolution over
         QQ is reduced mod p for GF(p).  The image terms are grouped by the
-        generator they read once, for every column on it."""
+        generator they read once, for every column on it, and their sums fill
+        a dense row per codomain coordinate met, in order of appearance."""
         dom = self.hom_basis(i - 1, thread)
         cod_pos = {gw: r for r, gw in enumerate(self.hom_basis(i, thread))}
         mult = self.a.mult
         lvl = self.levels[i]
         convert = field != self.field  # the one place a Fraction can meet GF(p)
-        reads = {}  # generator of level i - 1 -> the terms (g, p, q, coeff) that read it
+        reads = {}  # generator of level i - 1 -> (g, the row of p, q, coeff) per term (g, p, q) reading it
         for g in range(len(lvl.gens)) if thread is None else lvl.threads[thread]:
             for (src, p, q), c in lvl.images[g].items():
-                reads.setdefault(src, []).append((g, p, q, field.element(c) if convert else c))
-
-        def terms():
-            for col, (src, w) in enumerate(dom):
-                for g, pp, qq, coeff in reads.get(src, ()):
-                    for k, c1 in mult.get((pp, w), ()):
-                        for m, c2 in mult.get((k, qq), ()):
-                            yield cod_pos[(g, m)], col, coeff * c1 * c2
-
-        return _rank(terms(), len(dom), field)
+                reads.setdefault(src, []).append((g, mult[p], q, field.element(c) if convert else c))
+        ncols = len(dom)
+        rows = {}
+        for col, (src, w) in enumerate(dom):
+            for g, row, qq, coeff in reads.get(src, ()):
+                for k, c1 in row.get(w, ()):
+                    for m, c2 in mult[k].get(qq, ()):
+                        key = cod_pos[(g, m)]
+                        dense = rows.get(key)
+                        if dense is None:
+                            dense = rows[key] = [0] * ncols
+                        dense[col] += coeff * c1 * c2
+        return _dense_rank(list(rows.values()), ncols, field)
 
 
 def _rank(terms, ncols, fld: FieldSpec):
-    """Rank of the system whose (row key, column, value) terms sum into dense
-    rows, and +- the product of its pivots over QQ (1 over GF(p)); over GF(p)
-    the sums need not be reduced, since rref_mod reduces them."""
+    """_dense_rank of the system whose (row key, column, value) terms sum into
+    dense rows."""
     rows = defaultdict(lambda: [0] * ncols)
     for key, col, val in terms:
         rows[key][col] += val
+    return _dense_rank(list(rows.values()), ncols, fld)
+
+
+def _dense_rank(rows, ncols, fld: FieldSpec):
+    """Rank of the dense rows, and +- the product of their pivots over QQ (1
+    over GF(p)); over GF(p) the entries need not be reduced, since rref_mod
+    reduces them."""
     if fld.characteristic:
-        return rref_mod(list(rows.values()), ncols, fld.characteristic)[0], 1
-    rank, _, minor = rref_frac(list(rows.values()), ncols)
+        return rref_mod(rows, ncols, fld.characteristic)[0], 1
+    rank, _, minor = rref_frac(rows, ncols)
     return rank, minor
 
 
 def center_dim(a: BoundAlgebra) -> int:
     """dim Z(A): unknowns on the paths from a vertex to itself, x g = g x per arrow g."""
     loops = [b for v in range(1, a.vertex_count + 1) for b in a.parallel[(v, v)]]
+    mult = a.mult
 
     def terms():
         for g in a.arrows:
+            row = mult[g]
             for col, b in enumerate(loops):
-                for c, v in a.mult.get((b, g), ()):
+                for c, v in mult[b].get(g, ()):
                     yield (g, c), col, v
-                for c, v in a.mult.get((g, b), ()):
+                for c, v in row.get(b, ()):
                     yield (g, c), col, -v
 
     return len(loops) - _rank(terms(), len(loops), a.field)[0]
@@ -801,10 +841,11 @@ def derivation_space_dim(a: BoundAlgebra) -> int:
     def leibniz(g, m):
         out = {}
         for (j, l), v in der[g].items():
-            for c, nu in mult.get((l, m), ()):
+            for c, nu in mult[l].get(m, ()):
                 out[(j, c)] = out.get((j, c), 0) + v * nu
+        row = mult[g]
         for (j, l), v in der[m].items():
-            for c, nu in mult.get((g, l), ()):
+            for c, nu in row.get(l, ()):
                 out[(j, c)] = out.get((j, c), 0) + v * nu
         return out
 
@@ -819,10 +860,11 @@ def derivation_space_dim(a: BoundAlgebra) -> int:
 
     def terms():
         for g in a.arrows:
+            row = mult[g]
             for m in a.paths_from[basis[g][1]][1:]:  # the trivial path comes first
                 if basis[g] + basis[m][1:] in index:
                     continue
-                for k, mu in mult.get((g, m), ()):
+                for k, mu in row.get(m, ()):
                     for (j, c), v in der[k].items():
                         yield (g, m, c), j, mu * v
                 for (j, c), v in leibniz(g, m).items():
@@ -860,7 +902,12 @@ def hh_dims(a: BoundAlgebra, fieldspecs, max_i: int = 8) -> list:
     certified = [fs for fs in dict.fromkeys(fieldspecs)
                  if fs == a.field or res.obstruction % fs.characteristic]
     parts = [res.hom_parts(i) for i in range(max_i + 2)]
-    size = {p: len(res.hom_basis(*p)) for p in dict.fromkeys(p for ps in parts for p in ps)}
+    size = {}  # (level, thread) -> dim of its Hom space: the paths parallel to its generators
+    for m, t in dict.fromkeys(p for ps in parts for p in ps):
+        gens = res.levels[m].gens
+        if t is not None:
+            gens = [gens[g] for g in res.levels[m].threads[t]]
+        size[(m, t)] = sum(len(a.parallel.get(gen, ())) for gen in gens)
     homs = [sum(size[p] for p in ps) for ps in parts]  # dim Hom(P_i, A)
     # (level, thread) -> the rank of its Hom differential over each certified
     # field; a part whose Hom space is 0 has none to reduce

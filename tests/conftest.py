@@ -83,7 +83,7 @@ def multiply(a, xs, ys):
     acc = {}
     for i, x in xs:
         for j, y in ys:
-            for k, c in a.mult.get((i, j), ()):
+            for k, c in a.mult[i].get(j, ()):
                 acc[k] = acc.get(k, 0) + x * y * c
     p = a.field.characteristic
     if p:
@@ -91,10 +91,15 @@ def multiply(a, xs, ys):
     return tuple((k, v) for k, v in sorted(acc.items()) if v)
 
 
+def flat_table(a):
+    """a.mult read by index pair: {(i, j): a.mult[i][j]}."""
+    return {(i, j): prod for i, row in enumerate(a.mult) for j, prod in row.items()}
+
+
 def reduced_products(a, rels):
-    """Reference for a.mult over any field: every composable product of basis
-    words is reduced over the integers by the rewriting rules, normal words
-    included."""
+    """Reference for a.mult over any field, by index pair (compare flat_table):
+    every composable product of basis words is reduced over the integers by
+    the rewriting rules, normal words included."""
     rules = _complete(rels, 2 * a.vertex_count + 1)
     index = {p: i for i, p in enumerate(a.basis)}
     mult = {}
@@ -145,11 +150,13 @@ def complete_reference(rels, limit: int):
 def reduced_over(a, fieldspec):
     """Reference for a.over(fieldspec): a separate algebra whose table is a's
     integer table reduced mod p, the entries that vanish dropped."""
-    mult = {}
-    for key, entries in a.mult.items():
-        reduced = tuple((k, r) for k, c in entries if (r := fieldspec.element(c)))
-        if reduced:
-            mult[key] = reduced
+    mult = []
+    for row in a.mult:
+        mult.append({})
+        for j, entries in row.items():
+            reduced = tuple((k, r) for k, c in entries if (r := fieldspec.element(c)))
+            if reduced:
+                mult[-1][j] = reduced
     return BoundAlgebra(a.quiver, fieldspec, a.basis, mult)
 
 
@@ -550,12 +557,19 @@ class EagerLevel:
     """A level as the target of a differential, with every block built
     (level_blocks) and the (block, offset) of each coordinate."""
 
-    pad = staticmethod(_Level.pad)
-
     def __init__(self, a, lvl):
         self.blocks = level_blocks(a, lvl)
         self.offset = {c: (key, off) for key, coords in self.blocks.items()
                        for off, c in enumerate(coords)}
+
+    @staticmethod
+    def pad(mult, coord, p, q, coeff, acc):
+        """Accumulate p * (g, p', q') * q into acc."""
+        g, pp, qq = coord
+        for k, c1 in mult[p].get(pp, ()):
+            for m, c2 in mult[qq].get(q, ()):
+                key = (g, k, m)
+                acc[key] = acc.get(key, 0) + coeff * c1 * c2
 
 
 class FullSpanResolution(BimoduleResolution):
@@ -684,6 +698,27 @@ def assembled_blocks(res, i):
     return {key: list(rows.values()) for key, rows in res._assemble(columns, lvl.images).items()}
 
 
+def assembled_slice_kernels(res, i):
+    """Reference for _slice_kernels: every slice block of d_i assembled and
+    row-reduced (_assemble, _eliminate), one column or more.  Returns the
+    rank of each block of nonzero rank, the kernel bases and their
+    dimensions, and the product of the pivot minors, without touching res."""
+    lvl = res.levels[i]
+    n = res.a.vertex_count
+    heads = [{c: v for c, v in img.items() if c[2] < n} for img in lvl.images]
+    ranks, kernels, dims = {}, {}, {}
+    minor = 1
+    for key, rows in res._assemble(lvl.slices, heads).items():
+        rank, block_minor, kernel = res._eliminate(rows, len(lvl.slices[key]))
+        minor *= block_minor
+        if rank:
+            ranks[key] = rank
+        if kernel:
+            kernels[key] = kernel
+            dims[key] = len(kernel)
+    return ranks, kernels, dims, minor
+
+
 def block_kernels(res, i, mats):
     """Kernel bases of the blocks mats of d_i (dense rows, columns in
     level_blocks order), and their total rank."""
@@ -712,10 +747,10 @@ def radical_multiples(a, blocks, kernels, key):
         out = [0] * len(offset)
         for (g, p, q), val in zip(blocks[src_key], vec):
             if left:
-                for k, c in a.mult.get((arrow, p), ()):
+                for k, c in a.mult[arrow].get(p, ()):
                     out[offset[(g, k, q)]] += val * c
             else:
-                for k, c in a.mult.get((q, arrow), ()):
+                for k, c in a.mult[q].get(arrow, ()):
                     out[offset[(g, p, k)]] += val * c
         return out
 
@@ -747,8 +782,8 @@ class AlgebraAsBimodule:
     @staticmethod
     def pad(mult, coord, p, q, coeff, acc):
         """Accumulate p * coord * q into acc (dict coord -> coefficient)."""
-        for k, c1 in mult.get((p, coord), ()):
-            for m, c2 in mult.get((k, q), ()):
+        for k, c1 in mult[p].get(coord, ()):
+            for m, c2 in mult[k].get(q, ()):
                 acc[m] = acc.get(m, 0) + coeff * c1 * c2
 
 

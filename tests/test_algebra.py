@@ -3,8 +3,8 @@
 import pytest
 
 import cthh.algebra
-from conftest import (cached_algebra, complete_reference, degree_dims, multiply, mutation_class, reduced_over,
-                      reduced_products)
+from conftest import (cached_algebra, complete_reference, degree_dims, flat_table, multiply, mutation_class,
+                      reduced_over, reduced_products)
 from cthh.algebra import BoundAlgebra, CartanData, _complete, build_algebra, cartan
 from cthh.classify import classify_D, lookup_E
 from cthh.errors import AlgebraError, InvalidRelationsError, InvariantError, NotFiniteDimensionalError
@@ -62,7 +62,7 @@ def test_two_triangle_quiver_dimensions():
     # the product b*c reduces to it with coefficient +-1
     in_basis = [(p in a.basis) for p in ((2, 3, 1), (2, 4, 1))]
     assert in_basis.count(True) == 1
-    prod = a.mult.get((a.basis.index((2, 3)), a.basis.index((3, 1))), ())
+    prod = a.mult[a.basis.index((2, 3))].get(a.basis.index((3, 1)), ())
     assert len(prod) == 1 and abs(prod[0][1]) == 1 and len(a.basis[prod[0][0]]) == 3
 
 
@@ -134,7 +134,7 @@ def test_mult_respects_endpoints():
     a = cached_algebra(Quiver.make(4, [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)]), 0)
     for i, p in enumerate(a.basis):
         for j, r in enumerate(a.basis):
-            prod = a.mult.get((i, j), ())
+            prod = a.mult[i].get(j, ())
             if p[-1] != r[0]:
                 assert prod == ()
             for k, _ in prod:
@@ -151,7 +151,21 @@ def test_mult_table_matches_reducing_every_product(family, ranks):
         for q in mutation_class(family, rank):
             for char in (2, 3, 0):
                 a = cached_algebra(q, char)
-                assert a.mult == reduced_products(a, generate_relations(q)), (q, char)
+                assert flat_table(a) == reduced_products(a, generate_relations(q)), (q, char)
+
+
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 8)), ("D", range(4, 8)), ("E", (6,))],
+                         ids=["A2-A7", "D4-D7", "E6"])
+def test_table_rows_hold_products_only_and_views_share_them(family, ranks):
+    # one row per basis path, a zero product absent rather than an empty
+    # tuple, and a view over GF(2) reads the very rows of the algebra over QQ
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            a = cached_algebra(q, 0)
+            view = a.over(GF2)
+            assert len(a.mult) == a.dimension and all(all(row.values()) for row in a.mult), q
+            assert all(view.mult[i] is row for i, row in enumerate(a.mult)), q
+            assert all(all(row.values()) for row in cached_algebra(q, 2).mult), q
 
 
 @pytest.mark.parametrize("family,ranks", [("A", range(2, 9)), ("D", range(4, 9)), ("E", (6, 7))],
@@ -197,8 +211,8 @@ def test_trivial_paths_are_units():
     for i, p in enumerate(a.basis):
         e_src = a.basis.index((p[0],))
         e_tgt = a.basis.index((p[-1],))
-        assert a.mult.get((e_src, i)) == ((i, 1),)
-        assert a.mult.get((i, e_tgt)) == ((i, 1),)
+        assert a.mult[e_src].get(i) == ((i, 1),)
+        assert a.mult[i].get(e_tgt) == ((i, 1),)
 
 
 def test_associativity_exact_on_basis_triples():
@@ -208,10 +222,10 @@ def test_associativity_exact_on_basis_triples():
         d = a.dimension
         for i in range(d):
             for j in range(d):
-                ij = a.mult.get((i, j), ())
+                ij = a.mult[i].get(j, ())
                 for k in range(d):
                     left = multiply(a, ij, ((k, 1),))
-                    right = multiply(a, ((i, 1),), a.mult.get((j, k), ()))
+                    right = multiply(a, ((i, 1),), a.mult[j].get(k, ()))
                     assert left == right, (i, j, k)
 
 
@@ -273,17 +287,18 @@ def test_over_is_a_view_of_the_integer_table():
         assert b.field == fs and degree_dims(b) == degree_dims(a)
         assert all(getattr(b, name) is getattr(a, name)
                    for name in ("basis", "mult", "index", "paths_from", "paths_to", "parallel", "arrows"))
-        assert b.mult == reduced_products(b, generate_relations(q))
+        assert flat_table(b) == reduced_products(b, generate_relations(q))
         with pytest.raises(ValueError, match="cannot move"):
             b.over(GF7)
     # entries 6 and 4, which vanish mod 2, and 6, which vanishes mod 3: every
     # view keeps them, and the consumers read them as the reduced table
-    hand = BoundAlgebra(q, QQ, a.basis, {(0, 0): ((0, 6), (1, 4)), **{
-        key: tuple((k, c * (6 if key[0] in a.arrows else 4)) for k, c in entries)
-        for key, entries in a.mult.items() if key != (0, 0)}})
+    rows = [{j: tuple((k, c * (6 if i in a.arrows else 4)) for k, c in entries) for j, entries in row.items()}
+            for i, row in enumerate(a.mult)]
+    rows[0][0] = ((0, 6), (1, 4))
+    hand = BoundAlgebra(q, QQ, a.basis, rows)
     assert hand.over(GF2).mult is hand.mult
-    assert reduced_over(hand, GF2).mult == {}
-    assert reduced_over(hand, GF3).mult[(0, 0)] == ((1, 1),)
+    assert flat_table(reduced_over(hand, GF2)) == {}
+    assert reduced_over(hand, GF3).mult[0][0] == ((1, 1),)
     for fs in (GF2, GF3):
         view, ref = hand.over(fs), reduced_over(hand, fs)
         assert (center_dim(view), derivation_space_dim(view)) == (center_dim(ref), derivation_space_dim(ref))

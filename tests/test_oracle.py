@@ -14,10 +14,10 @@ import pytest
 
 import cthh.oracle
 from conftest import (ColumnImageResolution, EagerLevel, FullSpanResolution, WholePeriodResolution,
-                      assembled_blocks, augmentation_level_one, block_kernels, cached_algebra, column_image_blocks,
-                      hom_differential_reference, kernel_dims, level_blocks, matrix_rank, mutation_class,
-                      radical_multiples, reduced_over, relabel, rref, sample_by_canonical, thread_components,
-                      thread_state, whole_period_hh_dims)
+                      assembled_blocks, assembled_slice_kernels, augmentation_level_one, block_kernels,
+                      cached_algebra, column_image_blocks, hom_differential_reference, kernel_dims, level_blocks,
+                      matrix_rank, mutation_class, radical_multiples, reduced_over, relabel, rref,
+                      sample_by_canonical, thread_components, thread_state, whole_period_hh_dims)
 from cthh.algebra import build_algebra
 from cthh.errors import InvariantError, ResolutionBudgetError
 from cthh.fields import GF2, GF3, GF5, GF7, QQ, FieldSpec
@@ -74,13 +74,13 @@ def _der_dim_all_pairs(a):
     def terms():
         for x in range(d):
             for y in range(d):
-                for k, mu in a.mult.get((x, y), ()):
+                for k, mu in a.mult[x].get(y, ()):
                     for c in range(d):
                         yield (x, y, c), k * d + c, mu
                 for l in range(d):
-                    for c, nu in a.mult.get((l, y), ()):
+                    for c, nu in a.mult[l].get(y, ()):
                         yield (x, y, c), x * d + l, -nu
-                    for c, nu in a.mult.get((x, l), ()):
+                    for c, nu in a.mult[x].get(l, ()):
                         yield (x, y, c), y * d + l, -nu
 
     return d * d - _dense_rank(terms(), d * d, a.field)
@@ -93,9 +93,9 @@ def _center_dim_all_basis(a):
     def terms():
         for b in range(d):
             for k in range(d):
-                for c, v in a.mult.get((k, b), ()):
+                for c, v in a.mult[k].get(b, ()):
                     yield (b, c), k, v
-                for c, v in a.mult.get((b, k), ()):
+                for c, v in a.mult[b].get(k, ()):
                     yield (b, c), k, -v
 
     return d - _dense_rank(terms(), d, a.field)
@@ -459,6 +459,47 @@ def test_one_column_elimination_matches_the_rref_route(char):
         assert res._eliminate(rows, 1) == want, case
 
 
+class _SliceRoutes(BimoduleResolution):
+    """Runs the assembled route (assembled_slice_kernels) on the state each
+    slice pass reads, and records per pass the step, the width of each slice
+    block, what the pass found and what the reference found: ranks, kernels,
+    slice kernel dimensions and the obstruction after the pass."""
+
+    def __init__(self, a):
+        self.passes = []
+        super().__init__(a)
+
+    def _slice_kernels(self, i):
+        ranks, kernels, dims, minor = assembled_slice_kernels(self, i)
+        want = ranks, kernels, dims, self.obstruction * minor.numerator
+        got = super()._slice_kernels(i)
+        widths = {key: len(cols) for key, cols in self.levels[i].slices.items()}
+        got_ranks = {key: r for key, width in widths.items() if (r := width - len(got.get(key, ())))}
+        self.passes.append((i, widths, (got_ranks, got, self.levels[i].slice_dims, self.obstruction), want))
+        return got
+
+
+@pytest.mark.parametrize("family,ranks", [("A", range(2, 7)), ("D", range(4, 7)), ("E", (6,))],
+                         ids=["A2-A6", "D4-D6", "E6"])
+def test_slice_pass_matches_the_assembled_route(family, ranks):
+    # the slice pass reads a one-column block off its left product and
+    # assembles only the wider ones; the reference assembles and row-reduces
+    # every block.  Every pass, the certificate's on the top level included,
+    # meets blocks of one column and of more, each of rank 0 and of rank > 0
+    seen = Counter()
+    for rank in ranks:
+        for q in mutation_class(family, rank):
+            for fs in ALL_FIELDS:
+                res = _SliceRoutes(cached_algebra(q, fs.characteristic))
+                res.extend_to(12)
+                if res.levels[-1].slice_dims is None:
+                    res._slice_kernels(len(res.levels) - 1)
+                for i, widths, got, want in res.passes:
+                    assert got == want, (q, fs, i)
+                    seen.update((width > 1, key in got[0]) for key, width in widths.items())
+    assert all(seen[(wide, nonzero)] for wide in (False, True) for nonzero in (False, True)), seen
+
+
 @pytest.mark.parametrize("name,q,char", PERIOD_SAMPLE, ids=[c[0] for c in PERIOD_SAMPLE])
 def test_kernel_step_matches_column_image_reference(name, q, char):
     # the kernel step forms p * image(g) once per (generator, left path), keeps
@@ -506,7 +547,7 @@ def _times_path(a, vec, path):
     """vec * path for vec {(generator, basis path): coefficient} in a free right module."""
     out = {}
     for (g, q), c in vec.items():
-        for k, m in a.mult.get((q, path), ()):
+        for k, m in a.mult[q].get(path, ()):
             out[(g, k)] = out.get((g, k), 0) + c * m
     return out
 
@@ -926,20 +967,26 @@ def test_full_eliminations_run_only_on_read_blocks():
 
 
 class _PlantedSliceFault(BimoduleResolution):
-    """Drops a row of the slice matrix of block `key` as step `level` assembles
-    it: the image of d_level (x) S_t there loses rank."""
+    """Zeroes the row of block `key`, a slice block with one column (g, p, e_t)
+    and one row, as the slice pass of step `level` reads it: that pass sees g's
+    terms of trivial right path, the only ones it reads, times the
+    characteristic, integers that vanish over the field, so the image of
+    d_level (x) S_t loses rank there (and in the blocks of g's other slice
+    columns; the exactness check names the least block off)."""
 
     def __init__(self, a, level, key):
         super().__init__(a)
         self.planted = (level, key)
 
-    def _assemble(self, columns, images):
-        mats = super()._assemble(columns, images)
+    def _slice_kernels(self, i):
         level, key = self.planted
-        if len(self.levels) - 1 == level and columns is self.levels[level].slices:
-            rows = mats[key]
-            del rows[next(iter(rows))]
-        return mats
+        if i == level:
+            lvl = self.levels[i]
+            (g, _, _), = lvl.slices[key]
+            n, char = self.a.vertex_count, self.field.characteristic
+            lvl.images = [{c: v * char if c[2] < n else v for c, v in img.items()} if h == g else img
+                          for h, img in enumerate(lvl.images)]
+        return super()._slice_kernels(i)
 
 
 @pytest.mark.parametrize("char", [3, 0])
@@ -960,7 +1007,8 @@ def test_fault_in_a_block_the_top_does_not_read_is_not_exact(char):
 
 class _PlantedFullFault(BimoduleResolution):
     """Zeroes the matrix of the first block with rows that the full pass of step
-    `level` assembles; the slice pass of that step is left as it is."""
+    `level` assembles, the one pass that assembles the level's own images; the
+    slice pass of that step, which assembles their heads, is left as it is."""
 
     def __init__(self, a, level):
         super().__init__(a)
@@ -969,7 +1017,7 @@ class _PlantedFullFault(BimoduleResolution):
 
     def _assemble(self, columns, images):
         mats = super()._assemble(columns, images)
-        if len(self.levels) - 1 == self.planted and columns is not self.levels[self.planted].slices:
+        if len(self.levels) - 1 == self.planted and images is self.levels[self.planted].images:
             self.planted_key = min(key for key, rows in mats.items() if rows)
             mats[self.planted_key] = {}
         return mats

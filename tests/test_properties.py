@@ -94,10 +94,10 @@ def check_associativity(algebra):
     d = algebra.dimension
     for i in range(d):
         for j in range(d):
-            ij = algebra.mult.get((i, j), ())
+            ij = algebra.mult[i].get(j, ())
             for k in range(d):
                 left = multiply(algebra, ij, ((k, 1),))
-                right = multiply(algebra, ((i, 1),), algebra.mult.get((j, k), ()))
+                right = multiply(algebra, ((i, 1),), algebra.mult[j].get(k, ()))
                 assert left == right, (i, j, k)
 
 
